@@ -40,8 +40,7 @@ from .gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from .model import as_simplex
-from scipy.special import logsumexp
+from .model import as_simplex, logsumexp, sample_logs
 
 __all__ = [
     "ALGORITHMS",
@@ -434,16 +433,21 @@ def run_descent(
     def monitor_exact(w):
         return TraceRecord(phase, 0, w.copy(), np.nan, exact_objective(w), np.nan, 0.0)
 
-    def monitor_mc(w, tick):
+    def fresh_batch():
+        """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
+        samples = sample_mixture(state, sample_count, rng)
+        return sample_logs(
+            state.weights, state.particles.points, state.kernel, target, samples
+        )
+
+    def sampled_bound():
         if monitor_alpha == 1.0:
-            vr = np.nan
-        else:
-            fresh = sample_mixture(replace(state, weights=w), sample_count, rng)
-            log_k = state.kernel.logpdf_matrix(state.particles.points, fresh)
-            active = w > 0
-            log_q = logsumexp(log_k[active] + np.log(w[active])[:, None], axis=0)
-            log_p = np.asarray(target.log_density(fresh), dtype=float)
-            vr = vr_bound_from_logs(log_p, log_q, monitor_alpha)
+            return np.nan
+        _, log_q, log_p = fresh_batch()
+        return vr_bound_from_logs(log_p, log_q, monitor_alpha)
+
+    def monitor_mc(w, tick):
+        vr = sampled_bound()
         elapsed = (time.perf_counter() - tick) * 1000.0
         return TraceRecord(phase, 0, w.copy(), vr, np.nan, np.nan, elapsed)
 
@@ -456,11 +460,14 @@ def run_descent(
         tick = time.perf_counter()
         try:
             if monte_carlo:
-                samples = sample_mixture(state, sample_count, rng)
-                log_k = state.kernel.logpdf_matrix(state.particles.points, samples)
-                log_p = np.asarray(target.log_density(samples), dtype=float)
+                log_k, log_q, log_p = fresh_batch()
                 grad = gradient_monte_carlo_from_logs(
-                    log_k, log_p, weights, grad_alpha, log_base=log_base
+                    log_k,
+                    log_p,
+                    weights,
+                    grad_alpha,
+                    log_base=log_base,
+                    log_mixture=log_q,
                 )
             else:
                 grad = gradient_exact(problem, weights, grad_alpha)
@@ -481,25 +488,13 @@ def run_descent(
         weights = new
         if monte_carlo:
             state = replace(state, weights=weights)
-            if monitor_alpha == 1.0:
-                vr = np.nan
-            elif reuse_monitor_samples:
+            if reuse_monitor_samples and monitor_alpha != 1.0:
                 # Reuse this step's sample batch and kernel matrix; only the
                 # mixture under the new weights needs recomputing.
-                active = weights > 0
-                log_q = logsumexp(
-                    log_k[active] + np.log(weights[active])[:, None], axis=0
-                )
+                log_q = logsumexp(log_k, axis=0, b=weights)
                 vr = vr_bound_from_logs(log_p, log_q, monitor_alpha)
             else:
-                fresh = sample_mixture(state, sample_count, rng)
-                log_kf = state.kernel.logpdf_matrix(state.particles.points, fresh)
-                active = weights > 0
-                log_q = logsumexp(
-                    log_kf[active] + np.log(weights[active])[:, None], axis=0
-                )
-                log_pf = np.asarray(target.log_density(fresh), dtype=float)
-                vr = vr_bound_from_logs(log_pf, log_q, monitor_alpha)
+                vr = sampled_bound()
             objective = np.nan
         else:
             vr = np.nan

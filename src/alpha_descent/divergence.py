@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
-from .model import mixture_logpdf
+from .model import logsumexp, mixture_logpdf
 
 __all__ = [
     "DescentParams",

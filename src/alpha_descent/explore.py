@@ -7,10 +7,9 @@ do with them afterwards (the experiment harness resets to uniform).
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .gradient import sample_mixture
-from .model import ParticleSet
+from .model import ParticleSet, logsumexp, sample_logs
 
 __all__ = ["ParticleSet", "explore_mean_update", "explore_resample"]
 
@@ -36,11 +35,9 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     samples = sample_mixture(state, sample_count, rng)
-    log_k = state.kernel.logpdf_matrix(state.particles.points, samples)
-    weights = state.weights
-    active = weights > 0
-    log_mix = logsumexp(log_k[active] + np.log(weights[active])[:, None], axis=0)
-    log_p = np.asarray(target.log_density(samples), dtype=float)
+    log_k, log_mix, log_p = sample_logs(
+        state.weights, state.particles.points, state.kernel, target, samples
+    )
     log_gamma = log_k - log_mix + (alpha - 1.0) * (log_mix - log_p)
     row_norm = logsumexp(log_gamma, axis=1)
     if not np.all(np.isfinite(row_norm)):

@@ -27,10 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .divergence import amari_alpha_deriv_log
-from .model import GaussianKernel, ParticleSet, as_simplex
+from .model import GaussianKernel, ParticleSet, as_simplex, logsumexp, sample_logs
 
 __all__ = [
     "MixtureGradient",
@@ -148,7 +147,7 @@ def sample_mixture(state, size, rng):
 
 
 def gradient_monte_carlo_from_logs(
-    log_kernel, log_target, weights, alpha, *, log_base=False
+    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None
 ):
     """Monte Carlo gradient from precomputed log evaluations.
 
@@ -162,10 +161,15 @@ def gradient_monte_carlo_from_logs(
             log-sum-exp over the samples, carry it on the result, and derive
             the values from it.  Otherwise the values are the literal sample
             mean.
+        log_mixture: ``(M,)`` log mixture values under ``weights`` at the
+            samples, when the caller already has them (the ``log q`` of
+            :func:`alpha_descent.model.sample_logs`); computed here
+            otherwise.
 
     All density ratios are formed as differences of logs; ``f'`` of the
     ratio goes through ``expm1`` so the estimate stays finite even when the
-    ratio itself would underflow.
+    ratio itself would underflow.  The literal mean is one pass forming
+    ``k_j / mix`` and one matrix-vector product with ``f'``.
     """
     log_kernel = np.asarray(log_kernel, dtype=float)
     log_target = np.asarray(log_target, dtype=float)
@@ -178,26 +182,25 @@ def gradient_monte_carlo_from_logs(
         raise ValueError("log_target must hold one value per sample")
     if log_base and alpha == 1.0:
         raise ValueError("there is no power base at alpha=1")
-    active = weights > 0
-    log_mix = logsumexp(
-        log_kernel[active] + np.log(weights[active])[:, None], axis=0
-    )
+    count = log_kernel.shape[1]
+    if log_mixture is None:
+        log_mix = logsumexp(log_kernel, axis=0, b=weights)
+    else:
+        log_mix = np.asarray(log_mixture, dtype=float)
+        if log_mix.shape != (count,):
+            raise ValueError("log_mixture must hold one value per sample")
     if log_base:
         # log(k_j / mix * u^(alpha-1)) = log k_j + (alpha-2) log mix
         #                                - (alpha-1) log p
         terms = log_kernel + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
-        peak = terms.max(axis=1)
-        terms -= peak[:, None]
-        np.exp(terms, out=terms)
-        log_a = peak + np.log(terms.mean(axis=1))
+        log_a = logsumexp(terms, axis=1) - np.log(count)
         values = np.expm1(log_a) / (alpha - 1.0)
-        return MixtureGradient(
-            values, "monte_carlo", log_kernel.shape[1], alpha, log_base=log_a
-        )
+        return MixtureGradient(values, "monte_carlo", count, alpha, log_base=log_a)
     deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
-    ratio = np.exp(log_kernel - log_mix)
-    values = (ratio * deriv).mean(axis=1)
-    return MixtureGradient(values, "monte_carlo", log_kernel.shape[1], alpha)
+    ratio = np.subtract(log_kernel, log_mix)
+    np.exp(ratio, out=ratio)
+    values = (ratio @ deriv) / count
+    return MixtureGradient(values, "monte_carlo", count, alpha)
 
 
 def gradient_monte_carlo(state, target, samples, alpha):
@@ -205,6 +208,9 @@ def gradient_monte_carlo(state, target, samples, alpha):
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     if samples.size == 0:
         raise ValueError("need at least one sample")
-    log_kernel = state.kernel.logpdf_matrix(state.particles.points, samples)
-    log_target = np.asarray(target.log_density(samples), dtype=float)
-    return gradient_monte_carlo_from_logs(log_kernel, log_target, state.weights, alpha)
+    log_kernel, log_mix, log_target = sample_logs(
+        state.weights, state.particles.points, state.kernel, target, samples
+    )
+    return gradient_monte_carlo_from_logs(
+        log_kernel, log_target, state.weights, alpha, log_mixture=log_mix
+    )

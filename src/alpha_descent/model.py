@@ -4,6 +4,12 @@ All density evaluations live in the log domain.  At dimension 16 a Gaussian
 kernel value at a typical inter-particle distance underflows float64 in the
 linear domain, so values only leave log space inside a log-sum-exp or when
 they are provably O(1).
+
+One path turns a sample batch into ``(log k, log q, log p)``:
+:meth:`GaussianKernel.logpdf_matrix` for the kernel matrix (squared
+distances through one matrix product, :func:`squared_distances`),
+:func:`logsumexp` with the mixture weights for ``log q``, and the target's
+``log_density``; :func:`sample_logs` returns the three together.
 """
 
 from __future__ import annotations
@@ -11,8 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial.distance import cdist
-from scipy.special import logsumexp
 
 __all__ = [
     "LOG_2PI",
@@ -24,7 +28,10 @@ __all__ = [
     "as_simplex",
     "bandwidth_rule",
     "gaussian_kernel_logpdf",
+    "logsumexp",
     "mixture_logpdf",
+    "sample_logs",
+    "squared_distances",
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -46,6 +53,74 @@ def as_simplex(weights, *, tol=1e-12, name="weights"):
     if abs(total - 1.0) > tol:
         raise ValueError(f"{name} must sum to 1 within {tol}, got {total!r}")
     return w
+
+
+# Entries per block of the log-sum-exp: 128 KiB of float64, small enough to
+# stay in cache between the passes and to come from the heap, not from a
+# fresh mapping.
+_LSE_BLOCK = 16384
+
+
+def logsumexp(a, axis=-1, b=None):
+    """``log sum_i b_i exp(a_i)`` along ``axis``, with the maximum subtracted.
+
+    ``b`` is an optional nonnegative weight per entry along ``axis``
+    (default all ones).  Its zero entries are dropped before the peak is
+    taken, so an entry far above every weighted one neither sets the peak
+    nor turns into ``0 * inf``.  The sum is a matrix-vector product with
+    ``b``, taken over blocks of at most ``_LSE_BLOCK`` entries, so no
+    temporary of the size of ``a`` is made.  A slice whose entries are all
+    ``-inf`` gives ``-inf``, without a warning.
+    """
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    b = np.ones(a.shape[0]) if b is None else np.asarray(b, dtype=float)
+    keep = b > 0
+    if not keep.all():
+        a, b = a[keep], b[keep]
+    rest = a.shape[1:]
+    a = a.reshape(b.size, -1)
+    peak = a.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.empty_like(peak)
+    width = max(1, _LSE_BLOCK // b.size)
+    block = np.empty((b.size, min(width, peak.size)))
+    for lo in range(0, peak.size, width):
+        hi = min(lo + width, peak.size)
+        part = block[:, : hi - lo]
+        np.subtract(a[:, lo:hi], peak[lo:hi], out=part)
+        np.exp(part, out=part)
+        np.matmul(b, part, out=total[lo:hi])
+    with np.errstate(divide="ignore"):
+        out = np.log(total, out=total)
+    out += peak
+    return out.reshape(rest)[()]
+
+
+def squared_distances(x, y, scale=1.0, offset=0.0):
+    """``scale * ||x_i - y_m||^2 + offset`` for the rows of two 2-d arrays.
+
+    Returns shape ``(len(x), len(y))``.  Both sets are first shifted by the
+    mean of ``y``, so that rounding scales with the spread of the points
+    rather than with their distance from the origin; the centre comes from
+    ``y`` alone, so one row of ``x`` never moves the values of another.  The
+    expansion ``||x||^2 + ||y||^2 - 2 x.y`` is then a single matrix product
+    of the augmented rows ``[-2 scale x_i, scale ||x_i||^2 + offset, scale]``
+    and ``[y_m, 1, ||y_m||^2]``, which also applies ``scale`` and
+    ``offset``.  Its rounding error is relative to
+    ``||x_i - c||^2 + ||y_m - c||^2``, not to the distance itself.
+    """
+    centre = y.mean(axis=0)
+    d = x.shape[1]
+    left = np.empty((x.shape[0], d + 2))
+    right = np.empty((y.shape[0], d + 2))
+    np.subtract(x, centre, out=left[:, :d])
+    np.subtract(y, centre, out=right[:, :d])
+    left[:, d] = scale * np.einsum("ij,ij->i", left[:, :d], left[:, :d]) + offset
+    left[:, d + 1] = scale
+    left[:, :d] *= -2.0 * scale
+    right[:, d] = 1.0
+    right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d])
+    return left @ right.T
 
 
 def gaussian_kernel_logpdf(theta, y, bandwidth):
@@ -112,9 +187,13 @@ class GaussianKernel:
                 f"expected points of dimension {self.dim}, "
                 f"got {points.shape[1]} and {ys.shape[1]}"
             )
-        sq = cdist(points, ys, "sqeuclidean")
         h = self.bandwidth
-        return -sq / (2.0 * h**2) - 0.5 * self.dim * (LOG_2PI + 2.0 * np.log(h))
+        return squared_distances(
+            points,
+            ys,
+            scale=-0.5 / h**2,
+            offset=-0.5 * self.dim * (LOG_2PI + 2.0 * np.log(h)),
+        )
 
     def sample(self, theta, rng, size):
         """Draw ``size`` points from ``k(theta, .)``."""
@@ -212,11 +291,8 @@ class GaussianMixtureTarget(Target):
                 f"got points of dimension {ys.shape[1]}"
             )
         d = self.means.shape[1]
-        sq = cdist(ys, self.means, "sqeuclidean")
-        comp = -0.5 * sq - 0.5 * d * LOG_2PI
-        active = self.weights > 0
-        out = logsumexp(comp[:, active] + np.log(self.weights[active]), axis=1)
-        out = out + np.log(self.scale)
+        comp = squared_distances(self.means, ys, scale=-0.5, offset=-0.5 * d * LOG_2PI)
+        out = logsumexp(comp, axis=0, b=self.weights) + np.log(self.scale)
         return out[0] if np.ndim(y) == 1 else out
 
 
@@ -238,8 +314,21 @@ def mixture_logpdf(weights, points, kernel, y):
         raise ValueError(f"{weights.size} weights but {points.shape[0]} points")
     single = np.ndim(y) == 1
     logk = kernel.logpdf_matrix(points[active], y)
-    out = logsumexp(logk + np.log(weights[active])[:, None], axis=0)
+    out = logsumexp(logk, axis=0, b=weights[active])
     return float(out[0]) if single else out
+
+
+def sample_logs(weights, points, kernel, target, samples):
+    """``(log k, log q, log p)`` of a sample batch ``(M, d)``.
+
+    ``log k`` is the ``(J, M)`` kernel matrix of every component, zero
+    weights included; ``log q`` the mixture under ``weights`` and ``log p``
+    the target, both ``(M,)``.  No validation: callers check their inputs.
+    """
+    log_k = kernel.logpdf_matrix(points, samples)
+    log_q = logsumexp(log_k, axis=0, b=weights)
+    log_p = np.asarray(target.log_density(samples), dtype=float)
+    return log_k, log_q, log_p
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Particle refresh moves."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,9 +84,13 @@ class TestMeanUpdate:
 
     def test_degenerate_importance_weights_reported(self):
         # particle 2 is so remote its squared distances overflow: every
-        # gamma in its row is log 0
+        # gamma in its row is log 0, which is reported without a warning
         state = _state(
             [0.5, 0.5, 0.0], [[0.0, 0.0], [1.0, 0.0], [1e200, 0.0]], bandwidth=0.5
         )
-        with pytest.raises(ValueError, match="particle 2"):
-            explore_mean_update(state, self._target(), 16, 0.5, np.random.default_rng(8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="particle 2"):
+                explore_mean_update(
+                    state, self._target(), 16, 0.5, np.random.default_rng(8)
+                )

@@ -1,12 +1,17 @@
 """Gradient containers, exact sums and the Monte Carlo estimator."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from alpha_descent.divergence import amari_alpha_deriv, divergence_exact
+from alpha_descent.divergence import (
+    amari_alpha_deriv,
+    amari_alpha_deriv_log,
+    divergence_exact,
+)
 from alpha_descent.fixtures import random_problem, random_weights
 from alpha_descent.gradient import (
     MixtureGradient,
@@ -16,7 +21,44 @@ from alpha_descent.gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, ParticleSet
+from alpha_descent.model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    ParticleSet,
+    bandwidth_rule,
+)
+
+# Tolerance of the comparisons against the scipy-based reference formulas,
+# set from float64 rounding before the matrix-vector forms were written.
+PARITY_RTOL = 1e-12
+
+
+def _reference_from_logs(log_kernel, log_target, weights, alpha):
+    """The literal values, ``log A_j`` and ``log q`` by the scipy-era formulas:
+    ``(exp(log k - log q) * f'(u)).mean(axis=1)`` and an in-place row
+    log-mean-exp."""
+    active = weights > 0
+    log_mix = logsumexp(log_kernel[active] + np.log(weights[active])[:, None], axis=0)
+    deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
+    values = (np.exp(log_kernel - log_mix) * deriv).mean(axis=1)
+    terms = log_kernel + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
+    peak = terms.max(axis=1)
+    terms -= peak[:, None]
+    np.exp(terms, out=terms)
+    log_a = peak + np.log(terms.mean(axis=1))
+    return values, log_a, log_mix
+
+
+def _fig1_logs(rng):
+    """Log kernel and target at one batch of the figure 1 shape."""
+    J, M, d = 100, 2000, 16
+    kernel = GaussianKernel(bandwidth_rule(J, d), d)
+    points = math.sqrt(5.0) * rng.standard_normal((J, d))
+    w = rng.dirichlet(np.ones(J))
+    state = MixtureState(w, points, kernel)
+    samples = sample_mixture(state, M, rng)
+    target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+    return kernel.logpdf_matrix(points, samples), target.log_density(samples), w
 
 
 class TestContainers:
@@ -147,6 +189,48 @@ class TestMonteCarloGradient:
             gradient_monte_carlo_from_logs(np.zeros((3, 4)), np.zeros(4), [0.5, 0.5], 0.5)
         with pytest.raises(ValueError, match="log_target"):
             gradient_monte_carlo_from_logs(np.zeros((2, 4)), np.zeros(3), [0.5, 0.5], 0.5)
+        with pytest.raises(ValueError, match="log_mixture"):
+            gradient_monte_carlo_from_logs(
+                np.zeros((2, 4)), np.zeros(4), [0.5, 0.5], 0.5, log_mixture=np.zeros(3)
+            )
+
+    @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0])
+    def test_matches_reference_formula_at_fig1_shape(self, alpha):
+        log_kernel, log_target, w = _fig1_logs(np.random.default_rng(60))
+        want_values, want_log_a, _ = _reference_from_logs(log_kernel, log_target, w, alpha)
+        grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, alpha)
+        np.testing.assert_allclose(grad.values, want_values, rtol=PARITY_RTOL, atol=0.0)
+        if alpha != 1.0:
+            based = gradient_monte_carlo_from_logs(
+                log_kernel, log_target, w, alpha, log_base=True
+            )
+            # equal logs to 1e-12 are equal A_j to 1e-12 relative
+            assert np.all(np.abs(based.log_base - want_log_a) <= PARITY_RTOL)
+
+    def test_dead_component_far_above_the_mixture(self):
+        # A zero-weight component whose log kernel sits 800 nats above every
+        # weighted row: its own ratio overflows (its value is not finite, as
+        # with the elementwise form), but it must neither reach log q nor,
+        # through 0 * inf, the values of the weighted components.
+        rng = np.random.default_rng(61)
+        log_kernel = rng.normal(size=(4, 64))
+        log_kernel[1] = log_kernel.max() + 800.0
+        log_target = rng.normal(size=64)
+        w = np.array([0.3, 0.0, 0.3, 0.4])
+        live = w > 0
+        want_values, want_log_a, _ = _reference_from_logs(
+            log_kernel[live], log_target, w[live], 0.5
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, 0.5)
+            based = gradient_monte_carlo_from_logs(
+                log_kernel, log_target, w, 0.5, log_base=True
+            )
+        np.testing.assert_allclose(
+            grad.values[live], want_values, rtol=PARITY_RTOL, atol=0.0
+        )
+        assert np.all(np.abs(based.log_base[live] - want_log_a) <= PARITY_RTOL)
 
     def test_weighted_mean_collapses_to_derivative_mean(self):
         # sum_j lambda_j b_j == mean_m f'(u_m) exactly: the kernel ratios

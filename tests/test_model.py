@@ -1,11 +1,14 @@
 """Kernel, target and finite-support problem contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
+from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from alpha_descent.fixtures import random_problem
@@ -16,10 +19,28 @@ from alpha_descent.model import (
     ParticleSet,
     Target,
     as_simplex,
+    LOG_2PI,
     bandwidth_rule,
     gaussian_kernel_logpdf,
+    logsumexp,
     mixture_logpdf,
+    sample_logs,
+    squared_distances,
 )
+
+# Tolerance of every comparison against the scipy reference forms, set from
+# float64 rounding before the numpy forms were written.
+PARITY_RTOL = 1e-12
+
+# The fig1 shape: J components, M samples, dimension D.
+FIG1_J, FIG1_M, FIG1_D = 100, 2000, 16
+
+
+def _fig1_batch(rng, dim=FIG1_D, shift=0.0):
+    """Points and samples shaped like one step of the figure 1 benchmark."""
+    points = math.sqrt(5.0) * rng.standard_normal((FIG1_J, dim)) + shift
+    ys = points[rng.integers(FIG1_J, size=FIG1_M)] + rng.standard_normal((FIG1_M, dim))
+    return points, ys
 
 
 class TestAsSimplex:
@@ -218,6 +239,142 @@ class TestMixtureLogpdf:
         kernel = GaussianKernel(bandwidth=1.0, dim=2)
         out = mixture_logpdf([1.0], [[0.0, 0.0]], kernel, np.zeros((5, 2)))
         assert out.shape == (5,)
+
+
+class TestSquaredDistances:
+    @pytest.mark.parametrize("dim", [1, 3, 16])
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_matches_cdist_within_the_spread(self, dim, shift):
+        # The expansion ||x||^2 + ||y||^2 - 2 x.y rounds relative to the
+        # squared spread of the pair about the centre, not to the distance
+        # itself; that is the bound the kernel reads, in absolute terms.
+        points, ys = _fig1_batch(np.random.default_rng(dim), dim, shift)
+        got = squared_distances(points, ys)
+        want = cdist(points, ys, "sqeuclidean")
+        centre = ys.mean(axis=0)
+        spread = ((points - centre) ** 2).sum(axis=1)[:, None] + ((ys - centre) ** 2).sum(
+            axis=1
+        )
+        assert np.all(np.abs(got - want) <= PARITY_RTOL * spread)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_matches_cdist_entrywise_at_fig1_shape(self, shift):
+        points, ys = _fig1_batch(np.random.default_rng(16), FIG1_D, shift)
+        got = squared_distances(points, ys)
+        assert got.shape == (FIG1_J, FIG1_M)
+        np.testing.assert_allclose(
+            got, cdist(points, ys, "sqeuclidean"), rtol=PARITY_RTOL, atol=0.0
+        )
+
+    def test_scale_and_offset(self):
+        points, ys = _fig1_batch(np.random.default_rng(17))
+        got = squared_distances(points, ys, scale=-0.7, offset=3.0)
+        want = -0.7 * cdist(points, ys, "sqeuclidean") + 3.0
+        np.testing.assert_allclose(got, want, rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("shift", [0.0, 1e3])
+    def test_kernel_matrix_matches_cdist_form(self, shift):
+        points, ys = _fig1_batch(np.random.default_rng(18), FIG1_D, shift)
+        kernel = GaussianKernel(bandwidth_rule(FIG1_J, FIG1_D), FIG1_D)
+        h = kernel.bandwidth
+        want = -cdist(points, ys, "sqeuclidean") / (2.0 * h**2) - 0.5 * FIG1_D * (
+            LOG_2PI + 2.0 * np.log(h)
+        )
+        np.testing.assert_allclose(
+            kernel.logpdf_matrix(points, ys), want, rtol=PARITY_RTOL, atol=0.0
+        )
+
+    def test_target_matches_cdist_form(self):
+        rng = np.random.default_rng(19)
+        means = np.stack([-2.0 * np.ones(FIG1_D), 2.0 * np.ones(FIG1_D), 7.0 * np.ones(FIG1_D)])
+        weights = np.array([0.25, 0.75, 0.0])
+        target = GaussianMixtureTarget(means, weights=weights, scale=2.0)
+        ys = 3.0 * rng.standard_normal((FIG1_M, FIG1_D))
+        comp = -0.5 * cdist(ys, means[:2], "sqeuclidean") - 0.5 * FIG1_D * LOG_2PI
+        want = scipy_logsumexp(comp + np.log(weights[:2]), axis=1) + np.log(2.0)
+        np.testing.assert_allclose(target.log_density(ys), want, rtol=PARITY_RTOL, atol=0.0)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("shape", [(7,), (3, 40000), (100, 2000), (2000, 2)])
+    @pytest.mark.parametrize("axis", [0, -1])
+    def test_matches_scipy(self, shape, axis):
+        rng = np.random.default_rng(sum(shape))
+        a = 30.0 * rng.standard_normal(shape)
+        want = scipy_logsumexp(a, axis=axis)
+        np.testing.assert_allclose(logsumexp(a, axis=axis), want, rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("shape", [(7,), (100, 2000), (3, 40000)])
+    def test_weighted_matches_scipy(self, shape):
+        rng = np.random.default_rng(sum(shape) + 1)
+        a = 30.0 * rng.standard_normal(shape)
+        b = rng.dirichlet(np.ones(shape[0]))
+        b[::3] = 0.0
+        keep = b > 0
+        want = scipy_logsumexp(a[keep], axis=0, b=b[keep].reshape((-1,) + (1,) * (a.ndim - 1)))
+        np.testing.assert_allclose(logsumexp(a, axis=0, b=b), want, rtol=PARITY_RTOL, atol=0.0)
+
+    def test_scalar_for_a_vector(self):
+        got = logsumexp(np.log([1.0, 2.0, 5.0]))
+        assert np.ndim(got) == 0
+        assert math.isclose(got, math.log(8.0), rel_tol=PARITY_RTOL)
+
+    def test_log_mixture_matches_scipy_at_fig1_shape(self):
+        rng = np.random.default_rng(20)
+        points, ys = _fig1_batch(rng)
+        kernel = GaussianKernel(bandwidth_rule(FIG1_J, FIG1_D), FIG1_D)
+        log_k = kernel.logpdf_matrix(points, ys)
+        w = rng.dirichlet(np.ones(FIG1_J))
+        w[:10] = 0.0
+        w /= w.sum()
+        active = w > 0
+        want = scipy_logsumexp(log_k[active] + np.log(w[active])[:, None], axis=0)
+        np.testing.assert_allclose(
+            logsumexp(log_k, axis=0, b=w), want, rtol=PARITY_RTOL, atol=0.0
+        )
+
+    def test_zero_weight_row_far_above_the_rest(self):
+        # A dead row 800 nats above every weighted one: dropping it before
+        # the peak keeps 0 * exp(800) out of the matrix-vector product.
+        rng = np.random.default_rng(21)
+        log_k = rng.normal(size=(4, 50))
+        log_k[2] = log_k.max() + 800.0
+        w = np.array([0.2, 0.3, 0.0, 0.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(log_k, axis=0, b=w)
+        keep = w > 0
+        want = scipy_logsumexp(log_k[keep] + np.log(w[keep])[:, None], axis=0)
+        np.testing.assert_allclose(got, want, rtol=PARITY_RTOL, atol=0.0)
+
+    def test_all_minus_inf_slices_without_warning(self):
+        a = np.array([[0.0, -np.inf, 1.0], [-np.inf, -np.inf, 2.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = logsumexp(a, axis=1)
+            cols = logsumexp(a, axis=0)
+            weighted = logsumexp(a, axis=0, b=[0.5, 0.5])
+        assert rows[0] == scipy_logsumexp(a[0])
+        assert rows[1] == scipy_logsumexp(a[1])
+        assert cols[1] == -np.inf and np.isfinite(cols[[0, 2]]).all()
+        assert weighted[1] == -np.inf
+        assert logsumexp(np.full(5, -np.inf)) == -np.inf
+
+
+class TestSampleLogs:
+    def test_parts_match_the_public_evaluations(self):
+        rng = np.random.default_rng(22)
+        kernel = GaussianKernel(0.8, 3)
+        points = rng.normal(size=(6, 3))
+        w = np.array([0.1, 0.2, 0.0, 0.3, 0.15, 0.25])
+        target = GaussianMixtureTarget([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
+        ys = rng.normal(size=(40, 3))
+        log_k, log_q, log_p = sample_logs(w, points, kernel, target, ys)
+        assert np.array_equal(log_k, kernel.logpdf_matrix(points, ys))
+        assert np.array_equal(log_p, target.log_density(ys))
+        np.testing.assert_allclose(
+            log_q, mixture_logpdf(w, points, kernel, ys), rtol=PARITY_RTOL, atol=0.0
+        )
 
 
 class TestFiniteSupportProblem:
