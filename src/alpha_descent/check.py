@@ -27,23 +27,39 @@ from .model import bandwidth_rule, gaussian_kernel_logpdf
 ALPHA_GRID = (-0.5, 0.0, 0.5, 0.99, 2.0)
 
 
+def _ensure(ok, message):
+    # An explicit raise, not ``assert``: the battery must also fail under
+    # ``python -O``, which strips assert statements.
+    if not ok:
+        raise AssertionError(message)
+
+
+def _ensure_not_above(after, before, what):
+    _ensure(
+        after <= before + 1e-10 * (1.0 + abs(before)),
+        f"{what} rose from {before!r} to {after!r}",
+    )
+
+
 def _check_hand_values():
-    assert math.isclose(
-        gaussian_kernel_logpdf([0.0], [0.0], 1.0), -0.5 * math.log(2 * math.pi)
-    )
-    assert math.isclose(
-        gaussian_kernel_logpdf([0.0], [2.0], 1.0), -2.0 - 0.5 * math.log(2 * math.pi)
-    )
-    assert math.isclose(bandwidth_rule(100, 16), 100.0 ** (-1.0 / 20.0))
-    assert math.isclose(amari_alpha(4.0, 0.5), 2.0)
-    assert math.isclose(amari_alpha(math.e, 1.0), 1.0)
-    assert math.isclose(amari_alpha_deriv(4.0, 0.5), 1.0)
-    p = DescentParams(alpha=0.5, step_size=0.5)
-    assert math.isclose(power_transform(-1.0, p), 1.5)
+    half_log_2pi = 0.5 * math.log(2 * math.pi)
+    for what, got, want in (
+        ("log k(0, 0)", gaussian_kernel_logpdf([0.0], [0.0], 1.0), -half_log_2pi),
+        ("log k(0, 2)", gaussian_kernel_logpdf([0.0], [2.0], 1.0), -2.0 - half_log_2pi),
+        ("bandwidth_rule(100, 16)", bandwidth_rule(100, 16), 100.0 ** (-1.0 / 20.0)),
+        ("f_0.5(4)", amari_alpha(4.0, 0.5), 2.0),
+        ("f_1(e)", amari_alpha(math.e, 1.0), 1.0),
+        ("f'_0.5(4)", amari_alpha_deriv(4.0, 0.5), 1.0),
+        ("power factor(-1), step 0.5", power_transform(-1.0, DescentParams(0.5, 0.5)), 1.5),
+        ("power factor(1), step 1", power_transform(1.0, DescentParams(0.5, 1.0)), 0.25),
+    ):
+        _ensure(math.isclose(got, want), f"{what} = {got!r}, want {want!r}")
     p = DescentParams(alpha=0.5, step_size=1.0)
-    assert math.isclose(power_transform(1.0, p), 0.25)
     new, _ = power_step([0.5, 0.5], np.array([0.0, -1.0]), p)
-    assert np.allclose(new, [4.0 / 13.0, 9.0 / 13.0], rtol=0, atol=1e-15)
+    _ensure(
+        np.allclose(new, [4.0 / 13.0, 9.0 / 13.0], rtol=0, atol=1e-15),
+        f"power step hand case gave {new.tolist()}, want [4/13, 9/13]",
+    )
 
 
 def _check_derivative():
@@ -52,7 +68,11 @@ def _check_derivative():
     for alpha in ALPHA_GRID:
         for u in rng.uniform(0.2, 5.0, 20):
             fd = (amari_alpha(u + eps, alpha) - amari_alpha(u - eps, alpha)) / (2 * eps)
-            assert abs(fd - amari_alpha_deriv(u, alpha)) < 1e-6
+            deriv = amari_alpha_deriv(u, alpha)
+            _ensure(
+                abs(fd - deriv) < 1e-6,
+                f"f' at u={u}, alpha={alpha}: {deriv} against finite difference {fd}",
+            )
 
 
 def _check_power_monotone():
@@ -69,7 +89,7 @@ def _check_power_monotone():
             for _ in range(20):
                 w, _ = power_step(w, gradient_exact(problem, w, alpha), params)
                 after = divergence_exact(problem, w, alpha)
-                assert after <= value + 1e-10 * (1.0 + abs(value))
+                _ensure_not_above(after, value, f"power objective at alpha={alpha}")
                 value = after
 
 
@@ -84,9 +104,9 @@ def _check_renyi_monotone():
         for _ in range(20):
             grad = gradient_exact(problem, w, params.alpha)
             w, diag = renyi_step(w, grad, params)
-            assert diag.guard_min >= 0
+            _ensure(diag.guard_min >= 0, f"renyi guard margin {diag.guard_min} < 0")
             after = divergence_exact(problem, w, params.alpha)
-            assert after <= value + 1e-10 * (1.0 + abs(value))
+            _ensure_not_above(after, value, "renyi objective")
             value = after
 
 
@@ -99,15 +119,21 @@ def _check_simplex_and_support():
         w[rng.integers(j)] = 0.0
         w = w / w.sum()
         b = rng.normal(0.0, 0.5, j)
-        for step in (
-            lambda: power_step(w, b, params),
-            lambda: emd_step(w, b, params),
-            lambda: kl_step(w, b, 0.7),
-            lambda: renyi_step(w, b, params),
+        for name, step in (
+            ("power", lambda: power_step(w, b, params)),
+            ("emd", lambda: emd_step(w, b, params)),
+            ("kl", lambda: kl_step(w, b, 0.7)),
+            ("renyi", lambda: renyi_step(w, b, params)),
         ):
             new, _ = step()
-            assert abs(new.sum() - 1.0) <= 1e-12
-            assert np.all(new[w == 0] == 0)
+            _ensure(
+                abs(new.sum() - 1.0) <= 1e-12,
+                f"{name} step weights sum to {new.sum()!r}",
+            )
+            _ensure(
+                np.all(new[w == 0] == 0),
+                f"{name} step moved mass onto a zero-weight component",
+            )
 
 
 def _check_scale_invariance():
@@ -121,7 +147,8 @@ def _check_scale_invariance():
         for _ in range(20):
             w1, _ = power_step(w1, gradient_exact(problem, w1, 0.5), params)
             w2, _ = power_step(w2, gradient_exact(doubled, w2, 0.5), params)
-            assert np.abs(w1 - w2).max() < 1e-10
+            gap = np.abs(w1 - w2).max()
+            _ensure(gap < 1e-10, f"weights moved by {gap} under target rescaling")
 
 
 def _check_bound_identity():
@@ -132,7 +159,10 @@ def _check_bound_identity():
         params = DescentParams(alpha=alpha, step_size=0.5)
         lhs = renyi_objective_exact(problem, w, params)
         rhs = -vr_bound_exact(problem, w, alpha) / alpha
-        assert abs(lhs - rhs) < 1e-12
+        _ensure(
+            abs(lhs - rhs) < 1e-12,
+            f"alpha={alpha}: log objective {lhs} against -bound/alpha {rhs}",
+        )
 
 
 def _check_gradient_vs_finite_difference():
@@ -157,7 +187,11 @@ def _check_gradient_vs_finite_difference():
                     * amari_alpha(((w - e) @ problem.kernel_matrix) / problem.p_values, alpha)
                 )
             ) / (2 * eps)
-            assert abs(fd - grad[j]) < 1e-5
+            _ensure(
+                abs(fd - grad[j]) < 1e-5,
+                f"alpha={alpha}, component {j}: gradient {grad[j]} against "
+                f"finite difference {fd}",
+            )
 
 
 CHECKS = [

@@ -59,12 +59,6 @@ def build_parser():
     )
     run.add_argument("--config", required=True, help="path to the JSON config")
     run.add_argument("--out", default="out", help="output directory (default: out)")
-    run.add_argument(
-        "--max-workers",
-        type=int,
-        default=None,
-        help="replicate thread count; 1 forces a serial run",
-    )
     _add_config_flags(run)
     sub.add_parser("check", help="run the exact-oracle invariant battery")
     return parser
@@ -86,7 +80,7 @@ def _run(args):
         out_dir = (
             os.path.join(args.out, f"samples_{count}") if multi else args.out
         )
-        traces = run_experiment(sub_config, max_workers=args.max_workers)
+        traces = run_experiment(sub_config)
         summary = write_trace(traces, out_dir, sub_config)
         bad = sum(1 for t in traces if not t.status.startswith("completed"))
         print(f"wrote {summary} ({len(traces)} replicates, {bad} aborted)")

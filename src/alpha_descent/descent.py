@@ -97,14 +97,12 @@ class StepDiagnostics:
             guard held there too, since it refuses only a zero base.
         check_values: renyi only, the shifted gradient values entering the
             step-admissibility check.
-        objective_after: filled by :func:`run_descent` in exact mode.
     """
 
     gamma_inputs: np.ndarray
     log_normaliser: float
     guard_min: float
     check_values: np.ndarray | None = None
-    objective_after: float | None = None
 
 
 def _gradient_values(grad, num_components=None):
@@ -164,6 +162,24 @@ def power_transform(v, params):
     return float(out[0]) if scalar else out
 
 
+def _check_power_params(params):
+    if not params.power_valid:
+        raise ValueError(
+            "power step needs alpha != 1, (alpha-1)*shift >= 0 and "
+            f"step_size in (0, 1]; got {params}"
+        )
+
+
+def _check_renyi_params(params):
+    if params.alpha == 1.0:
+        raise ValueError("renyi step is undefined at alpha=1")
+    if (params.alpha - 1.0) * params.shift < 0:
+        raise ValueError(
+            f"renyi step needs (alpha-1)*shift >= 0, got alpha={params.alpha}, "
+            f"shift={params.shift}"
+        )
+
+
 def power_step(weights, grad, params):
     """One power update.  Returns ``(new_weights, diagnostics)``.
 
@@ -173,11 +189,7 @@ def power_step(weights, grad, params):
     is read through it (module docstring), and the guard then refuses a
     base whose log is not above ``-inf``.
     """
-    if not params.power_valid:
-        raise ValueError(
-            "power step needs alpha != 1, (alpha-1)*shift >= 0 and "
-            f"step_size in (0, 1]; got {params}"
-        )
+    _check_power_params(params)
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
     shifted = values + params.shift
@@ -261,14 +273,8 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     denominator (module docstring); the unweighted variant has no positive
     form and always reads the gradient values.
     """
+    _check_renyi_params(params)
     alpha = params.alpha
-    if alpha == 1.0:
-        raise ValueError("renyi step is undefined at alpha=1")
-    if (alpha - 1.0) * params.shift < 0:
-        raise ValueError(
-            f"renyi step needs (alpha-1)*shift >= 0, got alpha={alpha}, "
-            f"shift={params.shift}"
-        )
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
     log_a = _log_base(grad)
@@ -380,6 +386,13 @@ def run_descent(
     sampled bound is monitored at ``params.alpha`` and recorded as NaN when
     that is 1.
 
+    The weights or state, their size, and the parameters the step demands
+    (``params.power_valid`` for power, ``alpha != 1`` and
+    ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
+    inputs are refused before the first sample is drawn.  Each step then
+    calls the public gradient, step and objective functions, which check
+    their own inputs again.
+
     In Monte Carlo mode the power update and the weighted renyi update
     read ``log A_j``, the positive estimate of their base (see
     :mod:`alpha_descent.gradient`).  The emd and kl updates, the unweighted
@@ -399,6 +412,10 @@ def run_descent(
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    if algorithm == "power":
+        _check_power_params(params)
+    elif algorithm == "renyi":
+        _check_renyi_params(params)
 
     monte_carlo = target is not None
     if monte_carlo:
@@ -409,7 +426,7 @@ def run_descent(
         if rng is None:
             raise ValueError("Monte Carlo descent needs an rng")
         state = initial
-        weights = state.weights
+        weights = as_simplex(state.weights)
     else:
         weights = as_simplex(
             initial.weights if isinstance(initial, MixtureState) else initial
@@ -484,7 +501,8 @@ def run_descent(
             err.partial = trace
             raise err from exc
 
-        moved = float(np.abs(new - weights).sum())
+        if fixed_point_tol is not None:
+            moved = float(np.abs(new - weights).sum())
         weights = new
         if monte_carlo:
             state = replace(state, weights=weights)
@@ -499,7 +517,6 @@ def run_descent(
         else:
             vr = np.nan
             objective = exact_objective(weights)
-            diag = replace(diag, objective_after=objective)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.records.append(
             TraceRecord(

@@ -7,7 +7,7 @@ J-component smoothed mixture against the target
 
 with T alternating phases of N descent steps and one exploration move.
 Replicate r draws everything from the stream (seed, r), so replicates are
-reproducible, mutually independent and safe to run concurrently.
+reproducible and mutually independent; they run one after another.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import csv
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
@@ -111,6 +110,11 @@ class ExperimentConfig:
             raise ValueError(f"alpha=1 is not valid for the {self.algorithm} update")
         if self.algorithm == "kl" and self.alpha != 1.0:
             raise ValueError("the kl algorithm is the alpha=1 update; set alpha to 1")
+        for key in ("renyi_unweighted_denominator", "reuse_monitor_samples"):
+            if not isinstance(getattr(self, key), bool):
+                raise ValueError(
+                    f"{key} must be true or false, got {getattr(self, key)!r}"
+                )
         if self.exploration == "mean_update" and not 0.0 <= self.alpha < 1.0:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"
@@ -233,20 +237,14 @@ def run_replicate(config, index):
 
 
 def run_experiment(config, max_workers=None):
-    """All replicates of one config, in replicate order.
+    """All replicates of one config, run serially in replicate order.
 
-    Replicates run on a thread pool by default; ``max_workers=1`` forces a
-    serial run with byte-identical results.
+    Each replicate draws from its own ``SeedSequence`` stream (see
+    :func:`replicate_rng`), so its trace does not depend on the others.
+    ``max_workers`` is ignored; it is accepted so that callers written for
+    the former thread pool keep working.
     """
-    count = config.replicates
-    if count == 0:
-        return []
-    if max_workers is None:
-        max_workers = min(count, os.cpu_count() or 1)
-    if max_workers <= 1:
-        return [run_replicate(config, r) for r in range(count)]
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        return list(pool.map(lambda r: run_replicate(config, r), range(count)))
+    return [run_replicate(config, r) for r in range(config.replicates)]
 
 
 def _fmt(value):

@@ -22,10 +22,25 @@ from alpha_descent.descent import (
     renyi_step,
     run_descent,
 )
-from alpha_descent.divergence import DescentParams, divergence_exact
+from alpha_descent.divergence import (
+    DescentParams,
+    divergence_exact,
+    vr_bound_from_logs,
+)
 from alpha_descent.fixtures import random_problem, random_weights
-from alpha_descent.gradient import MixtureGradient, MixtureState
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget
+from alpha_descent.gradient import (
+    MixtureGradient,
+    MixtureState,
+    gradient_exact,
+    gradient_monte_carlo_from_logs,
+    sample_mixture,
+)
+from alpha_descent.model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    logsumexp,
+    sample_logs,
+)
 
 
 class TestPowerTransform:
@@ -576,6 +591,192 @@ class TestRunDescentMonteCarlo:
             )
         with pytest.raises(ValueError, match="rng"):
             run_descent(state, params, "emd", 1, target=target, sample_count=8)
+
+
+# The (algorithm, alpha, eta) grid of the exact benchmark runs: kl at
+# alpha = 1, and power, renyi and emd over the criterion 1 alphas and etas.
+EXACT_GRID = tuple(("kl", 1.0, eta) for eta in (0.1, 0.5, 1.0)) + tuple(
+    (algorithm, alpha, eta)
+    for algorithm in ("power", "renyi", "emd")
+    for alpha in (-0.5, 0.0, 0.5, 0.99)
+    for eta in (0.1, 0.5, 1.0)
+)
+
+
+def _public_step(algorithm, weights, grad, params, unweighted_denominator=False):
+    if algorithm == "power":
+        return power_step(weights, grad, params)
+    if algorithm == "emd":
+        return emd_step(weights, grad, params)
+    if algorithm == "kl":
+        return kl_step(weights, grad, params.step_size)
+    return renyi_step(weights, grad, params, unweighted_denominator)
+
+
+def _key(step, weights, vr_bound, objective, guard_min):
+    """What a phase-1 record holds except its wall time, bit for bit."""
+    return (step, weights.tobytes(), repr(vr_bound), repr(objective), repr(guard_min))
+
+
+def _record_keys(trace):
+    return [
+        _key(r.step, r.weights, r.vr_bound, r.objective, r.guard_min)
+        for r in trace.records
+    ]
+
+
+class TestRunDescentParity:
+    """run_descent against a loop of the public, checked functions.
+
+    Its records must be the ones the public gradient, step and objective
+    give, bit for bit.
+    """
+
+    def test_exact_matches_public_loop(self):
+        rng = np.random.default_rng(2024)
+        for _ in range(4):
+            problem = random_problem(rng)
+            j = problem.num_components
+            for algorithm, alpha, eta in EXACT_GRID:
+                params = DescentParams(alpha, eta)
+                trace = run_descent(
+                    np.full(j, 1.0 / j), params, algorithm, 12, problem=problem
+                )
+                w = np.full(j, 1.0 / j)
+                objective = divergence_exact(problem, w, alpha)
+                want = [_key(0, w, np.nan, objective, np.nan)]
+                for n in range(1, 13):
+                    grad = gradient_exact(problem, w, alpha)
+                    w, diag = _public_step(algorithm, w, grad, params)
+                    objective = divergence_exact(problem, w, alpha)
+                    want.append(_key(n, w, np.nan, objective, diag.guard_min))
+                assert trace.status == "completed"
+                assert _record_keys(trace) == want, (algorithm, alpha, eta)
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha, unweighted, reuse",
+        [
+            ("power", 0.5, False, False),
+            ("renyi", 0.5, False, True),
+            ("renyi", 2.0, True, False),
+            ("emd", 0.5, False, True),
+            ("kl", 1.0, False, False),
+        ],
+    )
+    def test_monte_carlo_matches_public_loop(
+        self, algorithm, alpha, unweighted, reuse
+    ):
+        points = np.random.default_rng(7).normal(size=(5, 2))
+        state = MixtureState(np.full(5, 0.2), points, GaussianKernel(0.8, 2))
+        target = GaussianMixtureTarget([[0.5, 0.0], [-0.5, 0.3]])
+        params = DescentParams(alpha, 0.3)
+        trace = run_descent(
+            state,
+            params,
+            algorithm,
+            6,
+            target=target,
+            sample_count=40,
+            rng=np.random.default_rng(8),
+            reuse_monitor_samples=reuse,
+            unweighted_denominator=unweighted,
+        )
+
+        rng = np.random.default_rng(8)
+        grad_alpha = 1.0 if algorithm == "kl" else alpha
+        log_base = algorithm == "power" or (algorithm == "renyi" and not unweighted)
+
+        def batch(state):
+            samples = sample_mixture(state, 40, rng)
+            return sample_logs(
+                state.weights, state.particles.points, state.kernel, target, samples
+            )
+
+        def bound(state):
+            if alpha == 1.0:
+                return np.nan
+            _, log_q, log_p = batch(state)
+            return vr_bound_from_logs(log_p, log_q, alpha)
+
+        want = [_key(0, state.weights, bound(state), np.nan, np.nan)]
+        for n in range(1, 7):
+            log_k, log_q, log_p = batch(state)
+            grad = gradient_monte_carlo_from_logs(
+                log_k,
+                log_p,
+                state.weights,
+                grad_alpha,
+                log_base=log_base,
+                log_mixture=log_q,
+            )
+            new, diag = _public_step(
+                algorithm, state.weights, grad, params, unweighted
+            )
+            state = MixtureState(new, state.particles, state.kernel)
+            if reuse:
+                # the monitor reads this step's batch under the new weights
+                log_q = logsumexp(log_k, axis=0, b=new)
+                vr = vr_bound_from_logs(log_p, log_q, alpha)
+            else:
+                vr = bound(state)
+            want.append(_key(n, new, vr, np.nan, diag.guard_min))
+        assert trace.status == "completed"
+        assert _record_keys(trace) == want
+
+
+class TestRunDescentBoundary:
+    """Inputs are refused at entry, before any step or monitor runs."""
+
+    def _mc_setup(self):
+        points = np.random.default_rng(3).normal(size=(3, 2))
+        state = MixtureState(np.full(3, 1.0 / 3.0), points, GaussianKernel(1.0, 2))
+        return state, GaussianMixtureTarget([[0.0, 0.0]])
+
+    def _refused_before_any_draw(self, state, target, params, algorithm, match):
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match=match):
+            run_descent(
+                state, params, algorithm, 3, target=target, sample_count=8, rng=rng
+            )
+        # not even the initial monitor drew a sample
+        assert rng.bit_generator.state == before
+
+    def test_off_simplex_weights_refused(self):
+        problem = random_problem(np.random.default_rng(91), num_components=3)
+        params = DescentParams(0.5, 0.5)
+        for weights, match in (
+            ([0.5, 0.5, 0.5], "sum to 1"),
+            ([0.7, 0.7, -0.4], "nonnegative"),
+            ([0.5, np.nan, 0.5], "finite"),
+        ):
+            with pytest.raises(ValueError, match=match):
+                run_descent(weights, params, "emd", 3, problem=problem)
+        state, target = self._mc_setup()
+        state.weights[0] = 0.9  # mutated after the state checked it
+        self._refused_before_any_draw(state, target, params, "emd", "sum to 1")
+
+    def test_power_step_size_above_one_refused(self):
+        problem = random_problem(np.random.default_rng(92), num_components=3)
+        params = DescentParams(0.5, 1.5)
+        with pytest.raises(ValueError, match="power step needs"):
+            run_descent(np.full(3, 1.0 / 3.0), params, "power", 3, problem=problem)
+        state, target = self._mc_setup()
+        self._refused_before_any_draw(
+            state, target, params, "power", "power step needs"
+        )
+        # emd has no such limit
+        run_descent(np.full(3, 1.0 / 3.0), params, "emd", 3, problem=problem)
+
+    def test_renyi_shift_sign_refused(self):
+        state, target = self._mc_setup()
+        self._refused_before_any_draw(
+            state, target, DescentParams(0.5, 0.5, shift=1.0), "renyi",
+            r"\(alpha-1\)\*shift >= 0",
+        )
+        self._refused_before_any_draw(
+            state, target, DescentParams(1.0, 0.5), "renyi", "undefined at alpha=1"
+        )
 
 
 class TestRateConstants:

@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ from alpha_descent.harness import (
     CSV_HEADER,
     ExperimentConfig,
     build_target,
+    config_dict,
     parse_config,
     read_trace_csv,
     replicate_rng,
@@ -101,6 +104,20 @@ class TestConfig:
             _config(step_size_base=0.0)
         with pytest.raises(ValueError, match="seed"):
             _config(seed=1.5)
+
+    @pytest.mark.parametrize(
+        "key", ["renyi_unweighted_denominator", "reuse_monitor_samples"]
+    )
+    def test_boolean_keys_must_be_booleans(self, tmp_path, key):
+        # "false" is a truthy string: accepted, it would switch the option on
+        data = {**config_dict(_config()), "algorithm": "renyi"}
+        for value in ("false", 0, 1, None):
+            path = _write_json(tmp_path / "bad.json", {**data, key: value})
+            with pytest.raises(ValueError, match=key):
+                parse_config(path)
+        for value in (False, True):
+            path = _write_json(tmp_path / "good.json", {**data, key: value})
+            assert getattr(parse_config(path), key) is value
 
     def test_algorithm_alpha_coupling(self):
         with pytest.raises(ValueError, match="alpha=1"):
@@ -243,18 +260,8 @@ class TestRunExperiment:
 
     def test_replicate_order_and_identity(self):
         config = _config(replicates=3)
-        traces = run_experiment(config, max_workers=2)
+        traces = run_experiment(config)
         assert [t.replicate for t in traces] == [0, 1, 2]
-
-    def test_threaded_matches_serial(self):
-        config = _config(replicates=4)
-        serial = run_experiment(config, max_workers=1)
-        threaded = run_experiment(config, max_workers=4)
-        for a, b in zip(serial, threaded):
-            assert a.status == b.status
-            for ra, rb in zip(a.records, b.records):
-                assert np.array_equal(ra.weights, rb.weights)
-                assert ra.vr_bound == rb.vr_bound
 
     def test_one_bad_replicate_does_not_stop_the_rest(self):
         config = _config(
@@ -270,7 +277,7 @@ class TestRunExperiment:
             seed=41,
             replicates=3,
         )
-        traces = run_experiment(config, max_workers=1)
+        traces = run_experiment(config)
         assert len(traces) == 3
         assert all(t.status.startswith("guard_violation") for t in traces)
 
@@ -278,7 +285,7 @@ class TestRunExperiment:
 class TestSerialisation:
     def test_files_and_round_trip(self, tmp_path):
         config = _config(replicates=2)
-        traces = run_experiment(config, max_workers=1)
+        traces = run_experiment(config)
         out = tmp_path / "out"
         summary_path = write_trace(traces, str(out), config)
         assert sorted(os.listdir(out)) == ["rep_0.csv", "rep_1.csv", "summary.json"]
@@ -299,7 +306,7 @@ class TestSerialisation:
 
     def test_summary_statistics(self, tmp_path):
         config = _config(replicates=3, num_phases=1)
-        traces = run_experiment(config, max_workers=1)
+        traces = run_experiment(config)
         write_trace(traces, str(tmp_path), config)
         with open(tmp_path / "summary.json") as fh:
             summary = json.load(fh)
@@ -309,7 +316,7 @@ class TestSerialisation:
         assert entry["vr_std"] == pytest.approx(np.std(vals), rel=1e-12)
 
     def test_single_replicate_std_is_zero(self, tmp_path):
-        traces = run_experiment(_config(replicates=1), max_workers=1)
+        traces = run_experiment(_config(replicates=1))
         write_trace(traces, str(tmp_path), _config(replicates=1))
         with open(tmp_path / "summary.json") as fh:
             summary = json.load(fh)
@@ -324,7 +331,7 @@ class TestSerialisation:
 
     def test_nan_written_verbatim(self, tmp_path):
         config = _config(algorithm="kl", alpha=1.0, replicates=1)
-        traces = run_experiment(config, max_workers=1)
+        traces = run_experiment(config)
         write_trace(traces, str(tmp_path), config)
         text = (tmp_path / "rep_0.csv").read_text()
         assert "nan" in text.splitlines()[1]
@@ -359,7 +366,7 @@ class TestCli:
         config = self._smoke_config(tmp_path)
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as info:
-            main(["run", "--config", config, "--out", out, "--max-workers", "1"])
+            main(["run", "--config", config, "--out", out])
         assert info.value.code == 0
         assert os.path.exists(os.path.join(out, "summary.json"))
         assert "0 aborted" in capsys.readouterr().out
@@ -371,7 +378,7 @@ class TestCli:
             main(
                 [
                     "run", "--config", config, "--out", out,
-                    "--max-workers", "1", "--replicates", "2",
+                    "--replicates", "2",
                 ]
             )
         assert os.path.exists(os.path.join(out, "rep_1.csv"))
@@ -380,7 +387,7 @@ class TestCli:
         config = self._smoke_config(tmp_path, sample_count=[8, 16])
         out = str(tmp_path / "out")
         with pytest.raises(SystemExit) as info:
-            main(["run", "--config", config, "--out", out, "--max-workers", "1"])
+            main(["run", "--config", config, "--out", out])
         assert info.value.code == 0
         for sub in ("samples_8", "samples_16"):
             assert os.path.exists(os.path.join(out, sub, "summary.json"))
@@ -404,7 +411,7 @@ class TestCli:
             main(
                 [
                     "run", "--config", config,
-                    "--out", str(tmp_path / "out"), "--max-workers", "1",
+                    "--out", str(tmp_path / "out"),
                 ]
             )
         assert info.value.code == 1
@@ -415,3 +422,31 @@ class TestCli:
             main(["check"])
         assert info.value.code == 0
         assert "ok" in capsys.readouterr().out.lower()
+
+    def test_check_fails_under_python_optimise(self):
+        # python -O strips assert statements; a broken generator must still
+        # fail the battery there
+        script = (
+            "import sys\n"
+            "import alpha_descent.check as check\n"
+            "assert False, 'assert statements are live'\n"
+            "original = check.amari_alpha\n"
+            "check.amari_alpha = lambda u, alpha: 2.0 * original(u, alpha)\n"
+            "sys.exit(check.run_checks())\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 3, proc.stdout + proc.stderr
+        failed = [line for line in proc.stdout.splitlines() if line.startswith("FAIL")]
+        assert [line.split(":")[0] for line in failed] == [
+            "FAIL  hand-computed values",
+            "FAIL  generator derivative vs finite differences",
+            "FAIL  exact gradient vs finite differences",
+        ]
