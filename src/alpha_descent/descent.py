@@ -116,7 +116,7 @@ def _gradient_values(grad, num_components=None):
         raise ValueError(
             f"gradient has {values.size} entries for {num_components} weights"
         )
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ValueError("gradient values must be finite")
     return values
 
@@ -135,7 +135,7 @@ def _renormalise(weights, log_factors):
     active = weights > 0
     log_w = np.full(weights.shape, -np.inf)
     log_w[active] = np.log(weights[active]) + log_factors[active]
-    peak = np.max(log_w)
+    peak = log_w.max()
     if not np.isfinite(peak):
         raise GuardViolation("all mixture mass was annihilated by the update")
     w = np.exp(log_w - peak)
@@ -198,7 +198,7 @@ def power_step(weights, grad, params):
     log_a = _log_base(grad)
     if log_a is None:
         base = (alpha - 1.0) * shifted + 1.0
-        if np.any(base[active] <= 0):
+        if (base[active] <= 0).any():
             bad = np.flatnonzero(active & (base <= 0))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
@@ -210,7 +210,7 @@ def power_step(weights, grad, params):
     else:
         if params.shift != 0.0:
             log_a = np.logaddexp(log_a, np.log((alpha - 1.0) * params.shift))
-        if not np.all(log_a[active] > -np.inf):
+        if not (log_a[active] > -np.inf).all():
             bad = np.flatnonzero(active & ~(log_a > -np.inf))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
@@ -265,9 +265,8 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     ``(alpha-1)*shift >= 0`` (the convergence rate additionally wants the
     product strictly positive, see :class:`RateConstants`).
 
-    The admissibility check ``1 - step (alpha-1)(V_j - diag_offset) >= 0``
-    is recorded in the diagnostics, not enforced; ``diag_offset`` never
-    touches the update itself.
+    The admissibility check ``1 - step (alpha-1) V_j >= 0`` is recorded in
+    the diagnostics, not enforced.
 
     A gradient carrying ``log_base`` is read through it with the weighted
     denominator (module docstring); the unweighted variant has no positive
@@ -301,13 +300,12 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
         # gradient up to a constant that cancels on renormalisation
         scaled = raw_check = np.exp(log_a - log_denom) / (alpha - 1.0)
     new, log_norm = _renormalise(weights, -params.step_size * scaled)
-    check = raw_check + params.diag_offset
     margin = 1.0 - params.step_size * (alpha - 1.0) * raw_check
     diag = StepDiagnostics(
         gamma_inputs=scaled,
         log_normaliser=log_norm,
         guard_min=float(margin.min()),
-        check_values=check,
+        check_values=raw_check,
     )
     return new, diag
 
@@ -391,7 +389,10 @@ def run_descent(
     ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
     inputs are refused before the first sample is drawn.  Each step then
     calls the public gradient, step and objective functions, which check
-    their own inputs again.
+    their own inputs again.  In exact mode ``problem.log_mixture`` runs
+    once per iterate, and checks the weights there; the gradient at an
+    iterate and its objective both read that one log-mixture through
+    their ``log_mixture=`` keyword.
 
     In Monte Carlo mode the power update and the weighted renyi update
     read ``log A_j``, the positive estimate of their base (see
@@ -444,11 +445,12 @@ def run_descent(
     monitor_alpha = params.alpha
     trace = DescentTrace(status="completed")
 
-    def exact_objective(w):
-        return divergence_exact(problem, w, grad_alpha)
+    def exact_objective(w, log_mix):
+        return divergence_exact(problem, w, grad_alpha, log_mixture=log_mix)
 
-    def monitor_exact(w):
-        return TraceRecord(phase, 0, w.copy(), np.nan, exact_objective(w), np.nan, 0.0)
+    def monitor_exact(w, log_mix):
+        objective = exact_objective(w, log_mix)
+        return TraceRecord(phase, 0, w.copy(), np.nan, objective, np.nan, 0.0)
 
     def fresh_batch():
         """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
@@ -469,8 +471,9 @@ def run_descent(
         return TraceRecord(phase, 0, w.copy(), vr, np.nan, np.nan, elapsed)
 
     tick = time.perf_counter()
+    log_mix = None if monte_carlo else problem.log_mixture(weights)
     if record_initial:
-        rec = monitor_exact(weights) if not monte_carlo else monitor_mc(weights, tick)
+        rec = monitor_mc(weights, tick) if monte_carlo else monitor_exact(weights, log_mix)
         trace.records.append(rec)
 
     for n in range(1, num_steps + 1):
@@ -487,7 +490,9 @@ def run_descent(
                     log_mixture=log_q,
                 )
             else:
-                grad = gradient_exact(problem, weights, grad_alpha)
+                grad = gradient_exact(
+                    problem, weights, grad_alpha, log_mixture=log_mix
+                )
             new, diag = _step_once(
                 algorithm, weights, grad, params, unweighted_denominator
             )
@@ -516,7 +521,8 @@ def run_descent(
             objective = np.nan
         else:
             vr = np.nan
-            objective = exact_objective(weights)
+            log_mix = problem.log_mixture(weights)
+            objective = exact_objective(weights, log_mix)
         elapsed = (time.perf_counter() - tick) * 1000.0
         trace.records.append(
             TraceRecord(

@@ -44,17 +44,14 @@ class DescentParams:
             ``(alpha - 1) * shift >= 0`` preserves monotonicity, and a
             strictly positive product buys the O(1/N) rate of the renyi
             update.
-        diag_offset: centring constant used only by the step-admissibility
-            diagnostic of the renyi update; it cancels in the update itself.
     """
 
     alpha: float
     step_size: float
     shift: float = 0.0
-    diag_offset: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha", "step_size", "shift", "diag_offset"):
+        for name in ("alpha", "step_size", "shift"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.step_size <= 0:
@@ -77,7 +74,7 @@ class DescentParams:
 
 def _check_positive(u):
     u = np.asarray(u, dtype=float)
-    if np.any(u <= 0) or not np.all(np.isfinite(u)):
+    if (u <= 0).any() or not np.isfinite(u).all():
         raise ValueError("generator argument must be strictly positive and finite")
     return u
 
@@ -123,15 +120,30 @@ def amari_alpha_deriv_log(log_u, alpha):
     return np.expm1((alpha - 1.0) * log_u) / (alpha - 1.0)
 
 
-def divergence_exact(problem, weights, alpha):
+def _exact_log_mixture(problem, weights, log_mixture):
+    """``problem.log_mixture(weights)``, or the caller's copy of it."""
+    if log_mixture is None:
+        return problem.log_mixture(weights)
+    log_mix = np.asarray(log_mixture, dtype=float)
+    if log_mix.shape != (problem.support_size,):
+        raise ValueError(
+            f"log_mixture must have shape ({problem.support_size},), "
+            f"got {log_mix.shape}"
+        )
+    return log_mix
+
+
+def divergence_exact(problem, weights, alpha, *, log_mixture=None):
     """Exact objective ``sum_s nu_s p_s f_alpha(mix_s / p_s)``.
 
     Zero when the mixture matches ``p_values`` exactly; nonnegative whenever
-    the target values are nu-normalised.
+    the target values are nu-normalised.  ``log_mixture`` is
+    ``problem.log_mixture(weights)`` when the caller already has it; the
+    weights are then not read again.
     """
-    log_u = problem.log_mixture(weights) - np.log(problem.p_values)
+    log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
     values = amari_alpha(np.exp(log_u), alpha)
-    return float(np.sum(problem.nu_weights * problem.p_values * values))
+    return float((problem.nu_weights * problem.p_values * values).sum())
 
 
 def renyi_objective_exact(problem, weights, params):
@@ -144,8 +156,10 @@ def renyi_objective_exact(problem, weights, params):
     if alpha == 0.0 or alpha == 1.0:
         raise ValueError(f"renyi objective is undefined at alpha={alpha}")
     log_mix = problem.log_mixture(weights)
-    log_terms = np.log(problem.nu_weights) + alpha * log_mix + (1.0 - alpha) * np.log(
-        problem.p_values
+    log_terms = (
+        np.log(problem.nu_weights)
+        + alpha * log_mix
+        + (1.0 - alpha) * problem.log_p_values
     )
     total = float(np.exp(logsumexp(log_terms))) + (alpha - 1.0) * params.shift
     if total <= 0:
@@ -165,8 +179,10 @@ def vr_bound_exact(problem, weights, alpha):
     if alpha == 1.0:
         raise ValueError("vr bound is undefined at alpha=1")
     log_mix = problem.log_mixture(weights)
-    log_terms = np.log(problem.nu_weights) + alpha * log_mix + (1.0 - alpha) * np.log(
-        problem.p_values
+    log_terms = (
+        np.log(problem.nu_weights)
+        + alpha * log_mix
+        + (1.0 - alpha) * problem.log_p_values
     )
     return float(logsumexp(log_terms) / (1.0 - alpha))
 

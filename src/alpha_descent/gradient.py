@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import amari_alpha_deriv_log
+from .divergence import _exact_log_mixture, amari_alpha_deriv_log
 from .model import GaussianKernel, ParticleSet, as_simplex, logsumexp, sample_logs
 
 __all__ = [
@@ -118,13 +118,15 @@ class MixtureGradient:
         object.__setattr__(self, "values", values)
 
 
-def gradient_exact(problem, weights, alpha):
+def gradient_exact(problem, weights, alpha, *, log_mixture=None):
     """Exact gradient on a finite-support problem.
 
     Every component gets a value, including those with zero weight; the
-    mixture in the ratio only sees the weighted ones.
+    mixture in the ratio only sees the weighted ones.  ``log_mixture`` is
+    ``problem.log_mixture(weights)`` when the caller already has it; the
+    weights are then not read again.
     """
-    log_u = problem.log_mixture(weights) - np.log(problem.p_values)
+    log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
     deriv = amari_alpha_deriv_log(log_u, alpha)
     values = problem.kernel_matrix @ (problem.nu_weights * deriv)
     return MixtureGradient(values, "exact", None, alpha)
@@ -140,10 +142,10 @@ def sample_mixture(state, size, rng):
         raise ValueError(f"size must be >= 1, got {size}")
     probs = state.weights / state.weights.sum()
     idx = rng.choice(state.num_components, size=size, p=probs)
-    centres = state.particles.points[idx]
-    return centres + state.kernel.bandwidth * rng.standard_normal(
-        (size, state.kernel.dim)
-    )
+    z = rng.standard_normal((size, state.kernel.dim))
+    z *= state.kernel.bandwidth
+    z += state.particles.points[idx]
+    return z
 
 
 def gradient_monte_carlo_from_logs(

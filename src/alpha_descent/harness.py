@@ -64,7 +64,6 @@ class ExperimentConfig:
     replicates: int
     seed: int
     shift: float = 0.0
-    diag_offset: float = 0.0
     target_separation: float = 2.0
     target_scale: float = 2.0
     init_cov_scale: float = 5.0
@@ -123,12 +122,7 @@ class ExperimentConfig:
     def descent_params(self):
         """Per-run parameters; the step size is ``step_size_base / sqrt(N)``."""
         eta = self.step_size_base / math.sqrt(max(self.num_steps, 1))
-        return DescentParams(
-            alpha=self.alpha,
-            step_size=eta,
-            shift=self.shift,
-            diag_offset=self.diag_offset,
-        )
+        return DescentParams(alpha=self.alpha, step_size=eta, shift=self.shift)
 
     def single_sample_count(self):
         if len(self.sample_count) != 1:

@@ -14,7 +14,7 @@ distances through one matrix product, :func:`squared_distances`),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -45,9 +45,9 @@ def as_simplex(weights, *, tol=1e-12, name="weights"):
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {w.shape}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError(f"{name} must be finite")
-    if np.any(w < 0):
+    if (w < 0).any():
         raise ValueError(f"{name} must be nonnegative, got min {w.min()}")
     total = float(w.sum())
     if abs(total - 1.0) > tol:
@@ -347,12 +347,14 @@ class FiniteSupportProblem:
         nu_weights: strictly positive array ``(S,)``.
         p_values: strictly positive array ``(S,)``.
         support: optional atom locations, shape ``(S, ...)``.
+        log_p_values: ``log(p_values)``, computed once at construction.
     """
 
     kernel_matrix: np.ndarray
     nu_weights: np.ndarray
     p_values: np.ndarray
     support: np.ndarray | None = None
+    log_p_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     _ROW_TOL = 1e-12
 
@@ -389,6 +391,7 @@ class FiniteSupportProblem:
         object.__setattr__(self, "nu_weights", nu)
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "support", support)
+        object.__setattr__(self, "log_p_values", np.log(p))
 
     @property
     def num_components(self):
@@ -401,9 +404,9 @@ class FiniteSupportProblem:
     def log_mixture(self, weights):
         """Log of the mixture values at every atom, shape ``(S,)``."""
         weights = np.asarray(weights, dtype=float)
-        if np.any(weights < 0) or not np.all(np.isfinite(weights)):
+        if (weights < 0).any() or not np.isfinite(weights).all():
             raise ValueError("mixture weights must be finite and nonnegative")
-        if not np.any(weights > 0):
+        if not (weights > 0).any():
             raise ValueError("mixture weights are all zero")
         # Entries are O(1) by row normalisation, so the linear sum is safe.
         return np.log(weights @ self.kernel_matrix)

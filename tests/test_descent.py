@@ -36,6 +36,7 @@ from alpha_descent.gradient import (
     sample_mixture,
 )
 from alpha_descent.model import (
+    FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
     logsumexp,
@@ -201,16 +202,6 @@ class TestRenyiStep:
         with pytest.raises(ValueError):
             renyi_step([0.5, 0.5], np.zeros(2), DescentParams(1.0, 1.0, shift=-1.0))
 
-    def test_diag_offset_never_touches_weights(self):
-        base = DescentParams(0.5, 1.0, shift=-1.0)
-        offset = DescentParams(0.5, 1.0, shift=-1.0, diag_offset=5.0)
-        b = np.array([0.3, -0.9])
-        new_a, diag_a = renyi_step([0.4, 0.6], b, base)
-        new_b, diag_b = renyi_step([0.4, 0.6], b, offset)
-        assert np.array_equal(new_a, new_b)
-        assert diag_a.guard_min == diag_b.guard_min
-        assert np.allclose(diag_b.check_values - diag_a.check_values, 5.0, atol=1e-14)
-
     def test_zero_weights_preserved(self):
         params = DescentParams(0.5, 1.0, shift=-1.0)
         new, _ = renyi_step([0.5, 0.5, 0.0], np.array([0.0, -1.0, 3.0]), params)
@@ -245,7 +236,7 @@ class TestLogBaseSteps:
         # cancels on renormalisation
         rng = np.random.default_rng(72)
         for alpha, shift in self.CASES:
-            params = DescentParams(alpha, 0.7, shift=shift, diag_offset=0.25)
+            params = DescentParams(alpha, 0.7, shift=shift)
             w = random_weights(rng, 5)
             grad = _log_base_gradient(rng.uniform(-1.0, 1.0, size=5), alpha)
             new, diag = renyi_step(w, grad, params)
@@ -419,6 +410,30 @@ class TestRunDescentExact:
             record_initial=False,
         )
         assert [r.step for r in trace.records] == [1, 2, 3]
+
+    @pytest.mark.parametrize("record_initial", [True, False])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_one_log_mixture_per_iterate(self, monkeypatch, algorithm, record_initial):
+        # N steps visit N+1 iterates; the gradient of step 1 reads the
+        # starting one even when its record is skipped
+        calls = []
+        log_mixture = FiniteSupportProblem.log_mixture
+
+        def counted(problem, weights):
+            calls.append(1)
+            return log_mixture(problem, weights)
+
+        monkeypatch.setattr(FiniteSupportProblem, "log_mixture", counted)
+        trace = run_descent(
+            np.full(3, 1.0 / 3.0),
+            DescentParams(0.5, 0.5),
+            algorithm,
+            7,
+            problem=self._problem(91),
+            record_initial=record_initial,
+        )
+        assert trace.status == "completed"
+        assert len(calls) == 8
 
     def test_fixed_point_stop(self):
         problem = self._problem(86)

@@ -122,7 +122,7 @@ class TestDescentParams:
         with pytest.raises(ValueError):
             DescentParams(0.5, 0.0)
         with pytest.raises(ValueError):
-            DescentParams(0.5, 0.5, diag_offset=np.inf)
+            DescentParams(0.5, 0.5, shift=np.inf)
 
 
 class TestExactDivergence:
@@ -158,6 +158,27 @@ class TestExactDivergence:
             )
             got = divergence_exact(problem, w, alpha)
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-14)
+
+
+    def test_log_mixture_keyword_is_bit_identical(self):
+        rng = np.random.default_rng(15)
+        for _ in range(10):
+            problem = random_problem(rng)
+            w = random_weights(rng, problem.num_components)
+            log_mix = problem.log_mixture(w)
+            for alpha in ALPHAS:
+                want = divergence_exact(problem, w, alpha)
+                got = divergence_exact(problem, w, alpha, log_mixture=log_mix)
+                assert repr(got) == repr(want)
+
+    def test_log_mixture_of_wrong_shape_refused(self):
+        rng = np.random.default_rng(16)
+        problem = random_problem(rng)
+        w = random_weights(rng, problem.num_components)
+        log_mix = problem.log_mixture(w)
+        for bad in (np.append(log_mix, 0.0), log_mix[:, None]):
+            with pytest.raises(ValueError, match="log_mixture must have shape"):
+                divergence_exact(problem, w, 0.5, log_mixture=bad)
 
 
 class TestRenyiObjective:

@@ -127,6 +127,26 @@ class TestExactGradient:
                 ) / (2 * eps)
                 assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
+    def test_log_mixture_keyword_is_bit_identical(self):
+        rng = np.random.default_rng(35)
+        for _ in range(10):
+            problem = random_problem(rng)
+            w = random_weights(rng, problem.num_components)
+            log_mix = problem.log_mixture(w)
+            for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0):
+                want = gradient_exact(problem, w, alpha).values
+                got = gradient_exact(problem, w, alpha, log_mixture=log_mix).values
+                assert np.array_equal(got, want)
+
+    def test_log_mixture_of_wrong_shape_refused(self):
+        rng = np.random.default_rng(36)
+        problem = random_problem(rng)
+        w = random_weights(rng, problem.num_components)
+        log_mix = problem.log_mixture(w)
+        for bad in (log_mix[:-1], log_mix[None, :], np.float64(log_mix[0])):
+            with pytest.raises(ValueError, match="log_mixture must have shape"):
+                gradient_exact(problem, w, 0.5, log_mixture=bad)
+
     def test_zero_weight_components_still_scored(self):
         # a dead component needs a gradient value so an update can revive
         # its bookkeeping consistently
@@ -176,6 +196,15 @@ class TestSampler:
         state = self._state(np.random.default_rng(0), weights=(0.0, 1.0))
         draws = sample_mixture(state, 5000, np.random.default_rng(43))
         assert np.all(draws[:, 0] > 0)
+
+    def test_draws_are_centres_plus_scaled_normals(self):
+        # the stream is one component draw, then one standard normal block
+        state = self._state(np.random.default_rng(0))
+        draws = sample_mixture(state, 64, np.random.default_rng(45))
+        rng = np.random.default_rng(45)
+        idx = rng.choice(2, size=64, p=state.weights)
+        z = rng.standard_normal((64, 2))
+        assert np.array_equal(draws, state.particles.points[idx] + 0.5 * z)
 
     def test_rejects_empty_request(self):
         state = self._state(np.random.default_rng(0))

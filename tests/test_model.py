@@ -440,6 +440,15 @@ class TestFiniteSupportProblem:
         with pytest.raises(ValueError):
             problem.with_target([0.1, -0.2])
 
+    def test_log_p_values_follow_the_target(self):
+        kernel, nu, p = self._valid()
+        problem = FiniteSupportProblem(kernel, nu, p)
+        assert np.array_equal(problem.log_p_values, np.log(p))
+        other = problem.with_target(2 * p)
+        assert np.array_equal(other.log_p_values, np.log(2 * p))
+        with pytest.raises(TypeError):
+            FiniteSupportProblem(kernel, nu, p, None, np.log(p))
+
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 @settings(max_examples=30, deadline=None)
