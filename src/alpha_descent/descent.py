@@ -287,8 +287,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
         scaled = values / denom
         raw_check = (values + 1.0 / (alpha - 1.0)) / denom
     else:
-        active = weights > 0
-        log_denom = np.logaddexp.reduce(np.log(weights[active]) + log_a[active])
+        log_denom = logsumexp(log_a, b=weights)
         if params.shift != 0.0:
             log_denom = np.logaddexp(log_denom, np.log((alpha - 1.0) * params.shift))
         if not log_denom > -np.inf:
@@ -368,7 +367,6 @@ def run_descent(
     sample_count=None,
     rng=None,
     fixed_point_tol=None,
-    reuse_monitor_samples=False,
     unweighted_denominator=False,
     phase=1,
     record_initial=True,
@@ -394,10 +392,14 @@ def run_descent(
     iterate and its objective both read that one log-mixture through
     their ``log_mixture=`` keyword.
 
-    In Monte Carlo mode the power update and the weighted renyi update
-    read ``log A_j``, the positive estimate of their base (see
-    :mod:`alpha_descent.gradient`).  The emd and kl updates, the unweighted
-    renyi denominator and the exact mode use the gradient values.
+    In Monte Carlo mode each iterate draws one batch from its mixture.
+    That batch gives the iterate's sampled bound and then the next step's
+    gradient, so a run of N steps draws N+1 batches (N when the bound is
+    not monitored, since the last iterate then needs none).  The power
+    update and the weighted renyi update read ``log A_j``, the positive
+    estimate of their base (see :mod:`alpha_descent.gradient`).  The emd
+    and kl updates, the unweighted renyi denominator and the exact mode
+    use the gradient values.
 
     ``fixed_point_tol`` (e.g. :data:`FIXED_POINT_TOL`) stops the run once a
     step moves the weights by less than the tolerance in l1 norm; by
@@ -452,35 +454,40 @@ def run_descent(
         objective = exact_objective(w, log_mix)
         return TraceRecord(phase, 0, w.copy(), np.nan, objective, np.nan, 0.0)
 
-    def fresh_batch():
+    batch = None  # the current iterate's monitor batch, once drawn
+
+    def draw():
         """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
         samples = sample_mixture(state, sample_count, rng)
         return sample_logs(
             state.weights, state.particles.points, state.kernel, target, samples
         )
 
-    def sampled_bound():
-        if monitor_alpha == 1.0:
-            return np.nan
-        _, log_q, log_p = fresh_batch()
-        return vr_bound_from_logs(log_p, log_q, monitor_alpha)
-
-    def monitor_mc(w, tick):
-        vr = sampled_bound()
+    def monitor_mc(n, w, guard_min, tick):
+        """Record iterate ``n``; its monitor batch is kept for step ``n+1``."""
+        nonlocal batch
+        vr = np.nan
+        if monitor_alpha != 1.0:
+            batch = draw()
+            _, log_q, log_p = batch
+            vr = vr_bound_from_logs(log_p, log_q, monitor_alpha)
         elapsed = (time.perf_counter() - tick) * 1000.0
-        return TraceRecord(phase, 0, w.copy(), vr, np.nan, np.nan, elapsed)
+        return TraceRecord(phase, n, w.copy(), vr, np.nan, guard_min, elapsed)
 
     tick = time.perf_counter()
     log_mix = None if monte_carlo else problem.log_mixture(weights)
     if record_initial:
-        rec = monitor_mc(weights, tick) if monte_carlo else monitor_exact(weights, log_mix)
+        if monte_carlo:
+            rec = monitor_mc(0, weights, np.nan, tick)
+        else:
+            rec = monitor_exact(weights, log_mix)
         trace.records.append(rec)
 
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:
             if monte_carlo:
-                log_k, log_q, log_p = fresh_batch()
+                log_k, log_q, log_p = batch if batch is not None else draw()
                 grad = gradient_monte_carlo_from_logs(
                     log_k,
                     log_p,
@@ -511,24 +518,15 @@ def run_descent(
         weights = new
         if monte_carlo:
             state = replace(state, weights=weights)
-            if reuse_monitor_samples and monitor_alpha != 1.0:
-                # Reuse this step's sample batch and kernel matrix; only the
-                # mixture under the new weights needs recomputing.
-                log_q = logsumexp(log_k, axis=0, b=weights)
-                vr = vr_bound_from_logs(log_p, log_q, monitor_alpha)
-            else:
-                vr = sampled_bound()
-            objective = np.nan
+            rec = monitor_mc(n, weights, diag.guard_min, tick)
         else:
-            vr = np.nan
             log_mix = problem.log_mixture(weights)
             objective = exact_objective(weights, log_mix)
-        elapsed = (time.perf_counter() - tick) * 1000.0
-        trace.records.append(
-            TraceRecord(
-                phase, n, weights.copy(), vr, objective, diag.guard_min, elapsed
+            elapsed = (time.perf_counter() - tick) * 1000.0
+            rec = TraceRecord(
+                phase, n, weights.copy(), np.nan, objective, diag.guard_min, elapsed
             )
-        )
+        trace.records.append(rec)
         if fixed_point_tol is not None and moved < fixed_point_tol:
             trace.status = f"fixed_point: step {n} moved {moved:.3e}"
             break

@@ -70,7 +70,6 @@ class ExperimentConfig:
     bandwidth_coeff: float = 1.0
     exploration: str = "resample"
     renyi_unweighted_denominator: bool = False
-    reuse_monitor_samples: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -109,11 +108,11 @@ class ExperimentConfig:
             raise ValueError(f"alpha=1 is not valid for the {self.algorithm} update")
         if self.algorithm == "kl" and self.alpha != 1.0:
             raise ValueError("the kl algorithm is the alpha=1 update; set alpha to 1")
-        for key in ("renyi_unweighted_denominator", "reuse_monitor_samples"):
-            if not isinstance(getattr(self, key), bool):
-                raise ValueError(
-                    f"{key} must be true or false, got {getattr(self, key)!r}"
-                )
+        if not isinstance(self.renyi_unweighted_denominator, bool):
+            raise ValueError(
+                "renyi_unweighted_denominator must be true or false, got "
+                f"{self.renyi_unweighted_denominator!r}"
+            )
         if self.exploration == "mean_update" and not 0.0 <= self.alpha < 1.0:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"
@@ -202,7 +201,6 @@ def run_replicate(config, index):
                 target=target,
                 sample_count=sample_count,
                 rng=rng,
-                reuse_monitor_samples=config.reuse_monitor_samples,
                 unweighted_denominator=config.renyi_unweighted_denominator,
                 phase=phase,
                 record_initial=(phase == 1),

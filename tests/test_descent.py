@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import alpha_descent.descent as descent_module
 from alpha_descent.descent import (
     ALGORITHMS,
     DescentTrace,
@@ -39,7 +40,6 @@ from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
-    logsumexp,
     sample_logs,
 )
 
@@ -548,35 +548,71 @@ class TestRunDescentMonteCarlo:
             assert ra.vr_bound == rb.vr_bound
             assert math.isnan(ra.objective)
 
-    def test_monitor_modes_share_weight_path(self):
-        # reusing the gradient batch for the monitor changes the recorded
-        # bound but not the updates themselves
+    @pytest.mark.parametrize("record_initial", [True, False])
+    @pytest.mark.parametrize(
+        "algorithm, alpha, draws",
+        [("power", 0.5, 8), ("renyi", 0.5, 8), ("emd", 0.5, 8), ("kl", 1.0, 7)],
+    )
+    def test_one_batch_per_iterate(
+        self, monkeypatch, algorithm, alpha, draws, record_initial
+    ):
+        # 7 steps visit 8 iterates and draw one batch at each: it gives the
+        # iterate its bound and the next step its gradient.  The kl run
+        # monitors nothing at alpha = 1, so its last iterate draws none.
+        calls = []
+        sample = descent_module.sample_mixture
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return sample(*args, **kwargs)
+
+        monkeypatch.setattr(descent_module, "sample_mixture", counted)
         state, target = self._setup(102)
-        fresh = run_descent(
+        trace = run_descent(
             state,
-            DescentParams(0.5, 0.3),
-            "emd",
-            5,
+            DescentParams(alpha, 0.3),
+            algorithm,
+            7,
             target=target,
-            sample_count=64,
+            sample_count=32,
             rng=np.random.default_rng(6),
+            record_initial=record_initial,
         )
-        reused = run_descent(
-            state,
-            DescentParams(0.5, 0.3),
-            "emd",
-            5,
-            target=target,
-            sample_count=64,
-            rng=np.random.default_rng(6),
-            reuse_monitor_samples=True,
-        )
-        for ra, rb in zip(fresh.records[1:], reused.records[1:]):
-            assert np.isfinite(rb.vr_bound)
-            assert ra.vr_bound != rb.vr_bound  # different batches in general
-        # the reused-monitor run draws fewer batches but the first step sees
-        # the identical gradient, hence identical first weights
-        assert np.array_equal(fresh.records[1].weights, reused.records[1].weights)
+        assert trace.status == "completed"
+        assert len(trace.records) == 7 + record_initial
+        assert len(calls) == draws
+
+    def test_recorded_bound_has_the_law_of_a_fresh_batch(self):
+        # The step-1 bound must read like one scored on a new batch from
+        # the step-1 mixture, and stay below log Z.  Scoring the new weights
+        # on the gradient's own batch, with no importance correction, reads
+        # about 2.5 here, far above log Z = log 2.
+        seeds, m = 40, 20_000
+        points = np.sqrt(5.0) * np.random.default_rng(0).standard_normal((5, 2))
+        kernel = GaussianKernel(5.0 ** (-1.0 / 6.0), 2)
+        state = MixtureState(np.full(5, 0.2), points, kernel)
+        target = GaussianMixtureTarget([[-2.0, -2.0], [2.0, 2.0]], scale=2.0)
+        recorded, fresh = np.empty(seeds), np.empty(seeds)
+        for seed in range(seeds):
+            trace = run_descent(
+                state,
+                DescentParams(0.5, 3.0),
+                "emd",
+                1,
+                target=target,
+                sample_count=m,
+                rng=np.random.default_rng(seed),
+            )
+            w = trace.records[1].weights
+            recorded[seed] = trace.records[1].vr_bound
+            rng = np.random.default_rng(1000 + seed)
+            samples = sample_mixture(MixtureState(w, points, kernel), m, rng)
+            _, log_q, log_p = sample_logs(w, points, kernel, target, samples)
+            fresh[seed] = vr_bound_from_logs(log_p, log_q, 0.5)
+        se_recorded = recorded.std(ddof=1) / np.sqrt(seeds)
+        se_gap = np.hypot(se_recorded, fresh.std(ddof=1) / np.sqrt(seeds))
+        assert abs(recorded.mean() - fresh.mean()) < 4.0 * se_gap
+        assert recorded.mean() < np.log(target.scale) + 4.0 * se_recorded
 
     def test_kl_monitor_is_nan_at_alpha_one(self):
         state, target = self._setup(103)
@@ -669,7 +705,7 @@ class TestRunDescentParity:
                 assert _record_keys(trace) == want, (algorithm, alpha, eta)
 
     @pytest.mark.parametrize(
-        "algorithm, alpha, unweighted, reuse",
+        "algorithm, alpha, unweighted, record_initial",
         [
             ("power", 0.5, False, False),
             ("renyi", 0.5, False, True),
@@ -679,7 +715,7 @@ class TestRunDescentParity:
         ],
     )
     def test_monte_carlo_matches_public_loop(
-        self, algorithm, alpha, unweighted, reuse
+        self, algorithm, alpha, unweighted, record_initial
     ):
         points = np.random.default_rng(7).normal(size=(5, 2))
         state = MixtureState(np.full(5, 0.2), points, GaussianKernel(0.8, 2))
@@ -693,8 +729,8 @@ class TestRunDescentParity:
             target=target,
             sample_count=40,
             rng=np.random.default_rng(8),
-            reuse_monitor_samples=reuse,
             unweighted_denominator=unweighted,
+            record_initial=record_initial,
         )
 
         rng = np.random.default_rng(8)
@@ -707,15 +743,15 @@ class TestRunDescentParity:
                 state.weights, state.particles.points, state.kernel, target, samples
             )
 
-        def bound(state):
-            if alpha == 1.0:
-                return np.nan
-            _, log_q, log_p = batch(state)
-            return vr_bound_from_logs(log_p, log_q, alpha)
-
-        want = [_key(0, state.weights, bound(state), np.nan, np.nan)]
+        # one batch per iterate: it gives the iterate its bound, when the
+        # bound is monitored, and then the next step its gradient
+        logs = None if alpha == 1.0 else batch(state)
+        want = []
+        if record_initial:
+            vr = np.nan if logs is None else vr_bound_from_logs(logs[2], logs[1], alpha)
+            want.append(_key(0, state.weights, vr, np.nan, np.nan))
         for n in range(1, 7):
-            log_k, log_q, log_p = batch(state)
+            log_k, log_q, log_p = batch(state) if logs is None else logs
             grad = gradient_monte_carlo_from_logs(
                 log_k,
                 log_p,
@@ -728,12 +764,8 @@ class TestRunDescentParity:
                 algorithm, state.weights, grad, params, unweighted
             )
             state = MixtureState(new, state.particles, state.kernel)
-            if reuse:
-                # the monitor reads this step's batch under the new weights
-                log_q = logsumexp(log_k, axis=0, b=new)
-                vr = vr_bound_from_logs(log_p, log_q, alpha)
-            else:
-                vr = bound(state)
+            logs = None if alpha == 1.0 else batch(state)
+            vr = np.nan if logs is None else vr_bound_from_logs(logs[2], logs[1], alpha)
             want.append(_key(n, new, vr, np.nan, diag.guard_min))
         assert trace.status == "completed"
         assert _record_keys(trace) == want

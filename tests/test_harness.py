@@ -82,6 +82,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="bandwidth, momentum"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value", [("diag_offset", 0.25), ("reuse_monitor_samples", True)]
+    )
+    def test_removed_option_rejected_as_unknown(self, tmp_path, key, value):
+        # a config written for a removed option fails loudly, not silently
+        path = _write_json(tmp_path / "old.json", {**config_dict(_config()), key: value})
+        with pytest.raises(ValueError, match=f"unknown config key\\(s\\): {key}$"):
+            parse_config(path)
+
     def test_missing_keys_listed(self, tmp_path):
         path = _write_json(tmp_path / "bad.json", {"algorithm": "emd"})
         with pytest.raises(ValueError, match="missing required"):
@@ -105,9 +114,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             _config(seed=1.5)
 
-    @pytest.mark.parametrize(
-        "key", ["renyi_unweighted_denominator", "reuse_monitor_samples"]
-    )
+    @pytest.mark.parametrize("key", ["renyi_unweighted_denominator"])
     def test_boolean_keys_must_be_booleans(self, tmp_path, key):
         # "false" is a truthy string: accepted, it would switch the option on
         data = {**config_dict(_config()), "algorithm": "renyi"}
