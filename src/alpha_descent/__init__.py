@@ -9,7 +9,6 @@ benchmark.
 
 from .descent import (
     ALGORITHMS,
-    FIXED_POINT_TOL,
     DescentTrace,
     GuardViolation,
     RateConstants,
@@ -18,7 +17,6 @@ from .descent import (
     emd_step,
     kl_step,
     power_step,
-    power_transform,
     rate_bound,
     renyi_step,
     run_descent,
@@ -30,7 +28,6 @@ from .divergence import (
     amari_alpha_deriv_log,
     divergence_exact,
     renyi_objective_exact,
-    vr_bound_estimate,
     vr_bound_exact,
     vr_bound_from_logs,
 )
@@ -39,7 +36,6 @@ from .gradient import (
     MixtureGradient,
     MixtureState,
     gradient_exact,
-    gradient_monte_carlo,
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
@@ -64,7 +60,6 @@ from .model import (
     as_simplex,
     bandwidth_rule,
     gaussian_kernel_logpdf,
-    mixture_logpdf,
 )
 
 __version__ = "0.1.0"

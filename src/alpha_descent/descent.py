@@ -44,7 +44,6 @@ from .model import as_simplex, logsumexp, sample_logs
 
 __all__ = [
     "ALGORITHMS",
-    "FIXED_POINT_TOL",
     "DescentTrace",
     "GuardViolation",
     "RateConstants",
@@ -53,18 +52,12 @@ __all__ = [
     "emd_step",
     "kl_step",
     "power_step",
-    "power_transform",
     "rate_bound",
     "renyi_step",
     "run_descent",
 ]
 
 ALGORITHMS = ("power", "renyi", "emd", "kl")
-
-# Default threshold on ||new - old||_1 for treating a step as a fixed point.
-# run_descent leaves early stopping off unless a tolerance is passed, since
-# the reference experiments always run a fixed number of steps.
-FIXED_POINT_TOL = 1e-12
 
 
 class GuardViolation(RuntimeError):
@@ -87,22 +80,14 @@ class StepDiagnostics:
     """What a single update actually did.
 
     Attributes:
-        gamma_inputs: the J arguments handed to the multiplicative
-            transform.
-        log_normaliser: log of the positive normalising constant.
         guard_min: minimum guard margin; positive means the guard held
             with room, ``inf`` for the guard-free updates.  A power step
             that reads ``log_base`` records ``exp`` of the smallest log
             base, which is 0.0 for a base below about ``e^-745``: the
             guard held there too, since it refuses only a zero base.
-        check_values: renyi only, the shifted gradient values entering the
-            step-admissibility check.
     """
 
-    gamma_inputs: np.ndarray
-    log_normaliser: float
     guard_min: float
-    check_values: np.ndarray | None = None
 
 
 def _gradient_values(grad, num_components=None):
@@ -129,8 +114,7 @@ def _log_base(grad):
 def _renormalise(weights, log_factors):
     """Multiply and renormalise in the log domain.
 
-    Zero weights stay exactly zero.  Returns the new simplex vector and the
-    log normaliser.
+    Zero weights stay exactly zero.  Returns the new simplex vector.
     """
     active = weights > 0
     log_w = np.full(weights.shape, -np.inf)
@@ -139,27 +123,7 @@ def _renormalise(weights, log_factors):
     if not np.isfinite(peak):
         raise GuardViolation("all mixture mass was annihilated by the update")
     w = np.exp(log_w - peak)
-    total = w.sum()
-    return w / total, float(peak + np.log(total))
-
-
-def power_transform(v, params):
-    """The power update's multiplicative factor ``[(a-1)v + 1]^(step/(1-a))``."""
-    scalar = np.ndim(v) == 0
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    alpha = params.alpha
-    if alpha == 1.0:
-        raise ValueError("power transform is undefined at alpha=1")
-    base = (alpha - 1.0) * v + 1.0
-    if np.any(base <= 0):
-        bad = np.flatnonzero(base <= 0)
-        raise GuardViolation(
-            f"power transform domain violated at v={v[bad[0]]!r} "
-            f"((alpha-1)v + 1 = {base[bad[0]]!r})",
-            indices=bad,
-        )
-    out = np.exp(params.step_size / (1.0 - alpha) * np.log(base))
-    return float(out[0]) if scalar else out
+    return w / w.sum()
 
 
 def _check_power_params(params):
@@ -221,23 +185,15 @@ def power_step(weights, grad, params):
         guard_min = float(np.exp(log_base.min()))
     log_factors = np.zeros_like(shifted)
     log_factors[active] = params.step_size / (1.0 - alpha) * log_base
-    new, log_norm = _renormalise(weights, log_factors)
-    diag = StepDiagnostics(
-        gamma_inputs=shifted, log_normaliser=log_norm, guard_min=guard_min
-    )
-    return new, diag
+    return _renormalise(weights, log_factors), StepDiagnostics(guard_min)
 
 
 def emd_step(weights, grad, params):
     """One entropic mirror descent update, factors ``exp(-step (b + shift))``."""
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
-    shifted = values + params.shift
-    new, log_norm = _renormalise(weights, -params.step_size * shifted)
-    diag = StepDiagnostics(
-        gamma_inputs=shifted, log_normaliser=log_norm, guard_min=np.inf
-    )
-    return new, diag
+    new = _renormalise(weights, -params.step_size * (values + params.shift))
+    return new, StepDiagnostics(np.inf)
 
 
 def kl_step(weights, grad, step_size):
@@ -248,11 +204,7 @@ def kl_step(weights, grad, step_size):
         raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
-    new, log_norm = _renormalise(weights, -step_size * values)
-    diag = StepDiagnostics(
-        gamma_inputs=values, log_normaliser=log_norm, guard_min=np.inf
-    )
-    return new, diag
+    return _renormalise(weights, -step_size * values), StepDiagnostics(np.inf)
 
 
 def renyi_step(weights, grad, params, unweighted_denominator=False):
@@ -298,15 +250,9 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
         # A_j / ((alpha-1) D) is (b_j + 1/(alpha-1)) / D, the scaled
         # gradient up to a constant that cancels on renormalisation
         scaled = raw_check = np.exp(log_a - log_denom) / (alpha - 1.0)
-    new, log_norm = _renormalise(weights, -params.step_size * scaled)
+    new = _renormalise(weights, -params.step_size * scaled)
     margin = 1.0 - params.step_size * (alpha - 1.0) * raw_check
-    diag = StepDiagnostics(
-        gamma_inputs=scaled,
-        log_normaliser=log_norm,
-        guard_min=float(margin.min()),
-        check_values=raw_check,
-    )
-    return new, diag
+    return new, StepDiagnostics(float(margin.min()))
 
 
 @dataclass(frozen=True)
@@ -401,9 +347,9 @@ def run_descent(
     and kl updates, the unweighted renyi denominator and the exact mode
     use the gradient values.
 
-    ``fixed_point_tol`` (e.g. :data:`FIXED_POINT_TOL`) stops the run once a
-    step moves the weights by less than the tolerance in l1 norm; by
-    default the run always performs the full ``num_steps``.
+    ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
+    the weights by less than the tolerance in l1 norm; by default the run
+    always performs the full ``num_steps``.
 
     The input state is never mutated.  Guard violations are re-raised with
     the failing step attached and the partial trace available on the

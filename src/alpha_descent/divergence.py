@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import logsumexp, mixture_logpdf
+from .model import logsumexp
 
 __all__ = [
     "DescentParams",
@@ -27,7 +27,6 @@ __all__ = [
     "amari_alpha_deriv_log",
     "divergence_exact",
     "renyi_objective_exact",
-    "vr_bound_estimate",
     "vr_bound_exact",
     "vr_bound_from_logs",
 ]
@@ -198,25 +197,3 @@ def vr_bound_from_logs(log_target, log_proposal, alpha):
     m = log_target.size
     lse = logsumexp((1.0 - alpha) * (log_target - log_proposal))
     return float((lse - np.log(m)) / (1.0 - alpha))
-
-
-def vr_bound_estimate(samples, weights, points, kernel, target, alpha):
-    """Monte Carlo bound from mixture samples.
-
-    Args:
-        samples: draws from the smoothed mixture, shape ``(M, d)``.
-        weights: mixture weights on the simplex.
-        points: component locations ``(J, d)``.
-        kernel: the smoothing kernel.
-        target: object with a ``log_density`` method.
-        alpha: divergence order, anything but 1.
-
-    Higher is better; the bound is exact (and equals the log normaliser)
-    when the mixture matches the target.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    log_q = mixture_logpdf(weights, points, kernel, samples)
-    log_p = np.asarray(target.log_density(samples), dtype=float)
-    return vr_bound_from_logs(log_p, log_q, alpha)

@@ -29,13 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, ParticleSet, as_simplex, logsumexp, sample_logs
+from .model import GaussianKernel, ParticleSet, as_simplex, logsumexp
 
 __all__ = [
     "MixtureGradient",
     "MixtureState",
     "gradient_exact",
-    "gradient_monte_carlo",
     "gradient_monte_carlo_from_logs",
     "sample_mixture",
 ]
@@ -81,7 +80,7 @@ class MixtureState:
 
 @dataclass(frozen=True)
 class MixtureGradient:
-    """Gradient vector plus provenance of how it was computed.
+    """Gradient vector and the divergence order it was computed at.
 
     ``log_base`` is ``log A_j``, the log of the positive estimate of the
     base ``(alpha-1) b_j + 1``, when the Monte Carlo estimator was asked for
@@ -89,8 +88,6 @@ class MixtureGradient:
     """
 
     values: np.ndarray
-    mode: str
-    sample_count: int | None
     alpha: float
     log_base: np.ndarray | None = None
 
@@ -98,14 +95,6 @@ class MixtureGradient:
         values = np.asarray(self.values, dtype=float)
         if values.ndim != 1 or values.size == 0:
             raise ValueError(f"gradient must be a nonempty vector, got {values.shape}")
-        if self.mode not in ("exact", "monte_carlo"):
-            raise ValueError(f"unknown gradient mode {self.mode!r}")
-        if self.mode == "exact" and self.sample_count is not None:
-            raise ValueError("exact gradients carry no sample count")
-        if self.mode == "monte_carlo" and (
-            self.sample_count is None or self.sample_count < 1
-        ):
-            raise ValueError(f"bad sample count {self.sample_count!r}")
         if self.log_base is not None:
             log_base = np.asarray(self.log_base, dtype=float)
             if log_base.shape != values.shape:
@@ -129,7 +118,7 @@ def gradient_exact(problem, weights, alpha, *, log_mixture=None):
     log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
     deriv = amari_alpha_deriv_log(log_u, alpha)
     values = problem.kernel_matrix @ (problem.nu_weights * deriv)
-    return MixtureGradient(values, "exact", None, alpha)
+    return MixtureGradient(values, alpha)
 
 
 def sample_mixture(state, size, rng):
@@ -197,22 +186,9 @@ def gradient_monte_carlo_from_logs(
         terms = log_kernel + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
         log_a = logsumexp(terms, axis=1) - np.log(count)
         values = np.expm1(log_a) / (alpha - 1.0)
-        return MixtureGradient(values, "monte_carlo", count, alpha, log_base=log_a)
+        return MixtureGradient(values, alpha, log_base=log_a)
     deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
     ratio = np.subtract(log_kernel, log_mix)
     np.exp(ratio, out=ratio)
     values = (ratio @ deriv) / count
-    return MixtureGradient(values, "monte_carlo", count, alpha)
-
-
-def gradient_monte_carlo(state, target, samples, alpha):
-    """Monte Carlo gradient from mixture samples and a target."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    if samples.size == 0:
-        raise ValueError("need at least one sample")
-    log_kernel, log_mix, log_target = sample_logs(
-        state.weights, state.particles.points, state.kernel, target, samples
-    )
-    return gradient_monte_carlo_from_logs(
-        log_kernel, log_target, state.weights, alpha, log_mixture=log_mix
-    )
+    return MixtureGradient(values, alpha)

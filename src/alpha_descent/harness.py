@@ -43,6 +43,22 @@ EXPLORATIONS = ("resample", "mean_update")
 
 CSV_HEADER = ["t", "n", "vr_bound", "psi_exact", "guard_min", "elapsed_ms"]
 
+_INTEGER_FIELDS = (
+    "num_components",
+    "num_steps",
+    "num_phases",
+    "dim",
+    "replicates",
+    "seed",
+)
+
+
+def _check_integer(name, value):
+    # bool is an int subclass; a float such as 2.0 or 100.7 would be
+    # truncated or fail mid-run
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -81,13 +97,16 @@ class ExperimentConfig:
                 f"exploration must be one of {EXPLORATIONS}, got {self.exploration!r}"
             )
         counts = self.sample_count
-        if isinstance(counts, (int, np.integer)):
-            counts = (int(counts),)
-        else:
-            counts = tuple(int(m) for m in counts)
+        counts = (counts,) if np.ndim(counts) == 0 else tuple(counts)
+        for m in counts:
+            _check_integer("sample_count entry", m)
+        counts = tuple(int(m) for m in counts)
         if not counts or any(m < 1 for m in counts):
             raise ValueError(f"sample_count entries must be >= 1, got {counts}")
         object.__setattr__(self, "sample_count", counts)
+        for name in _INTEGER_FIELDS:
+            _check_integer(name, getattr(self, name))
+            object.__setattr__(self, name, int(getattr(self, name)))
         for name in ("num_components", "num_phases", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -102,8 +121,6 @@ class ExperimentConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if not isinstance(self.seed, (int, np.integer)):
-            raise ValueError(f"seed must be an integer, got {self.seed!r}")
         if self.alpha == 1.0 and self.algorithm in ("power", "renyi"):
             raise ValueError(f"alpha=1 is not valid for the {self.algorithm} update")
         if self.algorithm == "kl" and self.alpha != 1.0:

@@ -29,7 +29,6 @@ __all__ = [
     "bandwidth_rule",
     "gaussian_kernel_logpdf",
     "logsumexp",
-    "mixture_logpdf",
     "sample_logs",
     "squared_distances",
 ]
@@ -195,11 +194,6 @@ class GaussianKernel:
             offset=-0.5 * self.dim * (LOG_2PI + 2.0 * np.log(h)),
         )
 
-    def sample(self, theta, rng, size):
-        """Draw ``size`` points from ``k(theta, .)``."""
-        theta = np.asarray(theta, dtype=float)
-        return theta + self.bandwidth * rng.standard_normal((size, self.dim))
-
 
 @dataclass(frozen=True)
 class ParticleSet:
@@ -296,34 +290,12 @@ class GaussianMixtureTarget(Target):
         return out[0] if np.ndim(y) == 1 else out
 
 
-def mixture_logpdf(weights, points, kernel, y):
-    """Log density of the smoothed mixture ``sum_j weights_j k(points_j, .)``.
-
-    Components with exactly zero weight are skipped, so their kernel values
-    never enter the log-sum-exp.  ``y`` may be a single point ``(d,)`` or a
-    batch ``(M, d)``.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0) or not np.all(np.isfinite(weights)):
-        raise ValueError("mixture weights must be finite and nonnegative")
-    active = weights > 0
-    if not np.any(active):
-        raise ValueError("mixture weights are all zero")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[0] != weights.size:
-        raise ValueError(f"{weights.size} weights but {points.shape[0]} points")
-    single = np.ndim(y) == 1
-    logk = kernel.logpdf_matrix(points[active], y)
-    out = logsumexp(logk, axis=0, b=weights[active])
-    return float(out[0]) if single else out
-
-
 def sample_logs(weights, points, kernel, target, samples):
     """``(log k, log q, log p)`` of a sample batch ``(M, d)``.
 
     ``log k`` is the ``(J, M)`` kernel matrix of every component, zero
-    weights included; ``log q`` the mixture under ``weights`` and ``log p``
-    the target, both ``(M,)``.  No validation: callers check their inputs.
+    weights included; ``log q`` the mixture under ``weights``, which no
+    zero-weight component enters, and ``log p`` the target, both ``(M,)``.  No validation: callers check their inputs.
     """
     log_k = kernel.logpdf_matrix(points, samples)
     log_q = logsumexp(log_k, axis=0, b=weights)

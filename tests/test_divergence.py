@@ -15,13 +15,17 @@ from alpha_descent.divergence import (
     amari_alpha_deriv_log,
     divergence_exact,
     renyi_objective_exact,
-    vr_bound_estimate,
     vr_bound_exact,
     vr_bound_from_logs,
 )
 from alpha_descent.fixtures import perfect_fit_problem, random_problem, random_weights
 from alpha_descent.gradient import MixtureState, sample_mixture
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, ParticleSet
+from alpha_descent.model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    ParticleSet,
+    sample_logs,
+)
 
 ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -311,5 +315,6 @@ class TestVrBound:
         state = MixtureState(weights, particles, kernel)
         target = GaussianMixtureTarget([[0.0, 0.0]])
         samples = sample_mixture(state, 500, rng)
-        val = vr_bound_estimate(samples, weights, particles.points, kernel, target, 0.5)
+        _, log_q, log_p = sample_logs(weights, particles.points, kernel, target, samples)
+        val = vr_bound_from_logs(log_p, log_q, 0.5)
         assert np.isfinite(val)

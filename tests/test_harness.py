@@ -114,6 +114,33 @@ class TestConfig:
         with pytest.raises(ValueError, match="seed"):
             _config(seed=1.5)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("sample_count", [100.7]),
+            ("sample_count", [100, True]),
+            ("sample_count", 64.0),
+            ("num_components", 4.0),
+            ("num_steps", 2.0),
+            ("num_phases", False),
+            ("dim", 2.0),
+            ("replicates", 1.5),
+            ("seed", True),
+            ("seed", "11"),
+        ],
+    )
+    def test_integer_keys_must_be_integers(self, tmp_path, key, value):
+        # a float is refused, not truncated or left to fail mid-run, and a
+        # bool is not taken for 0 or 1
+        path = _write_json(tmp_path / "bad.json", {**config_dict(_config()), key: value})
+        with pytest.raises(ValueError, match=f"{key}.* must be an integer"):
+            parse_config(path)
+
+    def test_numpy_integers_accepted(self):
+        config = _config(num_steps=np.int64(3), seed=np.int64(5), sample_count=[np.int32(8)])
+        assert (config.num_steps, config.seed, config.sample_count) == (3, 5, (8,))
+        assert type(config.seed) is int and type(config.sample_count[0]) is int
+
     @pytest.mark.parametrize("key", ["renyi_unweighted_denominator"])
     def test_boolean_keys_must_be_booleans(self, tmp_path, key):
         # "false" is a truthy string: accepted, it would switch the option on

@@ -23,7 +23,6 @@ from alpha_descent.model import (
     bandwidth_rule,
     gaussian_kernel_logpdf,
     logsumexp,
-    mixture_logpdf,
     sample_logs,
     squared_distances,
 )
@@ -127,20 +126,6 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             GaussianKernel(bandwidth=1.0, dim=0)
 
-    def test_sample_shape_and_moments(self):
-        kernel = GaussianKernel(bandwidth=0.5, dim=2)
-        rng = np.random.default_rng(7)
-        draws = kernel.sample([1.0, -2.0], rng, 20000)
-        assert draws.shape == (20000, 2)
-        assert np.allclose(draws.mean(axis=0), [1.0, -2.0], atol=0.02)
-        assert np.allclose(draws.std(axis=0), 0.5, atol=0.02)
-
-    def test_sample_deterministic_per_seed(self):
-        kernel = GaussianKernel(bandwidth=1.0, dim=1)
-        a = kernel.sample([0.0], np.random.default_rng(3), 5)
-        b = kernel.sample([0.0], np.random.default_rng(3), 5)
-        assert np.array_equal(a, b)
-
 
 class TestParticleSet:
     def test_wraps_and_exposes_shape(self):
@@ -210,6 +195,12 @@ class TestTargets:
             target.log_density([1.0])
 
 
+def _log_q(weights, points, kernel, ys):
+    """The mixture log density ``log q`` of :func:`sample_logs` at ``ys``."""
+    target = GaussianMixtureTarget(np.zeros((1, kernel.dim)))
+    return sample_logs(weights, points, kernel, target, np.atleast_2d(ys))[1]
+
+
 class TestMixtureLogpdf:
     def test_matches_manual_sum(self):
         kernel = GaussianKernel(bandwidth=1.0, dim=1)
@@ -219,26 +210,25 @@ class TestMixtureLogpdf:
         want = np.log(
             0.25 * np.exp(kernel.logpdf(pts[0], y)) + 0.75 * np.exp(kernel.logpdf(pts[1], y))
         )
-        assert math.isclose(mixture_logpdf(w, pts, kernel, y), want, rel_tol=1e-12)
+        assert math.isclose(_log_q(w, pts, kernel, y)[0], want, rel_tol=1e-12)
 
     def test_zero_weight_component_is_inert(self):
         kernel = GaussianKernel(bandwidth=1.0, dim=1)
         w = np.array([1.0, 0.0])
-        near = mixture_logpdf(w, [[0.0], [1.0]], kernel, np.array([0.5]))
+        near = _log_q(w, [[0.0], [1.0]], kernel, [0.5])
         # Moving the dead component must not change anything, even to where
         # its kernel value would dominate.
-        far = mixture_logpdf(w, [[0.0], [0.5]], kernel, np.array([0.5]))
-        assert near == far
-
-    def test_all_zero_weights_rejected(self):
-        kernel = GaussianKernel(bandwidth=1.0, dim=1)
-        with pytest.raises(ValueError, match="all zero"):
-            mixture_logpdf([0.0, 0.0], [[0.0], [1.0]], kernel, np.array([0.5]))
+        far = _log_q(w, [[0.0], [0.5]], kernel, [0.5])
+        assert np.array_equal(near, far)
 
     def test_batch_shape(self):
         kernel = GaussianKernel(bandwidth=1.0, dim=2)
-        out = mixture_logpdf([1.0], [[0.0, 0.0]], kernel, np.zeros((5, 2)))
-        assert out.shape == (5,)
+        target = GaussianMixtureTarget([[0.0, 0.0]])
+        log_k, log_q, log_p = sample_logs(
+            np.array([0.25, 0.75]), np.zeros((2, 2)), kernel, target, np.zeros((5, 2))
+        )
+        assert log_k.shape == (2, 5)
+        assert log_q.shape == (5,) and log_p.shape == (5,)
 
 
 class TestSquaredDistances:
@@ -372,9 +362,16 @@ class TestSampleLogs:
         log_k, log_q, log_p = sample_logs(w, points, kernel, target, ys)
         assert np.array_equal(log_k, kernel.logpdf_matrix(points, ys))
         assert np.array_equal(log_p, target.log_density(ys))
-        np.testing.assert_allclose(
-            log_q, mixture_logpdf(w, points, kernel, ys), rtol=PARITY_RTOL, atol=0.0
-        )
+        # pointwise reference over the weighted components only
+        keep = w > 0
+        want = [
+            scipy_logsumexp(
+                [gaussian_kernel_logpdf(p, y, kernel.bandwidth) for p in points[keep]],
+                b=w[keep],
+            )
+            for y in ys
+        ]
+        np.testing.assert_allclose(log_q, want, rtol=PARITY_RTOL, atol=0.0)
 
 
 class TestFiniteSupportProblem:
