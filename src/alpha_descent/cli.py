@@ -64,15 +64,18 @@ def build_parser():
     return parser
 
 
-def _run(args):
+def _load_config(args):
+    """The config file with the flags that were given applied over it."""
     config = parse_config(args.config)
     overrides = {
         name: getattr(args, name)
         for name in _FIELD_TYPES
         if getattr(args, name) is not None
     }
-    if overrides:
-        config = replace(config, **overrides)
+    return replace(config, **overrides) if overrides else config
+
+
+def _run(config, args):
     exit_code = 0
     multi = len(config.sample_count) > 1
     for count in config.sample_count:
@@ -90,9 +93,15 @@ def _run(args):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     if args.command == "run":
-        code = _run(args)
+        try:
+            config = _load_config(args)
+        except (OSError, ValueError) as exc:
+            # one line in argparse's error style, not a traceback
+            parser.exit(2, f"{parser.prog} run: error: {exc}\n")
+        code = _run(config, args)
     else:
         from .check import run_checks
 

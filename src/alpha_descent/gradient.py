@@ -125,12 +125,16 @@ def sample_mixture(state, size, rng):
     """Draw ``size`` points from the smoothed mixture of ``state``.
 
     Each draw picks a component from the weights, then samples the kernel
-    at that component's location.
+    at that component's location.  The component draw is the algorithm of
+    ``rng.choice(J, size, p=weights / weights.sum())``, so it gives the same
+    indices and leaves the generator in the same state, without ``choice``
+    checking again the weights that :class:`MixtureState` has checked.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    probs = state.weights / state.weights.sum()
-    idx = rng.choice(state.num_components, size=size, p=probs)
+    cdf = (state.weights / state.weights.sum()).cumsum()
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(size), side="right")
     z = rng.standard_normal((size, state.kernel.dim))
     z *= state.kernel.bandwidth
     z += state.particles.points[idx]

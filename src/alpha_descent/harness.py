@@ -20,7 +20,14 @@ from dataclasses import MISSING, asdict, dataclass, fields
 
 import numpy as np
 
-from .descent import ALGORITHMS, DescentTrace, GuardViolation, run_descent
+from .descent import (
+    ALGORITHMS,
+    DescentTrace,
+    GuardViolation,
+    _check_power_params,
+    _check_renyi_params,
+    run_descent,
+)
 from .divergence import DescentParams
 from .explore import explore_mean_update, explore_resample
 from .gradient import MixtureState
@@ -52,12 +59,32 @@ _INTEGER_FIELDS = (
     "seed",
 )
 
+_FLOAT_FIELDS = (
+    "alpha",
+    "step_size_base",
+    "shift",
+    "target_separation",
+    "target_scale",
+    "init_cov_scale",
+    "bandwidth_coeff",
+)
+
 
 def _check_integer(name, value):
     # bool is an int subclass; a float such as 2.0 or 100.7 would be
     # truncated or fail mid-run
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_float(name, value):
+    # a string would fail mid-run inside numpy, and true would run as 1.0
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -113,6 +140,8 @@ class ExperimentConfig:
         for name in ("num_steps", "replicates"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in _FLOAT_FIELDS:
+            _check_float(name, getattr(self, name))
         for name in (
             "step_size_base",
             "target_scale",
@@ -134,6 +163,19 @@ class ExperimentConfig:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"
             )
+        # the step parameters run_descent refuses at entry, refused here
+        # before any replicate starts
+        check = {"power": _check_power_params, "renyi": _check_renyi_params}
+        if self.algorithm in check:
+            try:
+                check[self.algorithm](self.descent_params())
+            except ValueError as exc:
+                raise ValueError(
+                    f"alpha={self.alpha!r}, shift={self.shift!r}, "
+                    f"step_size_base={self.step_size_base!r} and "
+                    f"num_steps={self.num_steps} do not suit the "
+                    f"{self.algorithm} update: {exc}"
+                ) from None
 
     def descent_params(self):
         """Per-run parameters; the step size is ``step_size_base / sqrt(N)``."""

@@ -67,30 +67,43 @@ def logsumexp(a, axis=-1, b=None):
     (default all ones).  Its zero entries are dropped before the peak is
     taken, so an entry far above every weighted one neither sets the peak
     nor turns into ``0 * inf``.  The sum is a matrix-vector product with
-    ``b``, taken over blocks of at most ``_LSE_BLOCK`` entries, so no
-    temporary of the size of ``a`` is made.  A slice whose entries are all
-    ``-inf`` gives ``-inf``, without a warning.
+    ``b`` over a C-ordered copy of ``a - peak``; above ``_LSE_BLOCK``
+    entries it is taken block by block, so no temporary of the size of
+    ``a`` is made.  A slice whose entries are all ``-inf`` gives ``-inf``.
     """
-    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
-    b = np.ones(a.shape[0]) if b is None else np.asarray(b, dtype=float)
-    keep = b > 0
-    if not keep.all():
-        a, b = a[keep], b[keep]
+    a = np.asarray(a, dtype=float)
+    if axis != 0:
+        # swapaxes is moveaxis for ndim <= 2, at a fraction of the call cost
+        a = a.swapaxes(axis, 0) if a.ndim <= 2 else np.moveaxis(a, axis, 0)
+    if b is None:
+        b = np.ones(a.shape[0])
+    else:
+        b = np.asarray(b, dtype=float)
+        keep = b > 0
+        if not keep.all():
+            a, b = a[keep], b[keep]
     rest = a.shape[1:]
     a = a.reshape(b.size, -1)
     peak = a.max(axis=0)
     peak[~np.isfinite(peak)] = 0.0
-    total = np.empty_like(peak)
     width = max(1, _LSE_BLOCK // b.size)
-    block = np.empty((b.size, min(width, peak.size)))
-    for lo in range(0, peak.size, width):
-        hi = min(lo + width, peak.size)
-        part = block[:, : hi - lo]
-        np.subtract(a[:, lo:hi], peak[lo:hi], out=part)
-        np.exp(part, out=part)
-        np.matmul(b, part, out=total[lo:hi])
-    with np.errstate(divide="ignore"):
-        out = np.log(total, out=total)
+    if peak.size <= width:
+        # a fresh C-ordered array: the order of a view's difference would
+        # change the summation order of the product
+        part = np.subtract(a, peak, out=np.empty(a.shape))
+        total = b @ np.exp(part, out=part)
+    else:
+        total = np.empty_like(peak)
+        block = np.empty((b.size, width))
+        for lo in range(0, peak.size, width):
+            hi = min(lo + width, peak.size)
+            part = block[:, : hi - lo]
+            np.subtract(a[:, lo:hi], peak[lo:hi], out=part)
+            np.exp(part, out=part)
+            np.matmul(b, part, out=total[lo:hi])
+    out = np.empty_like(total)
+    out.fill(-np.inf)
+    np.log(total, out=out, where=total != 0)
     out += peak
     return out.reshape(rest)[()]
 
@@ -108,7 +121,8 @@ def squared_distances(x, y, scale=1.0, offset=0.0):
     ``offset``.  Its rounding error is relative to
     ``||x_i - c||^2 + ||y_m - c||^2``, not to the distance itself.
     """
-    centre = y.mean(axis=0)
+    centre = np.add.reduce(y, axis=0)
+    centre /= len(y)
     d = x.shape[1]
     left = np.empty((x.shape[0], d + 2))
     right = np.empty((y.shape[0], d + 2))
@@ -275,6 +289,7 @@ class GaussianMixtureTarget(Target):
         self.means = means
         self.weights = weights
         self.scale = float(scale)
+        self._log_scale = np.log(self.scale)
         super().__init__(self._eval, normalisation_hint=float(scale))
 
     def _eval(self, y):
@@ -286,7 +301,8 @@ class GaussianMixtureTarget(Target):
             )
         d = self.means.shape[1]
         comp = squared_distances(self.means, ys, scale=-0.5, offset=-0.5 * d * LOG_2PI)
-        out = logsumexp(comp, axis=0, b=self.weights) + np.log(self.scale)
+        out = logsumexp(comp, axis=0, b=self.weights)
+        out += self._log_scale
         return out[0] if np.ndim(y) == 1 else out
 
 
@@ -299,7 +315,7 @@ def sample_logs(weights, points, kernel, target, samples):
     """
     log_k = kernel.logpdf_matrix(points, samples)
     log_q = logsumexp(log_k, axis=0, b=weights)
-    log_p = np.asarray(target.log_density(samples), dtype=float)
+    log_p = target.log_density(samples)
     return log_k, log_q, log_p
 
 

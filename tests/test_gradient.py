@@ -197,6 +197,26 @@ class TestSampler:
         z = rng.standard_normal((64, 2))
         assert np.array_equal(draws, state.particles.points[idx] + 0.5 * z)
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_stream_is_that_of_choice(self, seed):
+        # the same indices as rng.choice with the normalised weights, and
+        # the generator left where choice leaves it
+        rng = np.random.default_rng(seed)
+        j, d = 20, 3
+        w = rng.dirichlet(np.ones(j))
+        w[rng.permutation(j)[: seed % 5]] = 0.0
+        points = 10.0 * np.arange(j)[:, None] * np.ones(d)
+        state = MixtureState(w / w.sum(), points, GaussianKernel(0.5, d))
+        mine = np.random.default_rng([seed, 1])
+        draws = sample_mixture(state, 100, mine)
+        theirs = np.random.default_rng([seed, 1])
+        idx = theirs.choice(j, 100, p=state.weights / state.weights.sum())
+        z = theirs.standard_normal((100, d))
+        # the points are 10 apart and the normals are shared
+        np.testing.assert_array_equal(np.rint((draws - 0.5 * z)[:, 0] / 10.0), idx)
+        assert np.array_equal(draws, points[idx] + 0.5 * z)
+        assert mine.random() == theirs.random()
+
     def test_rejects_empty_request(self):
         state = self._state(np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -136,6 +136,58 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key}.* must be an integer"):
             parse_config(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("alpha", "0.5"),
+            ("step_size_base", True),
+            ("shift", "0"),
+            ("target_separation", "1"),
+            ("target_scale", False),
+            ("init_cov_scale", float("inf")),
+            ("bandwidth_coeff", float("nan")),
+            ("alpha", None),
+        ],
+    )
+    def test_float_keys_must_be_finite_numbers(self, tmp_path, key, value):
+        # a string used to fail inside numpy mid-run, and true ran as 1.0
+        path = _write_json(tmp_path / "bad.json", {**config_dict(_config()), key: value})
+        with pytest.raises(ValueError, match=f"{key} must be a finite number"):
+            parse_config(path)
+
+    def test_integer_and_numpy_values_of_float_keys_accepted(self):
+        config = _config(algorithm="renyi", alpha=2, shift=np.float64(0.5), target_scale=3)
+        assert (config.alpha, config.shift, config.target_scale) == (2, 0.5, 3)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            dict(algorithm="power", alpha=0.5, shift=0.3),
+            dict(algorithm="power", alpha=2.0, shift=-0.1),
+            dict(algorithm="power", step_size_base=4.0, num_steps=3),
+            dict(algorithm="power", step_size_base=1.5, num_steps=0),
+            dict(algorithm="renyi", alpha=0.5, shift=0.3),
+            dict(algorithm="renyi", alpha=2.0, shift=-0.1),
+        ],
+    )
+    def test_step_parameters_run_descent_refuses_are_refused_up_front(
+        self, tmp_path, overrides
+    ):
+        # these used to pass the config and then fail inside run_replicate
+        data = {**config_dict(_config()), **overrides}
+        path = _write_json(tmp_path / "bad.json", data)
+        with pytest.raises(ValueError, match="do not suit the .* update"):
+            parse_config(path)
+
+    def test_step_parameters_at_the_edge_accepted(self):
+        # eta = 4 / sqrt(16) = 1 is the largest power step; renyi has no cap,
+        # and emd and kl take any shift
+        _config(algorithm="power", step_size_base=4.0, num_steps=16)
+        _config(algorithm="power", alpha=2.0, shift=0.3)
+        _config(algorithm="renyi", step_size_base=4.0, num_steps=3)
+        _config(algorithm="emd", shift=-5.0, step_size_base=4.0, num_steps=1)
+        _config(algorithm="kl", alpha=1.0, shift=0.3)
+
     def test_numpy_integers_accepted(self):
         config = _config(num_steps=np.int64(3), seed=np.int64(5), sample_count=[np.int32(8)])
         assert (config.num_steps, config.seed, config.sample_count) == (3, 5, (8,))
@@ -450,6 +502,35 @@ class TestCli:
             )
         assert info.value.code == 1
         assert "1 aborted" in capsys.readouterr().out
+
+    @pytest.mark.parametrize(
+        "flags, key",
+        [
+            (["--shift", "0.3"], "shift=0.3"),
+            (["--step-size-base", "4", "--num-steps", "3"], "step_size_base=4.0"),
+        ],
+    )
+    def test_invalid_config_is_one_error_line(self, tmp_path, capsys, flags, key):
+        config = self._smoke_config(tmp_path, algorithm="power")
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", config, "--out", str(out), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        assert lines[0].startswith("alpha-descent run: error: ") and key in lines[0]
+        assert not out.exists()
+
+    def test_unreadable_config_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"algorithm": "emd", "alpha": "0.5"}')
+        for config in (str(path), str(tmp_path / "absent.json")):
+            with pytest.raises(SystemExit) as info:
+                main(["run", "--config", config, "--out", str(tmp_path / "out")])
+            assert info.value.code == 2
+            assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_check_subcommand_passes(self, capsys):
         with pytest.raises(SystemExit) as info:

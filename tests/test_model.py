@@ -351,6 +351,97 @@ class TestLogsumexp:
         assert logsumexp(np.full(5, -np.inf)) == -np.inf
 
 
+def _frozen_logsumexp(a, axis=-1, b=None, block=16384):
+    """The blocked log-sum-exp as it stood before its single-block path.
+
+    Kept verbatim so that the production helper is held to its bits."""
+    a = np.moveaxis(np.asarray(a, dtype=float), axis, 0)
+    b = np.ones(a.shape[0]) if b is None else np.asarray(b, dtype=float)
+    keep = b > 0
+    if not keep.all():
+        a, b = a[keep], b[keep]
+    rest = a.shape[1:]
+    a = a.reshape(b.size, -1)
+    peak = a.max(axis=0)
+    peak[~np.isfinite(peak)] = 0.0
+    total = np.empty_like(peak)
+    width = max(1, block // b.size)
+    part_buf = np.empty((b.size, min(width, peak.size)))
+    for lo in range(0, peak.size, width):
+        hi = min(lo + width, peak.size)
+        part = part_buf[:, : hi - lo]
+        np.subtract(a[:, lo:hi], peak[lo:hi], out=part)
+        np.exp(part, out=part)
+        np.matmul(b, part, out=total[lo:hi])
+    with np.errstate(divide="ignore"):
+        out = np.log(total, out=total)
+    out += peak
+    return out.reshape(rest)[()]
+
+
+class TestLogsumexpBits:
+    """The helper gives the frozen form's bits on every path it takes."""
+
+    @staticmethod
+    def _same(a, **kw):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, **kw)
+        want = _frozen_logsumexp(a, **kw)
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want, equal_nan=True)
+        return got
+
+    # 20x100 is one block either way; 20x1000 is one block down axis 0
+    # and several along axis 1; 100x2000 is several blocks down axis 0
+    @pytest.mark.parametrize("shape", [(20, 100), (20, 1000), (100, 2000)])
+    @pytest.mark.parametrize("axis", [0, 1, -1])
+    def test_two_dimensional(self, shape, axis):
+        rng = np.random.default_rng(shape[1] + axis)
+        self._same(30.0 * rng.standard_normal(shape), axis=axis)
+
+    @pytest.mark.parametrize("shape", [(20, 100), (20, 1000), (100, 2000)])
+    def test_weights_with_zero_entries(self, shape):
+        rng = np.random.default_rng(shape[1])
+        a = 30.0 * rng.standard_normal(shape)
+        w = rng.dirichlet(np.ones(shape[0]))
+        w[::4] = 0.0
+        self._same(a, axis=0, b=w / w.sum())
+        self._same(a, axis=1, b=rng.dirichlet(np.ones(shape[1])))
+
+    def test_one_dimensional(self):
+        rng = np.random.default_rng(30)
+        v = 30.0 * rng.standard_normal(20)
+        assert np.ndim(self._same(v)) == 0
+        self._same(v, axis=0)
+        self._same(v, b=rng.dirichlet(np.ones(20)))
+
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_three_dimensional(self, axis):
+        rng = np.random.default_rng(31 + axis)
+        self._same(rng.standard_normal((4, 5, 6)), axis=axis)
+
+    def test_all_minus_inf_slices(self):
+        a = np.random.default_rng(32).standard_normal((20, 100))
+        a[:, 7] = -np.inf
+        a[3] = -np.inf
+        for axis in (0, 1):
+            self._same(a, axis=axis)
+        got = self._same(a, axis=0, b=np.full(20, 0.05))
+        assert got[7] == -np.inf and np.isfinite(np.delete(got, 7)).all()
+        assert self._same(np.full(5, -np.inf)) == -np.inf
+
+    def test_nan_and_plus_inf(self):
+        a = np.random.default_rng(33).standard_normal((20, 100))
+        a[2, 10] = np.nan
+        a[5, 20] = np.inf
+        got = self._same(a, axis=0)
+        assert np.isnan(got[10]) and got[20] == np.inf
+        assert np.isfinite(np.delete(got, [10, 20])).all()
+        assert np.isnan(self._same(np.array([0.0, np.nan])))
+        assert self._same(np.array([0.0, np.inf])) == np.inf
+
+
 class TestSampleLogs:
     def test_parts_match_the_public_evaluations(self):
         rng = np.random.default_rng(22)
