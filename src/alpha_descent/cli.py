@@ -75,14 +75,23 @@ def _load_config(args):
     return replace(config, **overrides) if overrides else config
 
 
-def _run(config, args):
-    exit_code = 0
+def _out_dirs(config, out):
+    """``(sample count, output directory)`` pairs, each directory created
+    before the first replicate runs."""
     multi = len(config.sample_count) > 1
-    for count in config.sample_count:
+    dirs = [
+        (count, os.path.join(out, f"samples_{count}") if multi else out)
+        for count in config.sample_count
+    ]
+    for _, path in dirs:
+        os.makedirs(path, exist_ok=True)
+    return dirs
+
+
+def _run(config, out_dirs):
+    exit_code = 0
+    for count, out_dir in out_dirs:
         sub_config = replace(config, sample_count=(count,))
-        out_dir = (
-            os.path.join(args.out, f"samples_{count}") if multi else args.out
-        )
         traces = run_experiment(sub_config)
         summary = write_trace(traces, out_dir, sub_config)
         bad = sum(1 for t in traces if not t.status.startswith("completed"))
@@ -98,10 +107,11 @@ def main(argv=None):
     if args.command == "run":
         try:
             config = _load_config(args)
+            out_dirs = _out_dirs(config, args.out)
         except (OSError, ValueError) as exc:
             # one line in argparse's error style, not a traceback
             parser.exit(2, f"{parser.prog} run: error: {exc}\n")
-        code = _run(config, args)
+        code = _run(config, out_dirs)
     else:
         from .check import run_checks
 

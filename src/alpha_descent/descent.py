@@ -126,22 +126,21 @@ def _renormalise(weights, log_factors):
     return w / w.sum()
 
 
-def _check_power_params(params):
-    if not params.power_valid:
+def _check_params(algorithm, params):
+    """Refuse step parameters that the ``algorithm`` update does not accept."""
+    if algorithm == "power" and not params.power_valid:
         raise ValueError(
             "power step needs alpha != 1, (alpha-1)*shift >= 0 and "
             f"step_size in (0, 1]; got {params}"
         )
-
-
-def _check_renyi_params(params):
-    if params.alpha == 1.0:
-        raise ValueError("renyi step is undefined at alpha=1")
-    if (params.alpha - 1.0) * params.shift < 0:
-        raise ValueError(
-            f"renyi step needs (alpha-1)*shift >= 0, got alpha={params.alpha}, "
-            f"shift={params.shift}"
-        )
+    if algorithm == "renyi":
+        if params.alpha == 1.0:
+            raise ValueError("renyi step is undefined at alpha=1")
+        if (params.alpha - 1.0) * params.shift < 0:
+            raise ValueError(
+                f"renyi step needs (alpha-1)*shift >= 0, got alpha={params.alpha}, "
+                f"shift={params.shift}"
+            )
 
 
 def power_step(weights, grad, params):
@@ -153,7 +152,7 @@ def power_step(weights, grad, params):
     is read through it (module docstring), and the guard then refuses a
     base whose log is not above ``-inf``.
     """
-    _check_power_params(params)
+    _check_params("power", params)
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
     shifted = values + params.shift
@@ -224,7 +223,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     denominator (module docstring); the unweighted variant has no positive
     form and always reads the gradient values.
     """
-    _check_renyi_params(params)
+    _check_params("renyi", params)
     alpha = params.alpha
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size)
@@ -295,11 +294,9 @@ def _step_once(algorithm, weights, grad, params, unweighted_denominator):
         return emd_step(weights, grad, params)
     if algorithm == "kl":
         return kl_step(weights, grad, params.step_size)
-    if algorithm == "renyi":
-        return renyi_step(
-            weights, grad, params, unweighted_denominator=unweighted_denominator
-        )
-    raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
+    return renyi_step(
+        weights, grad, params, unweighted_denominator=unweighted_denominator
+    )
 
 
 def run_descent(
@@ -333,19 +330,19 @@ def run_descent(
     ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
     inputs are refused before the first sample is drawn.  Each step then
     calls the public gradient, step and objective functions, which check
-    their own inputs again.  In exact mode ``problem.log_mixture`` runs
-    once per iterate, and checks the weights there; the gradient at an
-    iterate and its objective both read that one log-mixture through
-    their ``log_mixture=`` keyword.
+    their own inputs again.
 
-    In Monte Carlo mode each iterate draws one batch from its mixture.
-    That batch gives the iterate's sampled bound and then the next step's
-    gradient, so a run of N steps draws N+1 batches (N when the bound is
-    not monitored, since the last iterate then needs none).  The power
+    Both modes share one loop.  The mode supplies the gradient at an
+    iterate and the score (bound, objective) that goes into its record;
+    scoring an iterate keeps what its gradient reads.  In exact mode that
+    is the iterate's one ``problem.log_mixture``, read by the objective and
+    the gradient through their ``log_mixture=`` keyword.  In Monte Carlo
+    mode it is the iterate's one batch, which gives the sampled bound and
+    then the next step's gradient, so N steps draw N+1 batches (N when the
+    bound is not monitored and each gradient draws its own).  The power
     update and the weighted renyi update read ``log A_j``, the positive
-    estimate of their base (see :mod:`alpha_descent.gradient`).  The emd
-    and kl updates, the unweighted renyi denominator and the exact mode
-    use the gradient values.
+    estimate of their base (see :mod:`alpha_descent.gradient`); the other
+    updates and the exact mode read the gradient values.
 
     ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
     the weights by less than the tolerance in l1 norm; by default the run
@@ -361,22 +358,10 @@ def run_descent(
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
-    if algorithm == "power":
-        _check_power_params(params)
-    elif algorithm == "renyi":
-        _check_renyi_params(params)
+    _check_params(algorithm, params)
+    grad_alpha = 1.0 if algorithm == "kl" else params.alpha
 
-    monte_carlo = target is not None
-    if monte_carlo:
-        if not isinstance(initial, MixtureState):
-            raise ValueError("Monte Carlo descent needs a MixtureState")
-        if sample_count is None or sample_count < 1:
-            raise ValueError(f"bad sample_count {sample_count!r}")
-        if rng is None:
-            raise ValueError("Monte Carlo descent needs an rng")
-        state = initial
-        weights = as_simplex(state.weights)
-    else:
+    if target is None:
         weights = as_simplex(
             initial.weights if isinstance(initial, MixtureState) else initial
         )
@@ -385,69 +370,72 @@ def run_descent(
                 f"{weights.size} weights for a problem with "
                 f"{problem.num_components} components"
             )
+        log_mix = None  # the scored iterate's log-mixture
 
-    grad_alpha = 1.0 if algorithm == "kl" else params.alpha
-    log_base = algorithm == "power" or (
-        algorithm == "renyi" and not unweighted_denominator
-    )
-    monitor_alpha = params.alpha
-    trace = DescentTrace(status="completed")
+        def gradient(w):
+            mix = log_mix if log_mix is not None else problem.log_mixture(w)
+            return gradient_exact(problem, w, grad_alpha, log_mixture=mix)
 
-    def exact_objective(w, log_mix):
-        return divergence_exact(problem, w, grad_alpha, log_mixture=log_mix)
+        def score(w):
+            nonlocal log_mix
+            log_mix = problem.log_mixture(w)
+            return np.nan, divergence_exact(problem, w, grad_alpha, log_mixture=log_mix)
 
-    def monitor_exact(w, log_mix):
-        objective = exact_objective(w, log_mix)
-        return TraceRecord(phase, 0, w.copy(), np.nan, objective, np.nan, 0.0)
-
-    batch = None  # the current iterate's monitor batch, once drawn
-
-    def draw():
-        """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
-        samples = sample_mixture(state, sample_count, rng)
-        return sample_logs(
-            state.weights, state.particles.points, state.kernel, target, samples
+    else:
+        if not isinstance(initial, MixtureState):
+            raise ValueError("Monte Carlo descent needs a MixtureState")
+        if sample_count is None or sample_count < 1:
+            raise ValueError(f"bad sample_count {sample_count!r}")
+        if rng is None:
+            raise ValueError("Monte Carlo descent needs an rng")
+        state = initial
+        weights = as_simplex(state.weights)
+        log_base = algorithm == "power" or (
+            algorithm == "renyi" and not unweighted_denominator
         )
+        batch = None  # the scored iterate's monitor batch
 
-    def monitor_mc(n, w, guard_min, tick):
-        """Record iterate ``n``; its monitor batch is kept for step ``n+1``."""
-        nonlocal batch
-        vr = np.nan
-        if monitor_alpha != 1.0:
+        def draw():
+            """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
+            samples = sample_mixture(state, sample_count, rng)
+            return sample_logs(
+                state.weights, state.particles.points, state.kernel, target, samples
+            )
+
+        def gradient(w):
+            log_k, log_q, log_p = batch if batch is not None else draw()
+            return gradient_monte_carlo_from_logs(
+                log_k, log_p, w, grad_alpha, log_base=log_base, log_mixture=log_q
+            )
+
+        def score(w):
+            nonlocal state, batch
+            # the initial iterate is the given state's own weights array, so
+            # only a stepped iterate pays for a new state
+            if w is not state.weights:
+                state = replace(state, weights=w)
+            if params.alpha == 1.0:
+                return np.nan, np.nan
             batch = draw()
             _, log_q, log_p = batch
-            vr = vr_bound_from_logs(log_p, log_q, monitor_alpha)
+            return vr_bound_from_logs(log_p, log_q, params.alpha), np.nan
+
+    trace = DescentTrace(status="completed")
+
+    def record(n, w, guard_min, tick):
+        vr, objective = score(w)
         elapsed = (time.perf_counter() - tick) * 1000.0
-        return TraceRecord(phase, n, w.copy(), vr, np.nan, guard_min, elapsed)
+        trace.records.append(
+            TraceRecord(phase, n, w.copy(), vr, objective, guard_min, elapsed)
+        )
 
-    tick = time.perf_counter()
-    log_mix = None if monte_carlo else problem.log_mixture(weights)
     if record_initial:
-        if monte_carlo:
-            rec = monitor_mc(0, weights, np.nan, tick)
-        else:
-            rec = monitor_exact(weights, log_mix)
-        trace.records.append(rec)
-
+        record(0, weights, np.nan, time.perf_counter())
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:
-            if monte_carlo:
-                log_k, log_q, log_p = batch if batch is not None else draw()
-                grad = gradient_monte_carlo_from_logs(
-                    log_k,
-                    log_p,
-                    weights,
-                    grad_alpha,
-                    log_base=log_base,
-                    log_mixture=log_q,
-                )
-            else:
-                grad = gradient_exact(
-                    problem, weights, grad_alpha, log_mixture=log_mix
-                )
             new, diag = _step_once(
-                algorithm, weights, grad, params, unweighted_denominator
+                algorithm, weights, gradient(weights), params, unweighted_denominator
             )
         except GuardViolation as exc:
             err = GuardViolation(
@@ -462,17 +450,7 @@ def run_descent(
         if fixed_point_tol is not None:
             moved = float(np.abs(new - weights).sum())
         weights = new
-        if monte_carlo:
-            state = replace(state, weights=weights)
-            rec = monitor_mc(n, weights, diag.guard_min, tick)
-        else:
-            log_mix = problem.log_mixture(weights)
-            objective = exact_objective(weights, log_mix)
-            elapsed = (time.perf_counter() - tick) * 1000.0
-            rec = TraceRecord(
-                phase, n, weights.copy(), np.nan, objective, diag.guard_min, elapsed
-            )
-        trace.records.append(rec)
+        record(n, weights, diag.guard_min, tick)
         if fixed_point_tol is not None and moved < fixed_point_tol:
             trace.status = f"fixed_point: step {n} moved {moved:.3e}"
             break

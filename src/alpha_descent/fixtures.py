@@ -31,8 +31,7 @@ def random_problem(
     kernel /= (kernel * nu).sum(axis=1, keepdims=True)
     mix = np.full(j, 1.0 / j) @ kernel
     p = target_scale * mix * rng.lognormal(0.0, ratio_spread, s)
-    support = np.arange(s, dtype=float)[:, None]
-    return FiniteSupportProblem(kernel, nu, p, support)
+    return FiniteSupportProblem(kernel, nu, p)
 
 
 def random_weights(rng, num_components, floor=1e-3):

@@ -16,17 +16,12 @@ import csv
 import json
 import math
 import os
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
 from .descent import (
-    ALGORITHMS,
-    DescentTrace,
-    GuardViolation,
-    _check_power_params,
-    _check_renyi_params,
-    run_descent,
+    ALGORITHMS, DescentTrace, GuardViolation, _check_params, run_descent
 )
 from .divergence import DescentParams
 from .explore import explore_mean_update, explore_resample
@@ -150,8 +145,17 @@ class ExperimentConfig:
         ):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.alpha == 1.0 and self.algorithm in ("power", "renyi"):
-            raise ValueError(f"alpha=1 is not valid for the {self.algorithm} update")
+        # the step parameters run_descent refuses at entry, refused here
+        # before any replicate starts
+        try:
+            _check_params(self.algorithm, self.descent_params())
+        except ValueError as exc:
+            raise ValueError(
+                f"alpha={self.alpha!r}, shift={self.shift!r}, "
+                f"step_size_base={self.step_size_base!r} and "
+                f"num_steps={self.num_steps} do not suit the "
+                f"{self.algorithm} update: {exc}"
+            ) from None
         if self.algorithm == "kl" and self.alpha != 1.0:
             raise ValueError("the kl algorithm is the alpha=1 update; set alpha to 1")
         if not isinstance(self.renyi_unweighted_denominator, bool):
@@ -163,19 +167,6 @@ class ExperimentConfig:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"
             )
-        # the step parameters run_descent refuses at entry, refused here
-        # before any replicate starts
-        check = {"power": _check_power_params, "renyi": _check_renyi_params}
-        if self.algorithm in check:
-            try:
-                check[self.algorithm](self.descent_params())
-            except ValueError as exc:
-                raise ValueError(
-                    f"alpha={self.alpha!r}, shift={self.shift!r}, "
-                    f"step_size_base={self.step_size_base!r} and "
-                    f"num_steps={self.num_steps} do not suit the "
-                    f"{self.algorithm} update: {exc}"
-                ) from None
 
     def descent_params(self):
         """Per-run parameters; the step size is ``step_size_base / sqrt(N)``."""
@@ -246,7 +237,7 @@ def run_replicate(config, index):
     kernel = GaussianKernel(bandwidth_rule(j, d, config.bandwidth_coeff), d)
     points = math.sqrt(config.init_cov_scale) * rng.standard_normal((j, d))
     particles = ParticleSet(points, 0)
-    weights = np.full(j, 1.0 / j)
+    weights = np.full(j, 1.0 / j)  # every phase starts uniform
 
     trace = DescentTrace(status="completed", replicate=index)
     for phase in range(1, config.num_phases + 1):
@@ -269,18 +260,15 @@ def run_replicate(config, index):
             trace.status = f"guard_violation: {exc}"
             return trace
         trace.records.extend(part.records)
-        if part.records:
-            weights = part.records[-1].weights
         if phase < config.num_phases:
-            state = MixtureState(weights, particles, kernel)
+            if part.records:
+                state = replace(state, weights=part.records[-1].weights)
             if config.exploration == "resample":
                 particles = explore_resample(state, rng)
             else:
                 particles = explore_mean_update(
                     state, target, sample_count, config.alpha, rng
                 )
-            kernel = GaussianKernel(bandwidth_rule(j, d, config.bandwidth_coeff), d)
-            weights = np.full(j, 1.0 / j)
     nan_count = sum(1 for r in trace.records if math.isnan(r.vr_bound))
     if nan_count:
         trace.status = f"completed (nan_vr={nan_count})"

@@ -334,14 +334,12 @@ class FiniteSupportProblem:
         kernel_matrix: strictly positive array ``(J, S)``.
         nu_weights: strictly positive array ``(S,)``.
         p_values: strictly positive array ``(S,)``.
-        support: optional atom locations, shape ``(S, ...)``.
         log_p_values: ``log(p_values)``, computed once at construction.
     """
 
     kernel_matrix: np.ndarray
     nu_weights: np.ndarray
     p_values: np.ndarray
-    support: np.ndarray | None = None
     log_p_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     _ROW_TOL = 1e-12
@@ -368,17 +366,9 @@ class FiniteSupportProblem:
                 f"kernel row {worst} does not integrate to 1 against nu_weights "
                 f"(residual {residual[worst]:.3e})"
             )
-        support = self.support
-        if support is not None:
-            support = np.asarray(support, dtype=float)
-            if support.shape[0] != n_atoms:
-                raise ValueError(
-                    f"support has {support.shape[0]} points for {n_atoms} atoms"
-                )
         object.__setattr__(self, "kernel_matrix", kernel)
         object.__setattr__(self, "nu_weights", nu)
         object.__setattr__(self, "p_values", p)
-        object.__setattr__(self, "support", support)
         object.__setattr__(self, "log_p_values", np.log(p))
 
     @property

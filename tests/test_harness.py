@@ -1,5 +1,6 @@
 """Config parsing, the replicate runner, serialisation and the CLI."""
 
+import itertools
 import json
 import math
 import os
@@ -10,7 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from alpha_descent import cli
 from alpha_descent.cli import main
+from alpha_descent.descent import run_descent
+from alpha_descent.divergence import DescentParams
+from alpha_descent.fixtures import random_problem
 from alpha_descent.harness import (
     CSV_HEADER,
     ExperimentConfig,
@@ -187,6 +192,37 @@ class TestConfig:
         _config(algorithm="renyi", step_size_base=4.0, num_steps=3)
         _config(algorithm="emd", shift=-5.0, step_size_base=4.0, num_steps=1)
         _config(algorithm="kl", alpha=1.0, shift=0.3)
+
+    @pytest.mark.parametrize("algorithm", ["power", "renyi", "emd"])
+    def test_config_refuses_exactly_what_run_descent_refuses(self, algorithm):
+        # kl is left out: its alpha = 1 rule belongs to the config alone
+        problem = random_problem(np.random.default_rng(0), 3, 5)
+        weights = np.full(3, 1.0 / 3)
+        verdicts = set()
+        for alpha, shift, eta in itertools.product(
+            (-0.5, 0.0, 0.5, 1.0, 2.0), (-0.3, 0.0, 0.3), (0.5, 1.0, 1.5)
+        ):
+            params = DescentParams(alpha=alpha, step_size=eta, shift=shift)
+            try:
+                run_descent(weights, params, algorithm, 0, problem=problem)
+                run_ok = True
+            except ValueError:
+                run_ok = False
+            try:
+                # one step, so that the config's step size is eta itself
+                _config(
+                    algorithm=algorithm,
+                    alpha=alpha,
+                    shift=shift,
+                    step_size_base=eta,
+                    num_steps=1,
+                )
+                config_ok = True
+            except ValueError:
+                config_ok = False
+            assert config_ok == run_ok, (alpha, shift, eta)
+            verdicts.add(run_ok)
+        assert verdicts == ({True} if algorithm == "emd" else {True, False})
 
     def test_numpy_integers_accepted(self):
         config = _config(num_steps=np.int64(3), seed=np.int64(5), sample_count=[np.int32(8)])
@@ -531,6 +567,31 @@ class TestCli:
                 main(["run", "--config", config, "--out", str(tmp_path / "out")])
             assert info.value.code == 2
             assert len(capsys.readouterr().err.splitlines()) == 1
+
+    def test_unusable_out_is_one_error_line_before_any_run(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(config):
+            raise AssertionError("a replicate ran before the output was checked")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        for counts in ("16", "16,32"):
+            config = self._smoke_config(tmp_path)
+            with pytest.raises(SystemExit) as info:
+                main(
+                    [
+                        "run", "--config", config, "--out", str(taken),
+                        "--sample-count", counts,
+                    ]
+                )
+            assert info.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1, captured.err
+            assert lines[0].startswith("alpha-descent run: error: ")
 
     def test_check_subcommand_passes(self, capsys):
         with pytest.raises(SystemExit) as info:

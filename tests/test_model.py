@@ -497,8 +497,6 @@ class TestFiniteSupportProblem:
         kernel, nu, p = self._valid()
         with pytest.raises(ValueError):
             FiniteSupportProblem(kernel, nu[:1], p)
-        with pytest.raises(ValueError, match="support"):
-            FiniteSupportProblem(kernel, nu, p, support=np.zeros((3, 1)))
 
     def test_log_mixture_matches_direct(self):
         kernel, nu, p = self._valid()
@@ -535,7 +533,7 @@ class TestFiniteSupportProblem:
         other = problem.with_target(2 * p)
         assert np.array_equal(other.log_p_values, np.log(2 * p))
         with pytest.raises(TypeError):
-            FiniteSupportProblem(kernel, nu, p, None, np.log(p))
+            FiniteSupportProblem(kernel, nu, p, np.log(p))
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
