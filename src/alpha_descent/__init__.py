@@ -55,7 +55,6 @@ from .model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
-    ParticleSet,
     Target,
     as_simplex,
     bandwidth_rule,

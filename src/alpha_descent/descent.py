@@ -90,14 +90,13 @@ class StepDiagnostics:
     guard_min: float
 
 
-def _gradient_values(grad, num_components=None):
-    values = grad.values if isinstance(grad, MixtureGradient) else np.asarray(
-        grad, dtype=float
-    )
-    values = np.asarray(values, dtype=float)
+def _gradient_values(grad, num_components):
+    if isinstance(grad, MixtureGradient):
+        grad = grad.values
+    values = np.asarray(grad, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"gradient must be a vector, got shape {values.shape}")
-    if num_components is not None and values.size != num_components:
+    if values.size != num_components:
         raise ValueError(
             f"gradient has {values.size} entries for {num_components} weights"
         )
@@ -106,9 +105,17 @@ def _gradient_values(grad, num_components=None):
     return values
 
 
-def _log_base(grad):
-    """``log A_j`` of a Monte Carlo gradient that carries it, else None."""
-    return grad.log_base if isinstance(grad, MixtureGradient) else None
+def _log_base(grad, num_components):
+    """Checked ``log A_j`` of a gradient that carries it, else None.
+
+    Its derived values may overflow and are not read; ``-inf`` is the guard's.
+    """
+    log_a = grad.log_base if isinstance(grad, MixtureGradient) else None
+    if log_a is not None and (log_a.size != num_components or not (log_a < np.inf).all()):
+        raise ValueError(
+            f"gradient log_base must hold {num_components} entries, none NaN or +inf"
+        )
+    return log_a
 
 
 def _renormalise(weights, log_factors):
@@ -149,18 +156,17 @@ def power_step(weights, grad, params):
     Requires ``params.power_valid``.  The positivity guard is checked on
     weighted components only; zero-weight components stay at zero
     regardless of their gradient value.  A gradient carrying ``log_base``
-    is read through it (module docstring), and the guard then refuses a
-    base whose log is not above ``-inf``.
+    is read through it (module docstring) and must have no NaN or ``+inf``
+    in it; the guard refuses a base whose log is ``-inf``.
     """
     _check_params("power", params)
     weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size)
-    shifted = values + params.shift
     alpha = params.alpha
     active = weights > 0
-    log_a = _log_base(grad)
+    log_a = _log_base(grad, weights.size)
     if log_a is None:
-        base = (alpha - 1.0) * shifted + 1.0
+        values = _gradient_values(grad, weights.size)
+        base = (alpha - 1.0) * (values + params.shift) + 1.0
         if (base[active] <= 0).any():
             bad = np.flatnonzero(active & (base <= 0))
             raise GuardViolation(
@@ -181,8 +187,9 @@ def power_step(weights, grad, params):
                 indices=bad,
             )
         log_base = log_a[active]
-        guard_min = float(np.exp(log_base.min()))
-    log_factors = np.zeros_like(shifted)
+        with np.errstate(over="ignore"):  # a base above e^709 reads inf
+            guard_min = float(np.exp(log_base.min()))
+    log_factors = np.zeros(weights.shape)
     log_factors[active] = params.step_size / (1.0 - alpha) * log_base
     return _renormalise(weights, log_factors), StepDiagnostics(guard_min)
 
@@ -221,14 +228,14 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
 
     A gradient carrying ``log_base`` is read through it with the weighted
     denominator (module docstring); the unweighted variant has no positive
-    form and always reads the gradient values.
+    form and always reads the gradient values, which must be finite.
     """
     _check_params("renyi", params)
     alpha = params.alpha
     weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size)
-    log_a = _log_base(grad)
-    if log_a is None or unweighted_denominator:
+    log_a = None if unweighted_denominator else _log_base(grad, weights.size)
+    if log_a is None:
+        values = _gradient_values(grad, weights.size)
         mu_b = float(values.sum() if unweighted_denominator else weights @ values)
         denom = (alpha - 1.0) * (mu_b + params.shift) + 1.0
         if denom <= 0:
@@ -319,11 +326,11 @@ def run_descent(
     Exactly one of ``problem`` (exact gradients and objective) or
     ``target`` (Monte Carlo gradients and the sampled bound) must be given.
     The exact mode accepts bare weights or a :class:`MixtureState` as
-    ``initial``; the Monte Carlo mode needs the full state plus
-    ``sample_count`` and ``rng``.  The kl algorithm always uses the
-    alpha = 1 gradient and objective, whatever ``params.alpha`` says; the
-    sampled bound is monitored at ``params.alpha`` and recorded as NaN when
-    that is 1.
+    ``initial``; the Monte Carlo mode needs the state (weights, points and
+    kernel) plus ``sample_count`` and ``rng``, and keeps its points and
+    kernel.  The kl algorithm always uses the alpha = 1 gradient and
+    objective, whatever ``params.alpha`` says; the sampled bound is
+    monitored at ``params.alpha`` and recorded as NaN when that is 1.
 
     The weights or state, their size, and the parameters the step demands
     (``params.power_valid`` for power, ``alpha != 1`` and
@@ -399,7 +406,7 @@ def run_descent(
             """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
             samples = sample_mixture(state, sample_count, rng)
             return sample_logs(
-                state.weights, state.particles.points, state.kernel, target, samples
+                state.weights, state.points, state.kernel, target, samples
             )
 
         def gradient(w):

@@ -1,7 +1,7 @@
 """Particle refresh moves between descent phases.
 
-Both moves leave the mixture weights untouched; the caller decides what to
-do with them afterwards (the experiment harness resets to uniform).
+Both moves return the new ``(J, d)`` points and leave the mixture weights
+to the caller (the experiment harness resets them to uniform).
 """
 
 from __future__ import annotations
@@ -9,19 +9,18 @@ from __future__ import annotations
 import numpy as np
 
 from .gradient import sample_mixture
-from .model import ParticleSet, logsumexp, sample_logs
+from .model import logsumexp, sample_logs
 
-__all__ = ["ParticleSet", "explore_mean_update", "explore_resample"]
+__all__ = ["explore_mean_update", "explore_resample"]
 
 
 def explore_resample(state, rng):
-    """Draw a fresh particle set i.i.d. from the current smoothed mixture."""
-    points = sample_mixture(state, state.num_components, rng)
-    return ParticleSet(points, state.particles.generation + 1)
+    """New ``(J, d)`` points drawn i.i.d. from the smoothed mixture of ``state``."""
+    return sample_mixture(state, state.num_components, rng)
 
 
 def explore_mean_update(state, target, sample_count, alpha, rng):
-    """Move every particle to an importance-weighted mean of mixture samples.
+    """New ``(J, d)`` points, each an importance-weighted mean of mixture samples.
 
     The weight of sample ``y`` for particle ``j`` is
 
@@ -36,7 +35,7 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     samples = sample_mixture(state, sample_count, rng)
     log_k, log_mix, log_p = sample_logs(
-        state.weights, state.particles.points, state.kernel, target, samples
+        state.weights, state.points, state.kernel, target, samples
     )
     log_gamma = log_k - log_mix + (alpha - 1.0) * (log_mix - log_p)
     row_norm = logsumexp(log_gamma, axis=1)
@@ -47,5 +46,4 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
             f"(log normaliser {row_norm[bad]!r})"
         )
     w = np.exp(log_gamma - row_norm[:, None])
-    points = w @ samples
-    return ParticleSet(points, state.particles.generation + 1)
+    return w @ samples

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, ParticleSet, as_simplex, logsumexp
+from .model import GaussianKernel, as_simplex, logsumexp
 
 __all__ = [
     "MixtureGradient",
@@ -46,32 +46,28 @@ class MixtureState:
 
     Attributes:
         weights: simplex vector, one entry per particle.
-        particles: a :class:`ParticleSet` (a bare ``(J, d)`` array is
-            wrapped as generation 0).
-        kernel: the smoothing kernel; its dimension must match the
-            particles.
+        points: finite particle locations, shape ``(J, d)``; a 1-d array is
+            one particle.
+        kernel: the smoothing kernel; its dimension must match the points.
     """
 
     weights: np.ndarray
-    particles: ParticleSet
+    points: np.ndarray
     kernel: GaussianKernel
 
     def __post_init__(self):
         weights = as_simplex(self.weights)
-        particles = self.particles
-        if not isinstance(particles, ParticleSet):
-            particles = ParticleSet(particles)
-        if particles.num_components != weights.size:
+        points = np.atleast_2d(np.asarray(self.points, dtype=float))
+        # one particle per weight in the kernel's dimension, so never empty
+        if points.shape != (weights.size, self.kernel.dim):
             raise ValueError(
-                f"{weights.size} weights for {particles.num_components} particles"
+                f"{weights.size} weights and kernel dimension {self.kernel.dim} "
+                f"need {weights.size} particles, got points of shape {points.shape}"
             )
-        if particles.dim != self.kernel.dim:
-            raise ValueError(
-                f"kernel dimension {self.kernel.dim} does not match particle "
-                f"dimension {particles.dim}"
-            )
+        if not np.isfinite(points).all():
+            raise ValueError("particle locations must be finite")
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "particles", particles)
+        object.__setattr__(self, "points", points)
 
     @property
     def num_components(self):
@@ -137,7 +133,7 @@ def sample_mixture(state, size, rng):
     idx = cdf.searchsorted(rng.random(size), side="right")
     z = rng.standard_normal((size, state.kernel.dim))
     z *= state.kernel.bandwidth
-    z += state.particles.points[idx]
+    z += state.points[idx]
     return z
 
 
@@ -189,7 +185,8 @@ def gradient_monte_carlo_from_logs(
         #                                - (alpha-1) log p
         terms = log_kernel + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
         log_a = logsumexp(terms, axis=1) - np.log(count)
-        values = np.expm1(log_a) / (alpha - 1.0)
+        with np.errstate(over="ignore"):  # only log_a is read by the steps
+            values = np.expm1(log_a) / (alpha - 1.0)
         return MixtureGradient(values, alpha, log_base=log_a)
     deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
     ratio = np.subtract(log_kernel, log_mix)

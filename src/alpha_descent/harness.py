@@ -26,7 +26,7 @@ from .descent import (
 from .divergence import DescentParams
 from .explore import explore_mean_update, explore_resample
 from .gradient import MixtureState
-from .model import GaussianKernel, GaussianMixtureTarget, ParticleSet, bandwidth_rule
+from .model import GaussianKernel, GaussianMixtureTarget, bandwidth_rule
 
 __all__ = [
     "CSV_HEADER",
@@ -236,12 +236,11 @@ def run_replicate(config, index):
     j, d = config.num_components, config.dim
     kernel = GaussianKernel(bandwidth_rule(j, d, config.bandwidth_coeff), d)
     points = math.sqrt(config.init_cov_scale) * rng.standard_normal((j, d))
-    particles = ParticleSet(points, 0)
     weights = np.full(j, 1.0 / j)  # every phase starts uniform
 
     trace = DescentTrace(status="completed", replicate=index)
     for phase in range(1, config.num_phases + 1):
-        state = MixtureState(weights, particles, kernel)
+        state = MixtureState(weights, points, kernel)
         try:
             part = run_descent(
                 state,
@@ -264,9 +263,9 @@ def run_replicate(config, index):
             if part.records:
                 state = replace(state, weights=part.records[-1].weights)
             if config.exploration == "resample":
-                particles = explore_resample(state, rng)
+                points = explore_resample(state, rng)
             else:
-                particles = explore_mean_update(
+                points = explore_mean_update(
                     state, target, sample_count, config.alpha, rng
                 )
     nan_count = sum(1 for r in trace.records if math.isnan(r.vr_bound))
@@ -291,13 +290,18 @@ def _fmt(value):
     return repr(float(value))
 
 
+def _json_float(value):
+    # strict JSON has no NaN or infinity token
+    return float(value) if math.isfinite(value) else None
+
+
 def write_trace(traces, out_dir, config=None):
     """Write one CSV per replicate plus a cross-replicate summary.
 
     ``rep_<r>.csv`` columns are exactly ``t,n,vr_bound,psi_exact,guard_min,
     elapsed_ms``.  ``summary.json`` holds the config, the per-(t, n) mean
     and standard deviation of the VR bound over the replicates that reached
-    that iteration, and the list of terminal statuses.
+    that iteration (``null`` if not finite), and the terminal statuses.
     """
     os.makedirs(out_dir, exist_ok=True)
     for i, trace in enumerate(traces):
@@ -324,8 +328,8 @@ def write_trace(traces, out_dir, config=None):
         {
             "t": t,
             "n": n,
-            "vr_mean": float(np.mean(vals)),
-            "vr_std": float(np.std(vals)),
+            "vr_mean": _json_float(np.mean(vals)),
+            "vr_std": _json_float(np.std(vals)),
         }
         for (t, n), vals in sorted(grouped.items())
     ]
@@ -336,7 +340,7 @@ def write_trace(traces, out_dir, config=None):
     }
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2)
+        json.dump(summary, fh, indent=2, allow_nan=False)
     return path
 
 

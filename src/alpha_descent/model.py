@@ -23,7 +23,6 @@ __all__ = [
     "FiniteSupportProblem",
     "GaussianKernel",
     "GaussianMixtureTarget",
-    "ParticleSet",
     "Target",
     "as_simplex",
     "bandwidth_rule",
@@ -207,37 +206,6 @@ class GaussianKernel:
             scale=-0.5 / h**2,
             offset=-0.5 * self.dim * (LOG_2PI + 2.0 * np.log(h)),
         )
-
-
-@dataclass(frozen=True)
-class ParticleSet:
-    """Locations of the mixture components plus an exploration counter.
-
-    Attributes:
-        points: array of shape ``(J, d)``.
-        generation: number of exploration moves applied so far.
-    """
-
-    points: np.ndarray
-    generation: int = 0
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        if pts.size == 0:
-            raise ValueError("particle set must contain at least one point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("particle locations must be finite")
-        if self.generation < 0:
-            raise ValueError(f"generation must be >= 0, got {self.generation}")
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def num_components(self):
-        return self.points.shape[0]
-
-    @property
-    def dim(self):
-        return self.points.shape[1]
 
 
 class Target:

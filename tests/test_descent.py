@@ -211,7 +211,8 @@ class TestRenyiStep:
 
 def _log_base_gradient(log_a, alpha):
     log_a = np.asarray(log_a, dtype=float)
-    values = np.expm1(log_a) / (alpha - 1.0)
+    with np.errstate(over="ignore"):
+        values = np.expm1(log_a) / (alpha - 1.0)
     return MixtureGradient(values, alpha, log_base=log_a)
 
 
@@ -270,6 +271,28 @@ class TestLogBaseSteps:
         grad = _log_base_gradient(np.array([-np.inf, -np.inf, 0.0]), 2.0)
         with pytest.raises(GuardViolation, match="normaliser nonpositive"):
             renyi_step([0.5, 0.5, 0.0], grad, DescentParams(2.0, 0.5))
+
+    @pytest.mark.parametrize("alpha", [-1.0, 0.5, 2.0, 3.0])
+    def test_large_log_bases_are_read_not_their_values(self, alpha):
+        # log A_j + 900 overflows the derived values to inf; the steps read
+        # only log A_j, and a constant shift of it cancels at zero shift
+        rng = np.random.default_rng(73)
+        w = random_weights(rng, 5)
+        log_a = rng.uniform(-1.0, 1.0, size=5)
+        params = DescentParams(alpha, 0.7)
+        for step in (power_step, renyi_step):
+            want, _ = step(w, _log_base_gradient(log_a, alpha), params)
+            got, _ = step(w, _log_base_gradient(log_a + 900.0, alpha), params)
+            assert np.allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nan_or_infinite_log_base_refused(self, bad):
+        grad = _log_base_gradient(np.array([0.1, bad, -0.2]), 2.0)
+        params = DescentParams(2.0, 0.5)
+        for step in (power_step, renyi_step):
+            with pytest.raises(ValueError, match="log_base") as info:
+                step([0.3, 0.3, 0.4], grad, params)
+            assert not isinstance(info.value, GuardViolation)
 
     def test_unweighted_denominator_reads_values(self):
         grad = _log_base_gradient(np.array([0.2, -0.3, 0.5]), 0.5)
@@ -740,7 +763,7 @@ class TestRunDescentParity:
         def batch(state):
             samples = sample_mixture(state, 40, rng)
             return sample_logs(
-                state.weights, state.particles.points, state.kernel, target, samples
+                state.weights, state.points, state.kernel, target, samples
             )
 
         # one batch per iterate: it gives the iterate its bound, when the
@@ -763,7 +786,7 @@ class TestRunDescentParity:
             new, diag = _public_step(
                 algorithm, state.weights, grad, params, unweighted
             )
-            state = MixtureState(new, state.particles, state.kernel)
+            state = MixtureState(new, state.points, state.kernel)
             logs = None if alpha == 1.0 else batch(state)
             vr = np.nan if logs is None else vr_bound_from_logs(logs[2], logs[1], alpha)
             want.append(_key(n, new, vr, np.nan, diag.guard_min))

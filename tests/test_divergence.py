@@ -20,12 +20,7 @@ from alpha_descent.divergence import (
 )
 from alpha_descent.fixtures import perfect_fit_problem, random_problem, random_weights
 from alpha_descent.gradient import MixtureState, sample_mixture
-from alpha_descent.model import (
-    GaussianKernel,
-    GaussianMixtureTarget,
-    ParticleSet,
-    sample_logs,
-)
+from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, sample_logs
 
 ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -310,11 +305,11 @@ class TestVrBound:
     def test_estimate_runs_on_gaussian_mixture(self):
         rng = np.random.default_rng(23)
         kernel = GaussianKernel(bandwidth=1.0, dim=2)
-        particles = ParticleSet(rng.normal(size=(5, 2)))
+        points = rng.normal(size=(5, 2))
         weights = random_weights(rng, 5)
-        state = MixtureState(weights, particles, kernel)
+        state = MixtureState(weights, points, kernel)
         target = GaussianMixtureTarget([[0.0, 0.0]])
         samples = sample_mixture(state, 500, rng)
-        _, log_q, log_p = sample_logs(weights, particles.points, kernel, target, samples)
+        _, log_q, log_p = sample_logs(weights, points, kernel, target, samples)
         val = vr_bound_from_logs(log_p, log_q, 0.5)
         assert np.isfinite(val)

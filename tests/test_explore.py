@@ -7,7 +7,7 @@ import pytest
 
 from alpha_descent.explore import explore_mean_update, explore_resample
 from alpha_descent.gradient import MixtureState, sample_mixture
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, ParticleSet
+from alpha_descent.model import GaussianKernel, GaussianMixtureTarget
 
 
 def _state(weights, points, bandwidth=0.5):
@@ -16,25 +16,20 @@ def _state(weights, points, bandwidth=0.5):
 
 
 class TestResample:
-    def test_shape_generation_and_determinism(self):
+    def test_shape_and_determinism(self):
         state = _state([0.5, 0.5], [[-3.0, 0.0], [3.0, 0.0]])
         a = explore_resample(state, np.random.default_rng(1))
         b = explore_resample(state, np.random.default_rng(1))
-        assert isinstance(a, ParticleSet)
-        assert a.points.shape == (2, 2)
-        assert a.generation == 1
-        assert np.array_equal(a.points, b.points)
-
-    def test_generation_increments_from_current(self):
-        particles = ParticleSet(np.zeros((3, 1)), generation=4)
-        state = MixtureState(np.full(3, 1 / 3), particles, GaussianKernel(1.0, 1))
-        assert explore_resample(state, np.random.default_rng(2)).generation == 5
+        assert isinstance(a, np.ndarray)
+        assert a.shape == (2, 2)
+        assert a.dtype == float
+        assert np.array_equal(a, b)
 
     def test_draws_cluster_at_weighted_modes(self):
         state = _state([0.0, 1.0], [[-3.0, 0.0], [3.0, 0.0]], bandwidth=0.1)
         fresh = explore_resample(state, np.random.default_rng(3))
         # dead left mode never sampled
-        assert np.all(fresh.points[:, 0] > 2.0)
+        assert np.all(fresh[:, 0] > 2.0)
 
 
 class TestMeanUpdate:
@@ -50,11 +45,12 @@ class TestMeanUpdate:
         with pytest.raises(ValueError, match="sample_count"):
             explore_mean_update(state, self._target(), 0, 0.5, rng)
 
-    def test_output_shape_and_generation(self):
+    def test_output_shape(self):
         state = _state([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])
         fresh = explore_mean_update(state, self._target(), 64, 0.5, np.random.default_rng(5))
-        assert fresh.points.shape == (2, 2)
-        assert fresh.generation == 1
+        assert isinstance(fresh, np.ndarray)
+        assert fresh.shape == (2, 2)
+        assert fresh.dtype == float
 
     def test_matches_loop_oracle(self):
         state = _state([0.3, 0.7], [[1.0, 0.5], [-1.0, 0.0]])
@@ -67,20 +63,20 @@ class TestMeanUpdate:
         for j in range(2):
             gammas = np.empty(32)
             for m, y in enumerate(samples):
-                k = np.exp(state.kernel.logpdf(state.particles.points[j], y))
-                mix = 0.3 * np.exp(state.kernel.logpdf(state.particles.points[0], y)) + 0.7 * np.exp(
-                    state.kernel.logpdf(state.particles.points[1], y)
+                k = np.exp(state.kernel.logpdf(state.points[j], y))
+                mix = 0.3 * np.exp(state.kernel.logpdf(state.points[0], y)) + 0.7 * np.exp(
+                    state.kernel.logpdf(state.points[1], y)
                 )
                 p = np.exp(target.log_density(y))
                 gammas[m] = k / mix * (mix / p) ** (alpha - 1.0)
             want = (gammas[:, None] * samples).sum(axis=0) / gammas.sum()
-            assert np.allclose(fresh.points[j], want, rtol=1e-10)
+            assert np.allclose(fresh[j], want, rtol=1e-10)
 
     def test_moves_particles_toward_underweighted_target(self):
         # mixture sits right of the target: the alpha < 1 tilt drags means left
         state = _state([0.5, 0.5], [[2.0, 0.0], [2.5, 0.0]], bandwidth=1.0)
         fresh = explore_mean_update(state, self._target(), 4000, 0.0, np.random.default_rng(7))
-        assert np.all(fresh.points[:, 0] < state.particles.points[:, 0])
+        assert np.all(fresh[:, 0] < state.points[:, 0])
 
     def test_degenerate_importance_weights_reported(self):
         # particle 2 is so remote its squared distances overflow: every

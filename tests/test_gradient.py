@@ -23,7 +23,6 @@ from alpha_descent.gradient import (
 from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
-    ParticleSet,
     bandwidth_rule,
     sample_logs,
 )
@@ -64,7 +63,7 @@ def _fig1_logs(rng):
 class TestContainers:
     def test_state_wraps_bare_points(self):
         state = MixtureState([0.5, 0.5], np.zeros((2, 3)), GaussianKernel(1.0, 3))
-        assert isinstance(state.particles, ParticleSet)
+        assert state.points.shape == (2, 3)
         assert state.num_components == 2
 
     def test_state_validation(self):
@@ -195,7 +194,7 @@ class TestSampler:
         rng = np.random.default_rng(45)
         idx = rng.choice(2, size=64, p=state.weights)
         z = rng.standard_normal((64, 2))
-        assert np.array_equal(draws, state.particles.points[idx] + 0.5 * z)
+        assert np.array_equal(draws, state.points[idx] + 0.5 * z)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_stream_is_that_of_choice(self, seed):

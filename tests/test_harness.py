@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -369,6 +370,63 @@ class TestRunReplicate:
         assert len(trace.records) == 1 + 2 * 3
         assert all(r.guard_min > 0 for r in trace.records[1:])
 
+    @pytest.mark.parametrize("algorithm", ["power", "renyi"])
+    @pytest.mark.parametrize("alpha, init_cov_scale", [(2.0, 50.0), (3.0, 20.0)])
+    def test_overflowing_gradient_values_complete(
+        self, algorithm, alpha, init_cov_scale
+    ):
+        # log A_j stays finite while expm1(log A_j)/(alpha-1) overflows; the
+        # steps read log A_j alone, so the replicate runs to its end
+        config = _config(
+            algorithm=algorithm,
+            alpha=alpha,
+            num_components=20,
+            sample_count=(100,),
+            num_steps=20,
+            num_phases=10,
+            dim=16,
+            target_separation=2.0,
+            init_cov_scale=init_cov_scale,
+            replicates=1,
+            seed=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            trace = run_replicate(config, 0)
+        assert trace.status == "completed"
+        assert len(trace.records) == 1 + 10 * 20
+        assert all(np.isfinite(r.weights).all() for r in trace.records)
+
+    @pytest.mark.parametrize("algorithm", ["power", "renyi"])
+    def test_target_scale_invariance_at_negative_alpha(self, algorithm):
+        # at alpha=-1 a target scaled by 1e300 puts log A_j near 1380; the
+        # weights do not see the scale and the bound shifts by its log
+        traces = {}
+        for scale in (2.0, 1e300):
+            config = _config(
+                algorithm=algorithm,
+                alpha=-1.0,
+                num_components=20,
+                sample_count=(100,),
+                num_steps=20,
+                num_phases=3,
+                dim=16,
+                target_separation=2.0,
+                init_cov_scale=5.0,
+                target_scale=scale,
+                replicates=1,
+                seed=2,
+            )
+            traces[scale] = run_replicate(config, 0)
+        small, large = traces[2.0].records, traces[1e300].records
+        assert traces[1e300].status == "completed"
+        assert len(large) == len(small) == 1 + 3 * 20
+        for a, b in zip(small, large):
+            assert np.allclose(b.weights, a.weights, rtol=0, atol=1e-12)
+            assert b.vr_bound - a.vr_bound == pytest.approx(
+                math.log(1e300 / 2.0), abs=1e-9
+            )
+
     def test_kl_run_flags_nan_monitor(self):
         config = _config(algorithm="kl", alpha=1.0, num_phases=2, num_steps=2)
         trace = run_replicate(config, 0)
@@ -459,6 +517,20 @@ class TestSerialisation:
         assert "nan" in text.splitlines()[1]
         rows = read_trace_csv(str(tmp_path / "rep_0.csv"))
         assert math.isnan(rows[0]["vr_bound"])
+
+    def test_kl_summary_is_strict_json(self, tmp_path):
+        # the kl monitor is NaN; its statistics are written as null
+        config = _config(algorithm="kl", alpha=1.0, replicates=2)
+        write_trace(run_experiment(config), str(tmp_path), config)
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        text = (tmp_path / "summary.json").read_text()
+        summary = json.loads(text, parse_constant=refuse)
+        assert summary["series"]
+        for entry in summary["series"]:
+            assert entry["vr_mean"] is None and entry["vr_std"] is None
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "rep_0.csv"

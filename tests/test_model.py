@@ -12,11 +12,11 @@ from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
 from alpha_descent.fixtures import random_problem
+from alpha_descent.gradient import MixtureState
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
-    ParticleSet,
     Target,
     as_simplex,
     LOG_2PI,
@@ -127,24 +127,23 @@ class TestGaussianKernel:
             GaussianKernel(bandwidth=1.0, dim=0)
 
 
-class TestParticleSet:
+class TestMixtureStatePoints:
     def test_wraps_and_exposes_shape(self):
-        ps = ParticleSet(np.zeros((4, 3)))
-        assert ps.num_components == 4
-        assert ps.dim == 3
-        assert ps.generation == 0
+        state = MixtureState(np.full(4, 0.25), np.zeros((4, 3)), GaussianKernel(1.0, 3))
+        assert state.num_components == 4
+        assert state.points.shape == (4, 3)
+        assert state.points.dtype == float
 
     def test_one_dimensional_input_promoted(self):
-        ps = ParticleSet([1.0, 2.0, 3.0])
-        assert ps.points.shape == (1, 3)
+        state = MixtureState([1.0], [1.0, 2.0, 3.0], GaussianKernel(1.0, 3))
+        assert state.points.shape == (1, 3)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            ParticleSet(np.array([[np.inf, 0.0]]))
-        with pytest.raises(ValueError):
-            ParticleSet(np.zeros((2, 2)), generation=-1)
-        with pytest.raises(ValueError):
-            ParticleSet(np.zeros((0, 2)))
+        kernel = GaussianKernel(1.0, 2)
+        with pytest.raises(ValueError, match="finite"):
+            MixtureState([1.0], np.array([[np.inf, 0.0]]), kernel)
+        with pytest.raises(ValueError, match="particles"):
+            MixtureState([1.0], np.zeros((0, 2)), kernel)
 
 
 class TestTargets:

@@ -14,7 +14,7 @@ import pytest
 
 import alpha_descent
 from alpha_descent.descent import StepDiagnostics
-from alpha_descent.gradient import MixtureGradient
+from alpha_descent.gradient import MixtureGradient, MixtureState
 from alpha_descent.model import GaussianKernel
 
 
@@ -39,6 +39,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(alpha_descent.__path__))
 # Names deleted from the package; none may come back through an import.
 DELETED = (
     "FIXED_POINT_TOL",
+    "ParticleSet",
     "gradient_monte_carlo",
     "mixture_logpdf",
     "power_transform",
@@ -71,6 +72,7 @@ def test_package_imports_resolve():
 def test_deleted_fields_and_methods_are_gone():
     assert [f.name for f in fields(StepDiagnostics)] == ["guard_min"]
     assert [f.name for f in fields(MixtureGradient)] == ["values", "alpha", "log_base"]
+    assert [f.name for f in fields(MixtureState)] == ["weights", "points", "kernel"]
     assert not hasattr(GaussianKernel, "sample")
 
 
