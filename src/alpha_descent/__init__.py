@@ -37,7 +37,6 @@ from .gradient import (
     MixtureState,
     gradient_exact,
     gradient_monte_carlo_from_logs,
-    sample_mixture,
 )
 from .harness import (
     CSV_HEADER,

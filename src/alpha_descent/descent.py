@@ -28,7 +28,7 @@ when the weights are renormalised.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -337,7 +337,9 @@ def run_descent(
     ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
     inputs are refused before the first sample is drawn.  Each step then
     calls the public gradient, step and objective functions, which check
-    their own inputs again.
+    their own inputs again.  The Monte Carlo mode reads the state's points
+    and kernel once, at entry, and draws every batch from them under the
+    current iterate; it builds no state per step.
 
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
@@ -395,35 +397,30 @@ def run_descent(
             raise ValueError(f"bad sample_count {sample_count!r}")
         if rng is None:
             raise ValueError("Monte Carlo descent needs an rng")
-        state = initial
-        weights = as_simplex(state.weights)
+        # the weights may have been changed since the state was built
+        weights = as_simplex(initial.weights)
+        points, kernel = initial.points, initial.kernel
         log_base = algorithm == "power" or (
             algorithm == "renyi" and not unweighted_denominator
         )
         batch = None  # the scored iterate's monitor batch
 
-        def draw():
-            """``(log k, log q, log p)`` of a new batch drawn from ``state``."""
-            samples = sample_mixture(state, sample_count, rng)
-            return sample_logs(
-                state.weights, state.points, state.kernel, target, samples
-            )
+        def draw(w):
+            """``(log k, log q, log p)`` of a new batch drawn under ``w``."""
+            samples = sample_mixture(w, points, kernel, sample_count, rng)
+            return sample_logs(w, points, kernel, target, samples)
 
         def gradient(w):
-            log_k, log_q, log_p = batch if batch is not None else draw()
+            log_k, log_q, log_p = batch if batch is not None else draw(w)
             return gradient_monte_carlo_from_logs(
                 log_k, log_p, w, grad_alpha, log_base=log_base, log_mixture=log_q
             )
 
         def score(w):
-            nonlocal state, batch
-            # the initial iterate is the given state's own weights array, so
-            # only a stepped iterate pays for a new state
-            if w is not state.weights:
-                state = replace(state, weights=w)
+            nonlocal batch
             if params.alpha == 1.0:
                 return np.nan, np.nan
-            batch = draw()
+            batch = draw(w)
             _, log_q, log_p = batch
             return vr_bound_from_logs(log_p, log_q, params.alpha), np.nan
 

@@ -16,7 +16,9 @@ __all__ = ["explore_mean_update", "explore_resample"]
 
 def explore_resample(state, rng):
     """New ``(J, d)`` points drawn i.i.d. from the smoothed mixture of ``state``."""
-    return sample_mixture(state, state.num_components, rng)
+    return sample_mixture(
+        state.weights, state.points, state.kernel, state.num_components, rng
+    )
 
 
 def explore_mean_update(state, target, sample_count, alpha, rng):
@@ -33,10 +35,9 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
         raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
-    samples = sample_mixture(state, sample_count, rng)
-    log_k, log_mix, log_p = sample_logs(
-        state.weights, state.points, state.kernel, target, samples
-    )
+    mixture = state.weights, state.points, state.kernel
+    samples = sample_mixture(*mixture, sample_count, rng)
+    log_k, log_mix, log_p = sample_logs(*mixture, target, samples)
     log_gamma = log_k - log_mix + (alpha - 1.0) * (log_mix - log_p)
     row_norm = logsumexp(log_gamma, axis=1)
     if not np.all(np.isfinite(row_norm)):

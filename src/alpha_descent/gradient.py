@@ -117,23 +117,24 @@ def gradient_exact(problem, weights, alpha, *, log_mixture=None):
     return MixtureGradient(values, alpha)
 
 
-def sample_mixture(state, size, rng):
-    """Draw ``size`` points from the smoothed mixture of ``state``.
+def sample_mixture(weights, points, kernel, size, rng):
+    """Draw ``size`` points from the smoothed mixture ``(weights, points, kernel)``.
 
     Each draw picks a component from the weights, then samples the kernel
     at that component's location.  The component draw is the algorithm of
     ``rng.choice(J, size, p=weights / weights.sum())``, so it gives the same
-    indices and leaves the generator in the same state, without ``choice``
-    checking again the weights that :class:`MixtureState` has checked.
+    indices and leaves the generator in the same state.  Only ``size`` is
+    checked: the arrays are those of a :class:`MixtureState`, or iterates a
+    step has produced from one, so their callers have checked them once.
     """
     if size < 1:
         raise ValueError(f"size must be >= 1, got {size}")
-    cdf = (state.weights / state.weights.sum()).cumsum()
+    cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     idx = cdf.searchsorted(rng.random(size), side="right")
-    z = rng.standard_normal((size, state.kernel.dim))
-    z *= state.kernel.bandwidth
-    z += state.points[idx]
+    z = rng.standard_normal((size, kernel.dim))
+    z *= kernel.bandwidth
+    z += points[idx]
     return z
 
 

@@ -45,25 +45,6 @@ EXPLORATIONS = ("resample", "mean_update")
 
 CSV_HEADER = ["t", "n", "vr_bound", "psi_exact", "guard_min", "elapsed_ms"]
 
-_INTEGER_FIELDS = (
-    "num_components",
-    "num_steps",
-    "num_phases",
-    "dim",
-    "replicates",
-    "seed",
-)
-
-_FLOAT_FIELDS = (
-    "alpha",
-    "step_size_base",
-    "shift",
-    "target_separation",
-    "target_scale",
-    "init_cov_scale",
-    "bandwidth_coeff",
-)
-
 
 def _check_integer(name, value):
     # bool is an int subclass; a float such as 2.0 or 100.7 would be
@@ -126,17 +107,22 @@ class ExperimentConfig:
         if not counts or any(m < 1 for m in counts):
             raise ValueError(f"sample_count entries must be >= 1, got {counts}")
         object.__setattr__(self, "sample_count", counts)
-        for name in _INTEGER_FIELDS:
-            _check_integer(name, getattr(self, name))
-            object.__setattr__(self, name, int(getattr(self, name)))
+        # each key's type is its annotation, the one the CLI flags read
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "int":
+                _check_integer(f.name, value)
+                object.__setattr__(self, f.name, int(value))
+            elif f.type == "float":
+                _check_float(f.name, value)
+            elif f.type == "bool" and not isinstance(value, bool):
+                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         for name in ("num_components", "num_phases", "dim"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("num_steps", "replicates"):
+        for name in ("num_steps", "replicates", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in _FLOAT_FIELDS:
-            _check_float(name, getattr(self, name))
         for name in (
             "step_size_base",
             "target_scale",
@@ -158,11 +144,6 @@ class ExperimentConfig:
             ) from None
         if self.algorithm == "kl" and self.alpha != 1.0:
             raise ValueError("the kl algorithm is the alpha=1 update; set alpha to 1")
-        if not isinstance(self.renyi_unweighted_denominator, bool):
-            raise ValueError(
-                "renyi_unweighted_denominator must be true or false, got "
-                f"{self.renyi_unweighted_denominator!r}"
-            )
         if self.exploration == "mean_update" and not 0.0 <= self.alpha < 1.0:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"

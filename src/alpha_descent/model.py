@@ -187,9 +187,6 @@ class GaussianKernel:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 
-    def logpdf(self, theta, y):
-        return gaussian_kernel_logpdf(theta, y, self.bandwidth)
-
     def logpdf_matrix(self, points, ys):
         """Matrix of ``log k(points[j], ys[m])`` with shape ``(J, M)``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))

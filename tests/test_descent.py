@@ -605,6 +605,35 @@ class TestRunDescentMonteCarlo:
         assert len(trace.records) == 7 + record_initial
         assert len(calls) == draws
 
+    @pytest.mark.parametrize(
+        "algorithm, alpha",
+        [("power", 0.5), ("renyi", 0.5), ("emd", 0.5), ("kl", 1.0)],
+    )
+    def test_no_state_built_after_entry(self, monkeypatch, algorithm, alpha):
+        # the state is checked once, at entry; every stepped iterate is
+        # sampled from its weights and the entry's points and kernel
+        state, target = self._setup(104)
+        builds = []
+        check = MixtureState.__post_init__
+
+        def counted(self):
+            builds.append(1)
+            check(self)
+
+        monkeypatch.setattr(MixtureState, "__post_init__", counted)
+        trace = run_descent(
+            state,
+            DescentParams(alpha, 0.3),
+            algorithm,
+            5,
+            target=target,
+            sample_count=32,
+            rng=np.random.default_rng(7),
+        )
+        assert trace.status == "completed"
+        assert len(trace.records) == 6
+        assert builds == []
+
     def test_recorded_bound_has_the_law_of_a_fresh_batch(self):
         # The step-1 bound must read like one scored on a new batch from
         # the step-1 mixture, and stay below log Z.  Scoring the new weights
@@ -629,7 +658,7 @@ class TestRunDescentMonteCarlo:
             w = trace.records[1].weights
             recorded[seed] = trace.records[1].vr_bound
             rng = np.random.default_rng(1000 + seed)
-            samples = sample_mixture(MixtureState(w, points, kernel), m, rng)
+            samples = sample_mixture(w, points, kernel, m, rng)
             _, log_q, log_p = sample_logs(w, points, kernel, target, samples)
             fresh[seed] = vr_bound_from_logs(log_p, log_q, 0.5)
         se_recorded = recorded.std(ddof=1) / np.sqrt(seeds)
@@ -761,10 +790,9 @@ class TestRunDescentParity:
         log_base = algorithm == "power" or (algorithm == "renyi" and not unweighted)
 
         def batch(state):
-            samples = sample_mixture(state, 40, rng)
-            return sample_logs(
-                state.weights, state.points, state.kernel, target, samples
-            )
+            mixture = state.weights, state.points, state.kernel
+            samples = sample_mixture(*mixture, 40, rng)
+            return sample_logs(*mixture, target, samples)
 
         # one batch per iterate: it gives the iterate its bound, when the
         # bound is monitored, and then the next step its gradient

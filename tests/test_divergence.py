@@ -19,7 +19,7 @@ from alpha_descent.divergence import (
     vr_bound_from_logs,
 )
 from alpha_descent.fixtures import perfect_fit_problem, random_problem, random_weights
-from alpha_descent.gradient import MixtureState, sample_mixture
+from alpha_descent.gradient import sample_mixture
 from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, sample_logs
 
 ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
@@ -307,9 +307,8 @@ class TestVrBound:
         kernel = GaussianKernel(bandwidth=1.0, dim=2)
         points = rng.normal(size=(5, 2))
         weights = random_weights(rng, 5)
-        state = MixtureState(weights, points, kernel)
         target = GaussianMixtureTarget([[0.0, 0.0]])
-        samples = sample_mixture(state, 500, rng)
+        samples = sample_mixture(weights, points, kernel, 500, rng)
         _, log_q, log_p = sample_logs(weights, points, kernel, target, samples)
         val = vr_bound_from_logs(log_p, log_q, 0.5)
         assert np.isfinite(val)

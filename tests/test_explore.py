@@ -7,7 +7,11 @@ import pytest
 
 from alpha_descent.explore import explore_mean_update, explore_resample
 from alpha_descent.gradient import MixtureState, sample_mixture
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget
+from alpha_descent.model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    gaussian_kernel_logpdf,
+)
 
 
 def _state(weights, points, bandwidth=0.5):
@@ -59,14 +63,16 @@ class TestMeanUpdate:
         rng = np.random.default_rng(6)
         fresh = explore_mean_update(state, target, 32, alpha, rng)
         # replay the same draws and average by hand in the linear domain
-        samples = sample_mixture(state, 32, np.random.default_rng(6))
+        samples = sample_mixture(
+            state.weights, state.points, state.kernel, 32, np.random.default_rng(6)
+        )
+        h = state.kernel.bandwidth
         for j in range(2):
             gammas = np.empty(32)
             for m, y in enumerate(samples):
-                k = np.exp(state.kernel.logpdf(state.points[j], y))
-                mix = 0.3 * np.exp(state.kernel.logpdf(state.points[0], y)) + 0.7 * np.exp(
-                    state.kernel.logpdf(state.points[1], y)
-                )
+                log_k = [gaussian_kernel_logpdf(pt, y, h) for pt in state.points]
+                k = np.exp(log_k[j])
+                mix = 0.3 * np.exp(log_k[0]) + 0.7 * np.exp(log_k[1])
                 p = np.exp(target.log_density(y))
                 gammas[m] = k / mix * (mix / p) ** (alpha - 1.0)
             want = (gammas[:, None] * samples).sum(axis=0) / gammas.sum()

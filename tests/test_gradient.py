@@ -54,8 +54,7 @@ def _fig1_logs(rng):
     kernel = GaussianKernel(bandwidth_rule(J, d), d)
     points = math.sqrt(5.0) * rng.standard_normal((J, d))
     w = rng.dirichlet(np.ones(J))
-    state = MixtureState(w, points, kernel)
-    samples = sample_mixture(state, M, rng)
+    samples = sample_mixture(w, points, kernel, M, rng)
     target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
     return kernel.logpdf_matrix(points, samples), target.log_density(samples), w
 
@@ -164,37 +163,36 @@ class TestExactGradient:
 
 
 class TestSampler:
-    def _state(self, rng, weights=(0.2, 0.8)):
+    def _mixture(self, weights=(0.2, 0.8)):
         points = np.array([[-5.0, 0.0], [5.0, 0.0]])
-        return MixtureState(np.asarray(weights), points, GaussianKernel(0.5, 2))
+        return np.asarray(weights), points, GaussianKernel(0.5, 2)
 
     def test_shape_and_determinism(self):
-        state = self._state(np.random.default_rng(0))
-        a = sample_mixture(state, 64, np.random.default_rng(41))
-        b = sample_mixture(state, 64, np.random.default_rng(41))
+        mixture = self._mixture()
+        a = sample_mixture(*mixture, 64, np.random.default_rng(41))
+        b = sample_mixture(*mixture, 64, np.random.default_rng(41))
         assert a.shape == (64, 2)
         assert np.array_equal(a, b)
 
     def test_component_frequencies(self):
-        state = self._state(np.random.default_rng(0))
-        draws = sample_mixture(state, 40000, np.random.default_rng(42))
+        draws = sample_mixture(*self._mixture(), 40000, np.random.default_rng(42))
         # wells at +-5 are 10 bandwidths apart: sign of x picks the component
         frac_right = float(np.mean(draws[:, 0] > 0))
         assert abs(frac_right - 0.8) < 0.01
 
     def test_zero_weight_component_never_drawn(self):
-        state = self._state(np.random.default_rng(0), weights=(0.0, 1.0))
-        draws = sample_mixture(state, 5000, np.random.default_rng(43))
+        mixture = self._mixture(weights=(0.0, 1.0))
+        draws = sample_mixture(*mixture, 5000, np.random.default_rng(43))
         assert np.all(draws[:, 0] > 0)
 
     def test_draws_are_centres_plus_scaled_normals(self):
         # the stream is one component draw, then one standard normal block
-        state = self._state(np.random.default_rng(0))
-        draws = sample_mixture(state, 64, np.random.default_rng(45))
+        weights, points, kernel = self._mixture()
+        draws = sample_mixture(weights, points, kernel, 64, np.random.default_rng(45))
         rng = np.random.default_rng(45)
-        idx = rng.choice(2, size=64, p=state.weights)
+        idx = rng.choice(2, size=64, p=weights)
         z = rng.standard_normal((64, 2))
-        assert np.array_equal(draws, state.points[idx] + 0.5 * z)
+        assert np.array_equal(draws, points[idx] + 0.5 * z)
 
     @pytest.mark.parametrize("seed", range(20))
     def test_stream_is_that_of_choice(self, seed):
@@ -207,7 +205,7 @@ class TestSampler:
         points = 10.0 * np.arange(j)[:, None] * np.ones(d)
         state = MixtureState(w / w.sum(), points, GaussianKernel(0.5, d))
         mine = np.random.default_rng([seed, 1])
-        draws = sample_mixture(state, 100, mine)
+        draws = sample_mixture(state.weights, state.points, state.kernel, 100, mine)
         theirs = np.random.default_rng([seed, 1])
         idx = theirs.choice(j, 100, p=state.weights / state.weights.sum())
         z = theirs.standard_normal((100, d))
@@ -217,9 +215,8 @@ class TestSampler:
         assert mine.random() == theirs.random()
 
     def test_rejects_empty_request(self):
-        state = self._state(np.random.default_rng(0))
         with pytest.raises(ValueError):
-            sample_mixture(state, 0, np.random.default_rng(44))
+            sample_mixture(*self._mixture(), 0, np.random.default_rng(44))
 
 
 class TestMonteCarloGradient:
@@ -327,9 +324,8 @@ class TestMonteCarloGradient:
         kernel = GaussianKernel(0.7, 2)
         points = rng.normal(size=(4, 2))
         w = random_weights(rng, 4)
-        state = MixtureState(w, points, kernel)
         target = GaussianMixtureTarget([[0.5, -0.5]])
-        samples = sample_mixture(state, 32, rng)
+        samples = sample_mixture(w, points, kernel, 32, rng)
         log_k, log_q, log_p = sample_logs(w, points, kernel, target, samples)
         grad = gradient_monte_carlo_from_logs(log_k, log_p, w, 0.5, log_mixture=log_q)
         want = gradient_monte_carlo_from_logs(

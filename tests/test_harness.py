@@ -119,6 +119,8 @@ class TestConfig:
             _config(step_size_base=0.0)
         with pytest.raises(ValueError, match="seed"):
             _config(seed=1.5)
+        with pytest.raises(ValueError, match="seed must be >= 0"):
+            _config(seed=-1)
 
     @pytest.mark.parametrize(
         "key, value",
@@ -616,6 +618,7 @@ class TestCli:
         [
             (["--shift", "0.3"], "shift=0.3"),
             (["--step-size-base", "4", "--num-steps", "3"], "step_size_base=4.0"),
+            (["--seed", "-1"], "seed"),
         ],
     )
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, flags, key):

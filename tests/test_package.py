@@ -74,6 +74,7 @@ def test_deleted_fields_and_methods_are_gone():
     assert [f.name for f in fields(MixtureGradient)] == ["values", "alpha", "log_base"]
     assert [f.name for f in fields(MixtureState)] == ["weights", "points", "kernel"]
     assert not hasattr(GaussianKernel, "sample")
+    assert not hasattr(GaussianKernel, "logpdf")
 
 
 def test_perfbench_patch_points_resolve():
