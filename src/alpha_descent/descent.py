@@ -27,6 +27,7 @@ when the weights are renormalised.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -40,7 +41,7 @@ from .gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from .model import as_simplex, logsumexp, sample_logs
+from .model import _check_integer, as_simplex, logsumexp, sample_logs
 
 __all__ = [
     "ALGORITHMS",
@@ -121,16 +122,21 @@ def _log_base(grad, num_components):
 def _renormalise(weights, log_factors):
     """Multiply and renormalise in the log domain.
 
-    Zero weights stay exactly zero.  Returns the new simplex vector.
+    Zero weights stay exactly zero, and their factors are never read.
+    Returns the new simplex vector.
     """
     active = weights > 0
-    log_w = np.full(weights.shape, -np.inf)
-    log_w[active] = np.log(weights[active]) + log_factors[active]
+    log_w = np.empty(weights.shape)
+    log_w.fill(-np.inf)
+    np.log(weights, out=log_w, where=active)
+    np.add(log_w, log_factors, out=log_w, where=active)
     peak = log_w.max()
-    if not np.isfinite(peak):
+    if not math.isfinite(peak):
         raise GuardViolation("all mixture mass was annihilated by the update")
-    w = np.exp(log_w - peak)
-    return w / w.sum()
+    log_w -= peak
+    w = np.exp(log_w, out=log_w)
+    w /= w.sum()
+    return w
 
 
 def _check_params(algorithm, params):
@@ -163,34 +169,38 @@ def power_step(weights, grad, params):
     weights = as_simplex(weights)
     alpha = params.alpha
     active = weights > 0
+    # each pass below reads the weighted components only, through ``active``
     log_a = _log_base(grad, weights.size)
     if log_a is None:
         values = _gradient_values(grad, weights.size)
         base = (alpha - 1.0) * (values + params.shift) + 1.0
-        if (base[active] <= 0).any():
+        guard_min = float(np.minimum.reduce(base, where=active, initial=np.inf))
+        if guard_min <= 0.0:
             bad = np.flatnonzero(active & (base <= 0))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
                 f"(alpha-1)(b+shift)+1 = {base[bad[0]]!r}",
                 indices=bad,
             )
-        log_base = np.log(base[active])
-        guard_min = float(base[active].min())
+        log_base = np.log(base, out=base, where=active)
     else:
         if params.shift != 0.0:
             log_a = np.logaddexp(log_a, np.log((alpha - 1.0) * params.shift))
-        if not (log_a[active] > -np.inf).all():
+        low = np.minimum.reduce(log_a, where=active, initial=np.inf)
+        if low == -np.inf:
             bad = np.flatnonzero(active & ~(log_a > -np.inf))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
                 f"log(A+(alpha-1)shift) = {log_a[bad[0]]!r}",
                 indices=bad,
             )
-        log_base = log_a[active]
         with np.errstate(over="ignore"):  # a base above e^709 reads inf
-            guard_min = float(np.exp(log_base.min()))
-    log_factors = np.zeros(weights.shape)
-    log_factors[active] = params.step_size / (1.0 - alpha) * log_base
+            guard_min = float(np.exp(low))
+        log_base = log_a
+    log_factors = np.multiply(
+        log_base, params.step_size / (1.0 - alpha), out=np.empty(weights.shape),
+        where=active,
+    )
     return _renormalise(weights, log_factors), StepDiagnostics(guard_min)
 
 
@@ -332,14 +342,21 @@ def run_descent(
     objective, whatever ``params.alpha`` says; the sampled bound is
     monitored at ``params.alpha`` and recorded as NaN when that is 1.
 
-    The weights or state, their size, and the parameters the step demands
-    (``params.power_valid`` for power, ``alpha != 1`` and
-    ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
-    inputs are refused before the first sample is drawn.  Each step then
-    calls the public gradient, step and objective functions, which check
-    their own inputs again.  The Monte Carlo mode reads the state's points
-    and kernel once, at entry, and draws every batch from them under the
-    current iterate; it builds no state per step.
+    The weights or state, their size, ``num_steps`` (an integer, not a
+    bool) and the parameters the step demands (``params.power_valid`` for
+    power, ``alpha != 1`` and ``(alpha-1)*shift >= 0`` for renyi) are
+    checked at entry, so invalid inputs are refused before the first sample
+    is drawn.  Each step then calls public functions, and each checks what
+    it reads: the step runs ``as_simplex`` on the weights and checks the
+    gradient's size and finiteness (or, for ``log A_j``, no NaN or
+    ``+inf``); ``problem.log_mixture`` checks the weights' shape, sign and
+    finiteness; the exact objective checks that each density ratio is
+    positive and finite; the Monte Carlo gradient checks its weights and
+    the shapes of its batch.  On valid input each check is a minimum, a
+    maximum or a sum; the conditions are told apart only when one fails.
+    The Monte Carlo mode reads the state's points and kernel once, at
+    entry, and draws every batch from them under the current iterate; it
+    builds no state per step.
 
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
@@ -363,6 +380,7 @@ def run_descent(
     """
     if (problem is None) == (target is None):
         raise ValueError("pass exactly one of problem= or target=")
+    _check_integer("num_steps", num_steps)
     if num_steps < 0:
         raise ValueError(f"num_steps must be >= 0, got {num_steps}")
     if algorithm not in ALGORITHMS:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import logsumexp
+from .model import _check_float, logsumexp
 
 __all__ = [
     "DescentParams",
@@ -51,8 +51,7 @@ class DescentParams:
 
     def __post_init__(self):
         for name in ("alpha", "step_size", "shift"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite")
+            _check_float(name, getattr(self, name))
         if self.step_size <= 0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
 
@@ -73,7 +72,8 @@ class DescentParams:
 
 def _check_positive(u):
     u = np.asarray(u, dtype=float)
-    if (u <= 0).any() or not np.isfinite(u).all():
+    # an empty u has no minimum and nothing to check; a NaN fails the test
+    if u.size and not (u.min() > 0.0 and u.max() < np.inf):
         raise ValueError("generator argument must be strictly positive and finite")
     return u
 

@@ -26,7 +26,13 @@ from .descent import (
 from .divergence import DescentParams
 from .explore import explore_mean_update, explore_resample
 from .gradient import MixtureState
-from .model import GaussianKernel, GaussianMixtureTarget, bandwidth_rule
+from .model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    _check_float,
+    _check_integer,
+    bandwidth_rule,
+)
 
 __all__ = [
     "CSV_HEADER",
@@ -44,23 +50,6 @@ __all__ = [
 EXPLORATIONS = ("resample", "mean_update")
 
 CSV_HEADER = ["t", "n", "vr_bound", "psi_exact", "guard_min", "elapsed_ms"]
-
-
-def _check_integer(name, value):
-    # bool is an int subclass; a float such as 2.0 or 100.7 would be
-    # truncated or fail mid-run
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
-def _check_float(name, value):
-    # a string would fail mid-run inside numpy, and true would run as 1.0
-    if (
-        isinstance(value, bool)
-        or not isinstance(value, (int, float, np.integer, np.floating))
-        or not math.isfinite(value)
-    ):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ distances through one matrix product, :func:`squared_distances`),
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -35,22 +36,44 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
+def _check_integer(name, value):
+    # bool is an int subclass; a float such as 2.0 or 100.7 would be
+    # truncated or fail mid-run
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def _check_float(name, value):
+    # a string would fail mid-run inside numpy, and true would run as 1.0
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float, np.integer, np.floating))
+        or not math.isfinite(value)
+    ):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def as_simplex(weights, *, tol=1e-12, name="weights"):
     """Validate and return ``weights`` as a float array on the simplex.
 
     Entries must be finite and nonnegative and sum to one within ``tol``.
+    Valid weights pass one test: every entry lies in ``[0, 1 + tol]``, as
+    entries of such a vector must, so their sum cannot overflow, and it is
+    within ``tol`` of one.  The test is false for a NaN or an infinite
+    entry too; only then are the conditions told apart, for the message.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {w.shape}")
+    if w.min() >= 0.0 and w.max() <= 1.0 + tol and abs(w.sum() - 1.0) <= tol:
+        return w
     if not np.isfinite(w).all():
         raise ValueError(f"{name} must be finite")
     if (w < 0).any():
         raise ValueError(f"{name} must be nonnegative, got min {w.min()}")
-    total = float(w.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"{name} must sum to 1 within {tol}, got {total!r}")
-    return w
+    with np.errstate(over="ignore"):  # finite entries may sum past 1e308
+        total = float(w.sum())
+    raise ValueError(f"{name} must sum to 1 within {tol}, got {total!r}")
 
 
 # Entries per block of the log-sum-exp: 128 KiB of float64, small enough to
@@ -276,7 +299,9 @@ def sample_logs(weights, points, kernel, target, samples):
 
     ``log k`` is the ``(J, M)`` kernel matrix of every component, zero
     weights included; ``log q`` the mixture under ``weights``, which no
-    zero-weight component enters, and ``log p`` the target, both ``(M,)``.  No validation: callers check their inputs.
+    zero-weight component enters, and ``log p`` the target, both ``(M,)``.
+
+    No validation: callers check their inputs.
     """
     log_k = kernel.logpdf_matrix(points, samples)
     log_q = logsumexp(log_k, axis=0, b=weights)
@@ -345,11 +370,22 @@ class FiniteSupportProblem:
         return self.kernel_matrix.shape[1]
 
     def log_mixture(self, weights):
-        """Log of the mixture values at every atom, shape ``(S,)``."""
+        """Log of the mixture values at every atom, shape ``(S,)``.
+
+        ``weights`` has one finite, nonnegative entry per component, not
+        all zero; the weights need not sum to one.
+        """
         weights = np.asarray(weights, dtype=float)
-        if (weights < 0).any() or not np.isfinite(weights).all():
-            raise ValueError("mixture weights must be finite and nonnegative")
-        if not (weights > 0).any():
+        if weights.shape != (self.num_components,):
+            raise ValueError(
+                f"mixture weights must have shape ({self.num_components},), "
+                f"got {weights.shape}"
+            )
+        # one test passes valid weights; the conditions are told apart only
+        # when it fails (a NaN fails it too)
+        if not (weights.min() >= 0.0 and 0.0 < weights.max() < np.inf):
+            if (weights < 0).any() or not np.isfinite(weights).all():
+                raise ValueError("mixture weights must be finite and nonnegative")
             raise ValueError("mixture weights are all zero")
         # Entries are O(1) by row normalisation, so the linear sum is safe.
         return np.log(weights @ self.kernel_matrix)

@@ -1,6 +1,8 @@
 """Update rules, the descent driver and the 1/N rate bound."""
 
+import collections
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alpha_descent.descent as descent_module
+import alpha_descent.gradient as gradient_module
 from alpha_descent.descent import (
     ALGORITHMS,
     DescentTrace,
@@ -39,6 +42,7 @@ from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
+    as_simplex,
     sample_logs,
 )
 
@@ -327,6 +331,147 @@ def test_every_step_returns_a_simplex(seed):
         assert np.all(new[w == 0] == 0)
 
 
+def _frozen_renormalise(weights, log_factors):
+    """``_renormalise`` as it stood, with boolean gathers and a scatter.
+
+    Kept verbatim so that the production helper is held to its bits."""
+    active = weights > 0
+    log_w = np.full(weights.shape, -np.inf)
+    log_w[active] = np.log(weights[active]) + log_factors[active]
+    peak = log_w.max()
+    if not np.isfinite(peak):
+        raise GuardViolation("all mixture mass was annihilated by the update")
+    w = np.exp(log_w - peak)
+    return w / w.sum()
+
+
+def _frozen_power_step(weights, grad, params):
+    """``power_step`` as it stood, gathering ``base[active]`` for each use
+    and scattering the log factors into a zeroed array.  Its checks are the
+    module's own."""
+    descent_module._check_params("power", params)
+    weights = as_simplex(weights)
+    alpha = params.alpha
+    active = weights > 0
+    log_a = descent_module._log_base(grad, weights.size)
+    if log_a is None:
+        values = descent_module._gradient_values(grad, weights.size)
+        base = (alpha - 1.0) * (values + params.shift) + 1.0
+        if (base[active] <= 0).any():
+            bad = np.flatnonzero(active & (base <= 0))
+            raise GuardViolation(
+                f"power guard violated at component(s) {bad.tolist()}: "
+                f"(alpha-1)(b+shift)+1 = {base[bad[0]]!r}",
+                indices=bad,
+            )
+        log_base = np.log(base[active])
+        guard_min = float(base[active].min())
+    else:
+        if params.shift != 0.0:
+            log_a = np.logaddexp(log_a, np.log((alpha - 1.0) * params.shift))
+        if not (log_a[active] > -np.inf).all():
+            bad = np.flatnonzero(active & ~(log_a > -np.inf))
+            raise GuardViolation(
+                f"power guard violated at component(s) {bad.tolist()}: "
+                f"log(A+(alpha-1)shift) = {log_a[bad[0]]!r}",
+                indices=bad,
+            )
+        log_base = log_a[active]
+        with np.errstate(over="ignore"):
+            guard_min = float(np.exp(log_base.min()))
+    log_factors = np.zeros(weights.shape)
+    log_factors[active] = params.step_size / (1.0 - alpha) * log_base
+    return _frozen_renormalise(weights, log_factors), StepDiagnostics(guard_min)
+
+
+def _weights_with_zeros(rng, size, zeros):
+    w = random_weights(rng, size)
+    w[:zeros] = 0.0
+    return rng.permutation(w / w.sum())
+
+
+class TestMaskedStepBits:
+    """The masked renormalisation and power step give the frozen forms' bits.
+
+    Weights with and without exact zeros; the factors or gradients of
+    zero-weight components are made as hostile as the step allows, since
+    neither form may read them."""
+
+    @staticmethod
+    def _same(step, frozen, *args):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                want = frozen(*args)
+            except GuardViolation as exc:
+                with pytest.raises(GuardViolation) as info:
+                    step(*args)
+                assert str(info.value) == str(exc)
+                assert info.value.indices == exc.indices
+                return None
+            got = step(*args)
+        if isinstance(want, tuple):
+            (got, got_diag), (want, want_diag) = got, want
+            assert got_diag.guard_min == want_diag.guard_min
+        assert np.array_equal(got, want)
+        return got
+
+    @pytest.mark.parametrize("zeros", [0, 1, 3])
+    def test_renormalise(self, zeros):
+        rng = np.random.default_rng(101 + zeros)
+        for _ in range(20):
+            w = _weights_with_zeros(rng, 6, zeros)
+            factors = rng.normal(scale=5.0, size=6)
+            self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+            dead = np.flatnonzero(w == 0)
+            factors[dead] = np.where(np.arange(dead.size) % 2, np.inf, -np.inf)
+            self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+
+    def test_renormalise_refusal(self):
+        w = np.array([0.5, 0.0, 0.5])
+        factors = np.array([-np.inf, 0.0, -np.inf])
+        self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 3])
+    @pytest.mark.parametrize("alpha, shift", [(0.5, 0.0), (0.5, -0.3), (-1.0, -0.2), (2.0, 0.4)])
+    def test_power_step_values(self, zeros, alpha, shift):
+        rng = np.random.default_rng(200 + zeros)
+        params = DescentParams(alpha, 0.7, shift=shift)
+        for _ in range(20):
+            w = _weights_with_zeros(rng, 6, zeros)
+            # bases straddle zero, so some steps are refused
+            values = rng.normal(scale=1.0 / abs(alpha - 1.0), size=6)
+            self._same(power_step, _frozen_power_step, w, values, params)
+            # out of the guard's domain where nothing weighs
+            values[w == 0] = 1e3 / (alpha - 1.0)
+            self._same(power_step, _frozen_power_step, w, values, params)
+
+    @pytest.mark.parametrize("zeros", [0, 1, 3])
+    @pytest.mark.parametrize("alpha, shift", [(0.5, 0.0), (0.5, -0.3), (2.0, 0.0), (2.0, 0.4)])
+    def test_power_step_log_base(self, zeros, alpha, shift):
+        rng = np.random.default_rng(300 + zeros)
+        params = DescentParams(alpha, 0.7, shift=shift)
+        for k in range(20):
+            w = _weights_with_zeros(rng, 6, zeros)
+            log_a = rng.normal(scale=3.0, size=6)
+            log_a[w == 0] = -np.inf
+            if k % 4 == 0:  # a zero base where there is weight
+                log_a[np.argmax(w)] = -np.inf
+            grad = _log_base_gradient(log_a, alpha)
+            self._same(power_step, _frozen_power_step, w, grad, params)
+
+    def test_refused_step_keeps_message_and_indices(self):
+        params = DescentParams(0.5, 1.0)
+        w = np.array([0.25, 0.25, 0.0, 0.5])
+        values = np.array([3.0, -1.0, 9.0, 2.5])  # bases -0.5, 2, -3.5, -0.25
+        got = self._same(power_step, _frozen_power_step, w, values, params)
+        assert got is None
+        with pytest.raises(GuardViolation) as info:
+            power_step(w, values, params)
+        assert info.value.indices == [0, 3]
+        assert "component(s) [0, 3]: (alpha-1)(b+shift)+1 = " in str(info.value)
+
+
 class TestSecondOrderAgreement:
     """How the power and renyi updates separate.
 
@@ -534,6 +679,73 @@ class TestRunDescentExact:
         assert isinstance(err.partial, DescentTrace)
         assert len(err.partial.records) == 1  # just the initial record
         assert err.partial.status.startswith("guard_violation")
+
+
+    @pytest.mark.parametrize("num_steps", [2.5, 2.0, True, "3", None])
+    def test_num_steps_must_be_an_integer(self, monkeypatch, num_steps):
+        scored = []
+        monkeypatch.setattr(
+            descent_module, "divergence_exact", lambda *a, **k: scored.append(1)
+        )
+        with pytest.raises(ValueError, match="num_steps must be an integer"):
+            run_descent(
+                np.full(3, 1.0 / 3.0),
+                DescentParams(0.5, 0.5),
+                "power",
+                num_steps,
+                problem=self._problem(92),
+            )
+        assert not scored  # refused before the initial iterate is scored
+
+    def test_numpy_integer_num_steps_accepted(self):
+        trace = run_descent(
+            np.full(3, 1.0 / 3.0),
+            DescentParams(0.5, 0.5),
+            "power",
+            np.int64(2),
+            problem=self._problem(93),
+        )
+        assert [r.step for r in trace.records] == [0, 1, 2]
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_calls_per_step_and_per_iterate(self, monkeypatch, algorithm):
+        # the counts the benchmark's tracer relies on: one step and one
+        # as_simplex per step (plus the entry check), one gradient per
+        # step, one log-mixture and one objective per iterate
+        counts = collections.Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        step = f"{algorithm}_step"
+        for owner, name in (
+            (descent_module, step),
+            (descent_module, "as_simplex"),
+            (gradient_module, "as_simplex"),
+            (descent_module, "gradient_exact"),
+            (descent_module, "divergence_exact"),
+            (FiniteSupportProblem, "log_mixture"),
+        ):
+            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+        trace = run_descent(
+            np.full(3, 1.0 / 3.0),
+            DescentParams(0.5 if algorithm != "kl" else 1.0, 0.5),
+            algorithm,
+            12,
+            problem=self._problem(94),
+        )
+        assert trace.status == "completed" and len(trace.records) == 13
+        assert counts == {
+            step: 12,
+            "as_simplex": 13,
+            "gradient_exact": 12,
+            "divergence_exact": 13,
+            "log_mixture": 13,
+        }
 
 
 class TestRunDescentMonteCarlo:

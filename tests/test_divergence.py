@@ -1,6 +1,7 @@
 """Generator family, exact objectives and variational bounds."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,23 @@ class TestGenerator:
         with pytest.raises(ValueError):
             amari_alpha_deriv(-1.0, 2.0)
 
+    @pytest.mark.parametrize("as_array", [False, True])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    @pytest.mark.parametrize("fn", [amari_alpha, amari_alpha_deriv])
+    def test_refuses_each_bad_argument(self, fn, bad, as_array):
+        u = np.array([0.5, bad, 2.0]) if as_array else bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="strictly positive and finite"):
+                fn(u, 0.5)
+
+    @pytest.mark.parametrize("fn", [amari_alpha, amari_alpha_deriv])
+    def test_empty_argument_gives_empty(self, fn):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = fn(np.array([]), 0.5)
+        assert isinstance(out, np.ndarray) and out.shape == (0,)
+
 
 class TestDerivative:
     def test_hand_values(self):
@@ -122,6 +140,26 @@ class TestDescentParams:
             DescentParams(0.5, 0.0)
         with pytest.raises(ValueError):
             DescentParams(0.5, 0.5, shift=np.inf)
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            ((True, 0.1), "alpha"),
+            (("0.5", 0.1), "alpha"),
+            ((np.nan, 0.1), "alpha"),
+            ((0.5, None), "step_size"),
+            ((0.5, False), "step_size"),
+            ((0.5, 0.1, "0"), "shift"),
+            ((0.5, 0.1, -np.inf), "shift"),
+        ],
+    )
+    def test_bool_and_non_numbers_refused(self, args, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a finite number"):
+            DescentParams(*args)
+
+    def test_integers_and_numpy_floats_accepted(self):
+        params = DescentParams(2, np.float64(0.5), np.int64(1))
+        assert params.power_valid
 
 
 class TestExactDivergence:

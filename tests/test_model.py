@@ -1,6 +1,7 @@
 """Kernel, target and finite-support problem contracts."""
 
 import math
+import re
 import warnings
 
 import numpy as np
@@ -11,6 +12,12 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
+from alpha_descent.divergence import (
+    DescentParams,
+    divergence_exact,
+    renyi_objective_exact,
+    vr_bound_exact,
+)
 from alpha_descent.fixtures import random_problem
 from alpha_descent.gradient import MixtureState
 from alpha_descent.model import (
@@ -68,6 +75,44 @@ class TestAsSimplex:
     def test_custom_name_in_message(self):
         with pytest.raises(ValueError, match="lam"):
             as_simplex([2.0], name="lam")
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([np.nan, 1.0], "weights must be finite"),
+            ([np.inf, 1.0], "weights must be finite"),
+            ([-np.inf, 1.0], "weights must be finite"),
+            ([np.inf, -np.inf], "weights must be finite"),
+            ([], r"weights must be a nonempty 1-d array, got shape \(0,\)"),
+            ([[0.5, 0.5]], r"weights must be a nonempty 1-d array, got shape \(1, 2\)"),
+            ([1.5, -0.5], "weights must be nonnegative, got min -0.5"),
+            ([0.5, 0.6], r"weights must sum to 1 within 1e-12, got 1\.1"),
+            ([2.0, 0.0], r"weights must sum to 1 within 1e-12, got 2\.0"),
+        ],
+    )
+    def test_each_refusal_names_its_condition(self, weights, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                as_simplex(weights)
+
+    def test_custom_name_in_every_message(self):
+        for weights in ([np.nan], [], [-1.0, 2.0], [2.0]):
+            with pytest.raises(ValueError, match="^lam must"):
+                as_simplex(weights, name="lam")
+
+    def test_huge_finite_weights_refused_without_warning(self):
+        # their sum overflows; the refusal must still be the ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="sum to 1 within 1e-12, got inf"):
+                as_simplex([1e308, 1e308])
+
+    def test_accepts_zeros_and_an_entry_just_above_one(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w = as_simplex([1.0 + 5e-13, 0.0, -0.0])
+        assert np.array_equal(w, [1.0 + 5e-13, 0.0, 0.0])
 
 
 class TestKernelLogpdf:
@@ -502,6 +547,43 @@ class TestFiniteSupportProblem:
         problem = FiniteSupportProblem(kernel, nu, p)
         w = np.array([0.3, 0.7])
         assert np.allclose(problem.log_mixture(w), np.log(w @ kernel), rtol=1e-15)
+
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ([0.5, -0.1, 0.6], "finite and nonnegative"),
+            ([0.5, np.nan, 0.5], "finite and nonnegative"),
+            ([0.5, np.inf, 0.5], "finite and nonnegative"),
+            ([0.0, 0.0, 0.0], "all zero"),
+            ([[1.0, 0.0, 0.0]], r"shape \(3,\), got \(1, 3\)"),
+            ([0.25, 0.25, 0.25, 0.25], r"shape \(3,\), got \(4,\)"),
+            (1.0, r"shape \(3,\), got \(\)"),
+        ],
+    )
+    def test_log_mixture_refusals(self, weights, match):
+        problem = random_problem(np.random.default_rng(6), num_components=3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                problem.log_mixture(weights)
+
+    def test_wrong_weight_shape_refused_by_every_entry(self):
+        # a (1, J) row once broadcast to a (1, S) log-mixture, which the
+        # objectives summed; a vector of J+1 entries died inside matmul
+        problem = random_problem(np.random.default_rng(0))
+        j = problem.num_components
+        row = np.full((1, j), 1.0 / j)
+        longer = np.full(j + 1, 1.0 / (j + 1))
+        entries = (
+            lambda w: divergence_exact(problem, w, 0.5),
+            lambda w: vr_bound_exact(problem, w, 0.5),
+            lambda w: renyi_objective_exact(problem, w, DescentParams(0.5, 0.1)),
+            problem.atom_probs,
+        )
+        for entry in entries:
+            for w in (row, longer):
+                with pytest.raises(ValueError, match=re.escape(f"({j},), got {w.shape}")):
+                    entry(w)
 
     def test_atom_probs_form_distribution(self):
         rng = np.random.default_rng(5)
