@@ -179,7 +179,7 @@ def power_step(weights, grad, params):
             bad = np.flatnonzero(active & (base <= 0))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
-                f"(alpha-1)(b+shift)+1 = {base[bad[0]]!r}",
+                f"(alpha-1)(b+shift)+1 = {float(base[bad[0]])!r}",
                 indices=bad,
             )
         log_base = np.log(base, out=base, where=active)
@@ -191,7 +191,7 @@ def power_step(weights, grad, params):
             bad = np.flatnonzero(active & ~(log_a > -np.inf))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
-                f"log(A+(alpha-1)shift) = {log_a[bad[0]]!r}",
+                f"log(A+(alpha-1)shift) = {float(log_a[bad[0]])!r}",
                 indices=bad,
             )
         with np.errstate(over="ignore"):  # a base above e^709 reads inf
@@ -342,14 +342,15 @@ def run_descent(
     objective, whatever ``params.alpha`` says; the sampled bound is
     monitored at ``params.alpha`` and recorded as NaN when that is 1.
 
-    The weights or state, their size, ``num_steps`` (an integer, not a
-    bool) and the parameters the step demands (``params.power_valid`` for
-    power, ``alpha != 1`` and ``(alpha-1)*shift >= 0`` for renyi) are
-    checked at entry, so invalid inputs are refused before the first sample
-    is drawn.  Each step then calls public functions, and each checks what
-    it reads: the step runs ``as_simplex`` on the weights and checks the
-    gradient's size and finiteness (or, for ``log A_j``, no NaN or
-    ``+inf``); ``problem.log_mixture`` checks the weights' shape, sign and
+    The weights or state, their size, ``num_steps`` and ``sample_count``
+    (integers, not bools) and the parameters the step demands
+    (``params.power_valid`` for power, ``alpha != 1`` and
+    ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
+    inputs are refused before the first sample is drawn.  Each step then
+    calls public functions, and each checks what it reads: the step runs
+    ``as_simplex`` on the weights and checks the gradient's size and
+    finiteness (or, for ``log A_j``, no NaN or ``+inf``);
+    ``problem.log_mixture`` checks the weights' shape, sign and
     finiteness; the exact objective checks that each density ratio is
     positive and finite; the Monte Carlo gradient checks its weights and
     the shapes of its batch.  On valid input each check is a minimum, a
@@ -368,7 +369,11 @@ def run_descent(
     bound is not monitored and each gradient draws its own).  The power
     update and the weighted renyi update read ``log A_j``, the positive
     estimate of their base (see :mod:`alpha_descent.gradient`); the other
-    updates and the exact mode read the gradient values.
+    updates and the exact mode read the gradient values.  In Monte Carlo
+    mode those values come from the kernel matrix that the batch's ``log
+    q`` pass exponentiated in place (``sample_logs(..., exp_kernel=True)``),
+    and the batch is let go once its gradient is read, so a step holds one
+    kernel matrix.
 
     ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
     the weights by less than the tolerance in l1 norm; by default the run
@@ -411,8 +416,9 @@ def run_descent(
     else:
         if not isinstance(initial, MixtureState):
             raise ValueError("Monte Carlo descent needs a MixtureState")
-        if sample_count is None or sample_count < 1:
-            raise ValueError(f"bad sample_count {sample_count!r}")
+        _check_integer("sample_count", sample_count)
+        if sample_count < 1:
+            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
         if rng is None:
             raise ValueError("Monte Carlo descent needs an rng")
         # the weights may have been changed since the state was built
@@ -424,14 +430,23 @@ def run_descent(
         batch = None  # the scored iterate's monitor batch
 
         def draw(w):
-            """``(log k, log q, log p)`` of a new batch drawn under ``w``."""
+            """``(log k, log q, log p)`` of a new batch drawn under ``w``; for
+            the values arms ``(E, total)`` in place of ``log k``."""
             samples = sample_mixture(w, points, kernel, sample_count, rng)
-            return sample_logs(w, points, kernel, target, samples)
+            return sample_logs(
+                w, points, kernel, target, samples, exp_kernel=not log_base
+            )
 
         def gradient(w):
-            log_k, log_q, log_p = batch if batch is not None else draw(w)
+            nonlocal batch
+            matrix, log_q, log_p = batch if batch is not None else draw(w)
+            batch = None  # read once; freed before the next draw makes its own
+            if log_base:
+                return gradient_monte_carlo_from_logs(
+                    matrix, log_p, w, grad_alpha, log_base=True, log_mixture=log_q
+                )
             return gradient_monte_carlo_from_logs(
-                log_k, log_p, w, grad_alpha, log_base=log_base, log_mixture=log_q
+                None, log_p, w, grad_alpha, log_mixture=log_q, exp_kernel=matrix
             )
 
         def score(w):

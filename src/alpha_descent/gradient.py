@@ -19,7 +19,13 @@ and ``c_j`` estimates ``integral k(theta_j, y) dy``, which is exactly 1.  In
 high dimension ``A_j`` is exponentially small and the count noise ``1 - c_j``
 decides the sign of the base.  The positive-by-construction estimator puts
 the exact value 1 in place of ``c_j``: the base is ``A_j`` itself, still
-unbiased, carried as ``log A_j`` on :class:`MixtureGradient`.
+unbiased, carried as ``log A_j`` on :class:`MixtureGradient`.  The power
+and weighted renyi updates read it.
+
+The emd, kl and unweighted renyi updates read the literal mean of the
+values.  Its ratios ``k_j / mix`` come from the matrix ``E = exp(log k -
+peak)`` that also gives ``log mix`` (:func:`alpha_descent.model.kernel_exp`),
+so a Monte Carlo step exponentiates its kernel matrix once.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, as_simplex, logsumexp
+from .model import GaussianKernel, as_simplex, kernel_exp, logsumexp
 
 __all__ = [
     "MixtureGradient",
@@ -139,12 +145,14 @@ def sample_mixture(weights, points, kernel, size, rng):
 
 
 def gradient_monte_carlo_from_logs(
-    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None
+    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None,
+    exp_kernel=None,
 ):
     """Monte Carlo gradient from precomputed log evaluations.
 
     Args:
-        log_kernel: ``(J, M)`` matrix of log kernel values at the samples.
+        log_kernel: ``(J, M)`` matrix of log kernel values at the samples;
+            None when ``exp_kernel`` is given.
         log_target: ``(M,)`` log target values at the samples.
         weights: simplex weights the samples were drawn under.
         alpha: divergence order.
@@ -157,40 +165,65 @@ def gradient_monte_carlo_from_logs(
             samples, when the caller already has them (the ``log q`` of
             :func:`alpha_descent.model.sample_logs`); computed here
             otherwise.
+        exp_kernel: for the literal mean, the pair ``(E, total)`` of
+            :func:`alpha_descent.model.kernel_exp` under ``weights``, in
+            place of ``log_kernel``, with its ``log q`` as ``log_mixture``:
+            the kernel matrix that the ``log q`` pass already exponentiated
+            (``sample_logs(..., exp_kernel=True)``).
 
     All density ratios are formed as differences of logs; ``f'`` of the
     ratio goes through ``expm1`` so the estimate stays finite even when the
-    ratio itself would underflow.  The literal mean is one pass forming
-    ``k_j / mix`` and one matrix-vector product with ``f'``.
+    ratio itself would underflow.  The literal mean, which the emd, kl and
+    unweighted renyi updates read, takes ``k_j / mix`` as ``E_j / total``
+    from the one exp pass of :func:`~alpha_descent.model.kernel_exp` that
+    also gives ``log q``, and is one matrix-vector product,
+    ``E @ (f' / total) / M``.  ``log A_j``, which the power and weighted
+    renyi updates read, is a log-sum-exp over ``log k`` itself: built from
+    ``E`` in the linear domain it would underflow to ``-inf`` when the
+    particles are spread.
     """
-    log_kernel = np.asarray(log_kernel, dtype=float)
-    log_target = np.asarray(log_target, dtype=float)
     weights = as_simplex(weights)
-    if log_kernel.ndim != 2 or log_kernel.shape[0] != weights.size:
+    if exp_kernel is None:
+        matrix, name = np.asarray(log_kernel, dtype=float), "log_kernel"
+    elif log_kernel is not None or log_base or log_mixture is None:
         raise ValueError(
-            f"log_kernel must have shape ({weights.size}, M), got {log_kernel.shape}"
+            "exp_kernel takes the place of log_kernel, needs its log_mixture "
+            "and gives no log_base"
         )
-    if log_target.shape != (log_kernel.shape[1],) or log_target.size == 0:
+    else:
+        (matrix, total), name = exp_kernel, "exp_kernel"
+    log_target = np.asarray(log_target, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != weights.size:
+        raise ValueError(
+            f"{name} must have shape ({weights.size}, M), got {matrix.shape}"
+        )
+    if log_target.shape != (matrix.shape[1],) or log_target.size == 0:
         raise ValueError("log_target must hold one value per sample")
     if log_base and alpha == 1.0:
         raise ValueError("there is no power base at alpha=1")
-    count = log_kernel.shape[1]
-    if log_mixture is None:
-        log_mix = logsumexp(log_kernel, axis=0, b=weights)
-    else:
+    count = matrix.shape[1]
+    if log_mixture is not None:
         log_mix = np.asarray(log_mixture, dtype=float)
         if log_mix.shape != (count,):
             raise ValueError("log_mixture must hold one value per sample")
     if log_base:
+        if log_mixture is None:
+            log_mix = logsumexp(matrix, axis=0, b=weights)
         # log(k_j / mix * u^(alpha-1)) = log k_j + (alpha-2) log mix
         #                                - (alpha-1) log p
-        terms = log_kernel + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
+        terms = matrix + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
         log_a = logsumexp(terms, axis=1) - np.log(count)
         with np.errstate(over="ignore"):  # only log_a is read by the steps
             values = np.expm1(log_a) / (alpha - 1.0)
         return MixtureGradient(values, alpha, log_base=log_a)
+    if exp_kernel is None:
+        matrix, total, own = kernel_exp(matrix, weights, out=np.empty(matrix.shape))
+        if log_mixture is None:
+            log_mix = own
+    elif np.shape(total) != (count,):
+        raise ValueError("exp_kernel total must hold one value per sample")
     deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
-    ratio = np.subtract(log_kernel, log_mix)
-    np.exp(ratio, out=ratio)
-    values = (ratio @ deriv) / count
+    deriv /= total
+    values = matrix @ deriv
+    values /= count
     return MixtureGradient(values, alpha)

@@ -7,9 +7,15 @@ they are provably O(1).
 
 One path turns a sample batch into ``(log k, log q, log p)``:
 :meth:`GaussianKernel.logpdf_matrix` for the kernel matrix (squared
-distances through one matrix product, :func:`squared_distances`),
-:func:`logsumexp` with the mixture weights for ``log q``, and the target's
-``log_density``; :func:`sample_logs` returns the three together.
+distances through one matrix product, :func:`squared_distances`), the
+mixture weights for ``log q``, and the target's ``log_density``;
+:func:`sample_logs` returns the three together.  Its ``log q`` comes from
+one of two passes over the kernel matrix.  For the power and weighted
+renyi gradients, which read ``log A_j`` in the log domain, it is
+:func:`logsumexp` and ``log k`` is kept.  For the emd, kl and unweighted
+renyi gradients, which read the literal mean, it is :func:`kernel_exp`,
+which exponentiates the matrix in place; the gradient then reads that
+matrix, so a step makes one exp pass over it.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ __all__ = [
     "as_simplex",
     "bandwidth_rule",
     "gaussian_kernel_logpdf",
+    "kernel_exp",
     "logsumexp",
     "sample_logs",
     "squared_distances",
@@ -128,6 +135,36 @@ def logsumexp(a, axis=-1, b=None):
     np.log(total, out=out, where=total != 0)
     out += peak
     return out.reshape(rest)[()]
+
+
+def kernel_exp(log_k, weights, out=None):
+    """``(E, total, log q)`` of a ``(J, M)`` log kernel matrix, in one exp pass.
+
+    ``E = exp(log k - peak)`` for every row, zero weights included, with
+    the peak of each column taken over the weighted rows only, as
+    :func:`logsumexp` takes it; ``total = weights @ E`` over the weighted
+    rows, and ``log q = peak + log total`` is the log-mixture.  ``E_j /
+    total`` is the ratio ``k_j / q`` at each sample, so the gradient reads
+    ``E`` instead of exponentiating the kernel matrix a second time.  ``E``
+    goes to ``out``, which may be ``log_k`` itself.  A zero-weight row that
+    sits more than about 709 above the peak gives ``inf`` in ``E``, as its
+    ratio to ``q`` would; it never reaches ``total``.
+    """
+    keep = weights > 0
+    dense = keep.all()
+    if dense:
+        peak = log_k.max(axis=0)
+    else:
+        peak = np.maximum.reduce(log_k, axis=0, where=keep[:, None], initial=-np.inf)
+    peak[~np.isfinite(peak)] = 0.0
+    e = np.subtract(log_k, peak, out=out)
+    np.exp(e, out=e)
+    total = weights @ e if dense else weights[keep] @ e[keep]
+    log_q = np.empty_like(total)
+    log_q.fill(-np.inf)
+    np.log(total, out=log_q, where=total != 0)
+    log_q += peak
+    return e, total, log_q
 
 
 def squared_distances(x, y, scale=1.0, offset=0.0):
@@ -294,19 +331,29 @@ class GaussianMixtureTarget(Target):
         return out[0] if np.ndim(y) == 1 else out
 
 
-def sample_logs(weights, points, kernel, target, samples):
+def sample_logs(weights, points, kernel, target, samples, *, exp_kernel=False):
     """``(log k, log q, log p)`` of a sample batch ``(M, d)``.
 
     ``log k`` is the ``(J, M)`` kernel matrix of every component, zero
     weights included; ``log q`` the mixture under ``weights``, which no
     zero-weight component enters, and ``log p`` the target, both ``(M,)``.
 
+    With ``exp_kernel``, for a gradient that reads its values rather than
+    ``log A_j``, the first entry is the pair ``(E, total)`` of
+    :func:`kernel_exp` instead: the kernel matrix exponentiated in place by
+    the pass that gives ``log q``, so ``log k`` itself is not kept.
+    Otherwise ``log q`` is :func:`logsumexp` of ``log k``.
+
     No validation: callers check their inputs.
     """
     log_k = kernel.logpdf_matrix(points, samples)
-    log_q = logsumexp(log_k, axis=0, b=weights)
-    log_p = target.log_density(samples)
-    return log_k, log_q, log_p
+    if exp_kernel:
+        e, total, log_q = kernel_exp(log_k, weights, out=log_k)
+        matrix = e, total
+    else:
+        log_q = logsumexp(log_k, axis=0, b=weights)
+        matrix = log_k
+    return matrix, log_q, target.log_density(samples)
 
 
 @dataclass(frozen=True)

@@ -2,7 +2,10 @@
 
 import collections
 import math
+import tracemalloc
 import warnings
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from alpha_descent.descent import (
 )
 from alpha_descent.divergence import (
     DescentParams,
+    amari_alpha_deriv_log,
     divergence_exact,
     vr_bound_from_logs,
 )
@@ -38,11 +42,14 @@ from alpha_descent.gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
+from alpha_descent.harness import parse_config, run_replicate
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
     as_simplex,
+    bandwidth_rule,
+    logsumexp,
     sample_logs,
 )
 
@@ -348,7 +355,8 @@ def _frozen_renormalise(weights, log_factors):
 def _frozen_power_step(weights, grad, params):
     """``power_step`` as it stood, gathering ``base[active]`` for each use
     and scattering the log factors into a zeroed array.  Its checks are the
-    module's own."""
+    module's own, and its messages print the failing base as a plain
+    float."""
     descent_module._check_params("power", params)
     weights = as_simplex(weights)
     alpha = params.alpha
@@ -361,7 +369,7 @@ def _frozen_power_step(weights, grad, params):
             bad = np.flatnonzero(active & (base <= 0))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
-                f"(alpha-1)(b+shift)+1 = {base[bad[0]]!r}",
+                f"(alpha-1)(b+shift)+1 = {float(base[bad[0]])!r}",
                 indices=bad,
             )
         log_base = np.log(base[active])
@@ -373,7 +381,7 @@ def _frozen_power_step(weights, grad, params):
             bad = np.flatnonzero(active & ~(log_a > -np.inf))
             raise GuardViolation(
                 f"power guard violated at component(s) {bad.tolist()}: "
-                f"log(A+(alpha-1)shift) = {log_a[bad[0]]!r}",
+                f"log(A+(alpha-1)shift) = {float(log_a[bad[0]])!r}",
                 indices=bad,
             )
         log_base = log_a[active]
@@ -470,6 +478,32 @@ class TestMaskedStepBits:
             power_step(w, values, params)
         assert info.value.indices == [0, 3]
         assert "component(s) [0, 3]: (alpha-1)(b+shift)+1 = " in str(info.value)
+
+    def test_refused_step_messages_print_plain_floats(self):
+        # numpy 2 writes a numpy scalar's repr as np.float64(...); the
+        # message reaches GuardViolation, DescentTrace.status and summary.json
+        w = np.array([0.25, 0.25, 0.0, 0.5])
+        values = np.array([3.0, -1.0, 9.0, 2.5])
+        log_a = np.array([0.0, -np.inf, 0.0, 0.0])
+        for grad, tail in (
+            (values, "(alpha-1)(b+shift)+1 = -0.5"),
+            (_log_base_gradient(log_a, 0.5), "log(A+(alpha-1)shift) = -inf"),
+        ):
+            with pytest.raises(GuardViolation) as info:
+                power_step(w, grad, DescentParams(0.5, 1.0))
+            assert str(info.value).endswith(tail)
+            assert "np." not in str(info.value)
+        problem = random_problem(np.random.default_rng(93), num_components=4)
+        with pytest.raises(GuardViolation) as info:
+            run_descent(
+                np.full(4, 0.25), DescentParams(0.5, 1.0), "power", 3,
+                problem=problem.with_target(problem.p_values * 1e-40),
+            )
+        # the base K(nu u^(alpha-1)) is about 1e-20 here, and 1 - b/2 rounds it to 0
+        assert info.value.partial.status == (
+            "guard_violation: step 1 of phase 1: power guard violated at "
+            "component(s) [0, 1, 2]: (alpha-1)(b+shift)+1 = 0.0"
+        )
 
 
 class TestSecondOrderAgreement:
@@ -1034,6 +1068,222 @@ class TestRunDescentParity:
         assert _record_keys(trace) == want
 
 
+def _frozen_sample_logs(weights, points, kernel, target, samples, *, exp_kernel=False):
+    """``sample_logs`` as it stood: ``log k`` kept, ``log q`` by its own
+    log-sum-exp.  ``exp_kernel`` is ignored."""
+    log_k = kernel.logpdf_matrix(points, samples)
+    return log_k, logsumexp(log_k, axis=0, b=weights), target.log_density(samples)
+
+
+def _frozen_gradient(perturb=1.0, seen=None):
+    """``gradient_monte_carlo_from_logs`` with the literal mean as it stood,
+    ``exp(log k - log q) @ f' / M``, for ``run_descent`` under
+    :func:`_frozen_sample_logs`, which hands the values arms ``log k`` as
+    ``exp_kernel``.  The values are multiplied by ``perturb``; each gradient
+    is appended to ``seen``."""
+
+    def gradient(log_kernel, log_target, weights, alpha, *, log_base=False,
+                 log_mixture=None, exp_kernel=None):
+        if log_base:
+            grad = gradient_monte_carlo_from_logs(
+                log_kernel, log_target, weights, alpha, log_base=True,
+                log_mixture=log_mixture,
+            )
+        else:
+            deriv = amari_alpha_deriv_log(log_mixture - log_target, alpha)
+            ratio = np.exp(exp_kernel - log_mixture)
+            values = (ratio @ deriv) / exp_kernel.shape[1] * perturb
+            grad = MixtureGradient(values, alpha)
+        if seen is not None:
+            seen.append(grad.values)
+        return grad
+
+    return gradient
+
+
+def _spied_gradient(seen):
+    def gradient(*args, **kwargs):
+        grad = gradient_monte_carlo_from_logs(*args, **kwargs)
+        seen.append(grad.values)
+        return grad
+
+    return gradient
+
+
+def _guard_value(status):
+    """A guard status split into its text and the value it ends with."""
+    text, value = status.rsplit(" = ", 1)
+    return text, float(value)
+
+
+FIG1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "figure1.json"
+
+
+class TestSharedKernelMatrix:
+    """The emd, kl and unweighted renyi steps read the kernel matrix that
+    the log q pass exponentiated; power and weighted renyi keep log k.
+
+    Each figure-1 run is two phases of one replicate at J=100, M=2000,
+    d=16, once as it is and once with the frozen estimator (a separate
+    exp of ``log k - log q`` per step) wired into the same loop."""
+
+    @staticmethod
+    def _fig1(monkeypatch, algorithm, alpha, unweighted=False, gradient=None):
+        config = replace(
+            parse_config(FIG1_CONFIG), algorithm=algorithm, alpha=alpha,
+            sample_count=(2000,), num_phases=2, replicates=1,
+            renyi_unweighted_denominator=unweighted,
+        )
+        with warnings.catch_warnings(), monkeypatch.context() as patch:
+            warnings.simplefilter("error")
+            if gradient is not None:
+                patch.setattr(descent_module, "sample_logs", _frozen_sample_logs)
+                patch.setattr(descent_module, "gradient_monte_carlo_from_logs", gradient)
+            return run_replicate(config, 0)
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha, unweighted",
+        [("emd", 0.5, False), ("renyi", 0.5, True), ("renyi", 2.0, True)],
+    )
+    def test_values_arms_match_the_frozen_estimator(
+        self, monkeypatch, algorithm, alpha, unweighted
+    ):
+        trace = self._fig1(monkeypatch, algorithm, alpha, unweighted)
+        want = self._fig1(monkeypatch, algorithm, alpha, unweighted, _frozen_gradient())
+        assert len(trace.records) == len(want.records)
+        for got, ref in zip(trace.records, want.records):
+            assert (got.phase, got.step) == (ref.phase, ref.step)
+            np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(
+                [got.vr_bound, got.guard_min], [ref.vr_bound, ref.guard_min],
+                rtol=1e-12, atol=0.0,
+            )
+        if want.status == "completed":
+            assert trace.status == "completed" and len(trace.records) == 41
+        else:
+            # at alpha = 0.5 the unweighted normaliser refuses step 1; the
+            # value it prints is computed from the gradient values
+            (text, value), (want_text, want_value) = map(
+                _guard_value, (trace.status, want.status)
+            )
+            assert text == want_text
+            assert math.isclose(value, want_value, rel_tol=1e-12)
+
+    def test_kl_within_its_conditioning(self, monkeypatch):
+        # kl amplifies a last-digit change step after step, so the tolerance
+        # is what a change of 4 ulps in every gradient value does to the
+        # frozen run, with a margin of 10
+        eps = np.finfo(float).eps
+        signs = np.where(np.random.default_rng(0).random(100) < 0.5, -1.0, 1.0)
+        trace = self._fig1(monkeypatch, "kl", 1.0)
+        want = self._fig1(monkeypatch, "kl", 1.0, gradient=_frozen_gradient())
+        nudged = self._fig1(
+            monkeypatch, "kl", 1.0, gradient=_frozen_gradient(1.0 + 4.0 * eps * signs)
+        )
+        assert trace.status == want.status == nudged.status
+        assert len(trace.records) == len(want.records) == len(nudged.records) == 41
+
+        def gap(a, b):
+            return max(
+                float(np.abs(x.weights - y.weights).max())
+                for x, y in zip(a.records, b.records)
+            )
+
+        spread = gap(nudged, want)
+        assert 0.0 < spread < 1e-6
+        assert gap(trace, want) <= 10.0 * spread
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha", [("power", 0.5), ("renyi", 0.5), ("renyi", 2.0)]
+    )
+    def test_log_base_arms_give_identical_bytes(self, monkeypatch, algorithm, alpha):
+        trace = self._fig1(monkeypatch, algorithm, alpha)
+        want = self._fig1(monkeypatch, algorithm, alpha, gradient=_frozen_gradient())
+        assert trace.status == want.status
+        assert _record_keys(trace) == _record_keys(want)
+
+    def test_zero_weight_rows_far_above_the_weighted_peak(self, monkeypatch):
+        # Row 0 sits 650 nats above where its kernel would put it, so its
+        # log k is hundreds of nats above the weighted peak at every sample,
+        # and its ratio to q (about e^650) is still finite.
+        class LiftedKernel(GaussianKernel):
+            def logpdf_matrix(self, points, ys):
+                log_k = super().logpdf_matrix(points, ys)
+                log_k[0] += 650.0
+                return log_k
+
+        j, d = 20, 16
+        rng = np.random.default_rng(94)
+        weights = np.full(j, 1.0 / (j - 3))
+        weights[[0, 5, 11]] = 0.0
+        state = MixtureState(
+            weights, math.sqrt(5.0) * rng.standard_normal((j, d)),
+            LiftedKernel(bandwidth_rule(j, d), d),
+        )
+        target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+        def run(gradient, logs):
+            seen = []
+            with warnings.catch_warnings(), monkeypatch.context() as patch:
+                warnings.simplefilter("error")
+                patch.setattr(
+                    descent_module, "gradient_monte_carlo_from_logs", gradient(seen)
+                )
+                patch.setattr(descent_module, "sample_logs", logs)
+                trace = run_descent(
+                    state, DescentParams(0.5, 0.067), "emd", 20, target=target,
+                    sample_count=500, rng=np.random.default_rng(95),
+                )
+            return trace, np.array(seen)
+
+        trace, values = run(_spied_gradient, sample_logs)
+        want, want_values = run(
+            lambda seen: _frozen_gradient(seen=seen), _frozen_sample_logs
+        )
+        assert trace.status == want.status == "completed"
+        assert np.isfinite(values).all() and np.isfinite(want_values).all()
+        assert (values[:, 0] > math.exp(600.0)).all()
+        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
+        for got, ref in zip(trace.records, want.records):
+            assert (got.weights[[0, 5, 11]] == 0.0).all()
+            np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+            assert math.isclose(got.vr_bound, ref.vr_bound, rel_tol=1e-12)
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha, unweighted",
+        [("emd", 0.5, False), ("kl", 1.0, False), ("renyi", 2.0, True)],
+    )
+    def test_a_step_holds_one_kernel_matrix(self, algorithm, alpha, unweighted):
+        # Peak memory of values-arm steps at the figure-1 shape: one (J, M)
+        # matrix, its draw and its O(M) vectors.  A step that formed the
+        # ratios in a second matrix, or kept the last batch's matrix while
+        # the next one is drawn, peaks at two (about 2.5 here).
+        j, m, d = 100, 2000, 16
+        rng = np.random.default_rng(96)
+        state = MixtureState(
+            np.full(j, 1.0 / j), math.sqrt(5.0) * rng.standard_normal((j, d)),
+            GaussianKernel(bandwidth_rule(j, d), d),
+        )
+        target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+
+        def run():
+            return run_descent(
+                state, DescentParams(alpha, 0.067), algorithm, 3, target=target,
+                sample_count=m, rng=np.random.default_rng(97),
+                unweighted_denominator=unweighted,
+            )
+
+        run()  # first calls allocate caches that are not the step's
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = run()
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert trace.status == "completed"
+        assert peak <= j * m * 8 + 4 * (j + m) * d * 8, peak / (j * m * 8)
+
+
 class TestRunDescentBoundary:
     """Inputs are refused at entry, before any step or monitor runs."""
 
@@ -1051,6 +1301,29 @@ class TestRunDescentBoundary:
             )
         # not even the initial monitor drew a sample
         assert rng.bit_generator.state == before
+
+    @pytest.mark.parametrize("sample_count", [2.5, True, "3", 0])
+    def test_sample_count_must_be_a_positive_integer(self, sample_count):
+        # 2.5 and True used to pass and die inside the first draw with
+        # numpy's TypeError
+        state, target = self._mc_setup()
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        match = ">= 1" if sample_count == 0 else "sample_count must be an integer"
+        with pytest.raises(ValueError, match=match):
+            run_descent(
+                state, DescentParams(0.5, 0.5), "emd", 3, target=target,
+                sample_count=sample_count, rng=rng,
+            )
+        assert rng.bit_generator.state == before
+
+    def test_numpy_integer_sample_count_accepted(self):
+        state, target = self._mc_setup()
+        trace = run_descent(
+            state, DescentParams(0.5, 0.5), "emd", 2, target=target,
+            sample_count=np.int64(8), rng=np.random.default_rng(4),
+        )
+        assert trace.status == "completed" and len(trace.records) == 3
 
     def test_off_simplex_weights_refused(self):
         problem = random_problem(np.random.default_rng(91), num_components=3)
