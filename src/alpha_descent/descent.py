@@ -22,7 +22,8 @@ in the log domain:
             D = sum_j lambda_j A_j + (alpha-1) shift
 
 The renyi form drops the constant ``step / ((alpha-1) D)``, which cancels
-when the weights are renormalised.
+when the weights are renormalised.  Such a gradient has no values, so the
+emd, kl and unweighted renyi updates refuse it.
 """
 
 from __future__ import annotations
@@ -93,6 +94,8 @@ class StepDiagnostics:
 
 def _gradient_values(grad, num_components):
     if isinstance(grad, MixtureGradient):
+        if grad.values is None:
+            raise ValueError("a log_base gradient has no values for this step to read")
         grad = grad.values
     values = np.asarray(grad, dtype=float)
     if values.ndim != 1:
@@ -109,7 +112,7 @@ def _gradient_values(grad, num_components):
 def _log_base(grad, num_components):
     """Checked ``log A_j`` of a gradient that carries it, else None.
 
-    Its derived values may overflow and are not read; ``-inf`` is the guard's.
+    ``-inf`` is the guard's.
     """
     log_a = grad.log_base if isinstance(grad, MixtureGradient) else None
     if log_a is not None and (log_a.size != num_components or not (log_a < np.inf).all()):
@@ -238,7 +241,8 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
 
     A gradient carrying ``log_base`` is read through it with the weighted
     denominator (module docstring); the unweighted variant has no positive
-    form and always reads the gradient values, which must be finite.
+    form, reads the gradient values, which must be finite, and refuses a
+    gradient that carries ``log_base``.
     """
     _check_params("renyi", params)
     alpha = params.alpha
@@ -441,12 +445,8 @@ def run_descent(
             nonlocal batch
             matrix, log_q, log_p = batch if batch is not None else draw(w)
             batch = None  # read once; freed before the next draw makes its own
-            if log_base:
-                return gradient_monte_carlo_from_logs(
-                    matrix, log_p, w, grad_alpha, log_base=True, log_mixture=log_q
-                )
             return gradient_monte_carlo_from_logs(
-                None, log_p, w, grad_alpha, log_mixture=log_q, exp_kernel=matrix
+                matrix, log_p, w, grad_alpha, log_base=log_base, log_mixture=log_q
             )
 
         def score(w):

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .gradient import sample_mixture
-from .model import logsumexp, sample_logs
+from .model import _check_integer, logsumexp, sample_logs
 
 __all__ = ["explore_mean_update", "explore_resample"]
 
@@ -33,6 +33,7 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
+    _check_integer("sample_count", sample_count)
     if sample_count < 1:
         raise ValueError(f"sample_count must be >= 1, got {sample_count}")
     mixture = state.weights, state.points, state.kernel

@@ -19,8 +19,8 @@ and ``c_j`` estimates ``integral k(theta_j, y) dy``, which is exactly 1.  In
 high dimension ``A_j`` is exponentially small and the count noise ``1 - c_j``
 decides the sign of the base.  The positive-by-construction estimator puts
 the exact value 1 in place of ``c_j``: the base is ``A_j`` itself, still
-unbiased, carried as ``log A_j`` on :class:`MixtureGradient`.  The power
-and weighted renyi updates read it.
+unbiased.  A :class:`MixtureGradient` from it carries ``log A_j`` alone, and
+only the power and weighted renyi updates accept it.
 
 The emd, kl and unweighted renyi updates read the literal mean of the
 values.  Its ratios ``k_j / mix`` come from the matrix ``E = exp(log k -
@@ -82,31 +82,27 @@ class MixtureState:
 
 @dataclass(frozen=True)
 class MixtureGradient:
-    """Gradient vector and the divergence order it was computed at.
+    """Gradient at divergence order ``alpha``, carried as exactly one array.
 
-    ``log_base`` is ``log A_j``, the log of the positive estimate of the
-    base ``(alpha-1) b_j + 1``, when the Monte Carlo estimator was asked for
-    it; ``values`` is then ``expm1(log_base) / (alpha-1)``.
+    That array is either ``values``, the gradient vector, or ``log_base``,
+    ``log A_j``: the log of the positive estimate of the base
+    ``(alpha-1) b_j + 1`` (module docstring), which has no values.
     """
 
-    values: np.ndarray
+    values: np.ndarray | None
     alpha: float
     log_base: np.ndarray | None = None
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size == 0:
-            raise ValueError(f"gradient must be a nonempty vector, got {values.shape}")
-        if self.log_base is not None:
-            log_base = np.asarray(self.log_base, dtype=float)
-            if log_base.shape != values.shape:
-                raise ValueError(
-                    f"log_base has shape {log_base.shape}, values {values.shape}"
-                )
-            if self.alpha == 1.0:
-                raise ValueError("there is no power base at alpha=1")
-            object.__setattr__(self, "log_base", log_base)
-        object.__setattr__(self, "values", values)
+        if (self.values is None) == (self.log_base is None):
+            raise ValueError("a gradient carries exactly one of values and log_base")
+        name = "values" if self.log_base is None else "log_base"
+        array = np.asarray(getattr(self, name), dtype=float)
+        if array.ndim != 1 or array.size == 0:
+            raise ValueError(f"{name} must be a nonempty vector, got {array.shape}")
+        if name == "log_base" and self.alpha == 1.0:
+            raise ValueError("there is no power base at alpha=1")
+        object.__setattr__(self, name, array)
 
 
 def gradient_exact(problem, weights, alpha, *, log_mixture=None):
@@ -145,62 +141,57 @@ def sample_mixture(weights, points, kernel, size, rng):
 
 
 def gradient_monte_carlo_from_logs(
-    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None,
-    exp_kernel=None,
+    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None
 ):
     """Monte Carlo gradient from precomputed log evaluations.
 
     Args:
-        log_kernel: ``(J, M)`` matrix of log kernel values at the samples;
-            None when ``exp_kernel`` is given.
+        log_kernel: the batch's kernel in the form
+            :func:`alpha_descent.model.sample_logs` returned it: the
+            ``(J, M)`` matrix of log kernel values at the samples, or, from
+            ``sample_logs(..., exp_kernel=True)``, the tuple ``(E, total)``
+            of :func:`alpha_descent.model.kernel_exp` under ``weights``.
+            The pair needs its ``log q`` as ``log_mixture`` and gives no
+            ``log_base``.
         log_target: ``(M,)`` log target values at the samples.
         weights: simplex weights the samples were drawn under.
         alpha: divergence order.
         log_base: if true (``alpha != 1`` only), use the positive estimator
-            of the module docstring: compute ``log A_j`` by a max-subtracted
-            log-sum-exp over the samples, carry it on the result, and derive
-            the values from it.  Otherwise the values are the literal sample
-            mean.
+            of the module docstring: the result carries ``log A_j``, by a
+            max-subtracted log-sum-exp over the samples, and no values.
+            Otherwise the values are the literal sample mean.
         log_mixture: ``(M,)`` log mixture values under ``weights`` at the
             samples, when the caller already has them (the ``log q`` of
             :func:`alpha_descent.model.sample_logs`); computed here
             otherwise.
-        exp_kernel: for the literal mean, the pair ``(E, total)`` of
-            :func:`alpha_descent.model.kernel_exp` under ``weights``, in
-            place of ``log_kernel``, with its ``log q`` as ``log_mixture``:
-            the kernel matrix that the ``log q`` pass already exponentiated
-            (``sample_logs(..., exp_kernel=True)``).
 
     All density ratios are formed as differences of logs; ``f'`` of the
     ratio goes through ``expm1`` so the estimate stays finite even when the
     ratio itself would underflow.  The literal mean, which the emd, kl and
     unweighted renyi updates read, takes ``k_j / mix`` as ``E_j / total``
     from the one exp pass of :func:`~alpha_descent.model.kernel_exp` that
-    also gives ``log q``, and is one matrix-vector product,
-    ``E @ (f' / total) / M``.  ``log A_j``, which the power and weighted
-    renyi updates read, is a log-sum-exp over ``log k`` itself: built from
-    ``E`` in the linear domain it would underflow to ``-inf`` when the
-    particles are spread.
+    also gives ``log q`` (run here on a copy of ``log k`` when the pair is
+    not given), and is one matrix-vector product, ``E @ (f' / total) / M``.
+    ``log A_j``, which the power and weighted renyi updates read, is a
+    log-sum-exp over ``log k`` itself: built from ``E`` in the linear
+    domain it would underflow to ``-inf`` when the particles are spread.
     """
     weights = as_simplex(weights)
-    if exp_kernel is None:
-        matrix, name = np.asarray(log_kernel, dtype=float), "log_kernel"
-    elif log_kernel is not None or log_base or log_mixture is None:
-        raise ValueError(
-            "exp_kernel takes the place of log_kernel, needs its log_mixture "
-            "and gives no log_base"
-        )
+    if isinstance(log_kernel, tuple):
+        if log_base or log_mixture is None:
+            raise ValueError(
+                "the (E, total) pair needs its log_mixture and gives no log_base"
+            )
+        matrix, total = log_kernel
     else:
-        (matrix, total), name = exp_kernel, "exp_kernel"
+        matrix, total = np.asarray(log_kernel, dtype=float), None
     log_target = np.asarray(log_target, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != weights.size:
         raise ValueError(
-            f"{name} must have shape ({weights.size}, M), got {matrix.shape}"
+            f"log_kernel must have shape ({weights.size}, M), got {matrix.shape}"
         )
     if log_target.shape != (matrix.shape[1],) or log_target.size == 0:
         raise ValueError("log_target must hold one value per sample")
-    if log_base and alpha == 1.0:
-        raise ValueError("there is no power base at alpha=1")
     count = matrix.shape[1]
     if log_mixture is not None:
         log_mix = np.asarray(log_mixture, dtype=float)
@@ -213,15 +204,13 @@ def gradient_monte_carlo_from_logs(
         #                                - (alpha-1) log p
         terms = matrix + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
         log_a = logsumexp(terms, axis=1) - np.log(count)
-        with np.errstate(over="ignore"):  # only log_a is read by the steps
-            values = np.expm1(log_a) / (alpha - 1.0)
-        return MixtureGradient(values, alpha, log_base=log_a)
-    if exp_kernel is None:
+        return MixtureGradient(None, alpha, log_base=log_a)
+    if total is None:
         matrix, total, own = kernel_exp(matrix, weights, out=np.empty(matrix.shape))
         if log_mixture is None:
             log_mix = own
     elif np.shape(total) != (count,):
-        raise ValueError("exp_kernel total must hold one value per sample")
+        raise ValueError("the pair's total must hold one value per sample")
     deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
     deriv /= total
     values = matrix @ deriv

@@ -243,7 +243,8 @@ class GaussianKernel:
     def __post_init__(self):
         if self.bandwidth <= 0 or not np.isfinite(self.bandwidth):
             raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        if int(self.dim) < 1:
+        _check_integer("dim", self.dim)
+        if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
         object.__setattr__(self, "dim", int(self.dim))
 

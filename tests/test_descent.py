@@ -221,10 +221,7 @@ class TestRenyiStep:
 
 
 def _log_base_gradient(log_a, alpha):
-    log_a = np.asarray(log_a, dtype=float)
-    with np.errstate(over="ignore"):
-        values = np.expm1(log_a) / (alpha - 1.0)
-    return MixtureGradient(values, alpha, log_base=log_a)
+    return MixtureGradient(None, alpha, log_base=log_a)
 
 
 class TestLogBaseSteps:
@@ -238,9 +235,9 @@ class TestLogBaseSteps:
         for alpha, shift in self.CASES:
             params = DescentParams(alpha, 0.7, shift=shift)
             w = random_weights(rng, 5)
-            grad = _log_base_gradient(rng.uniform(-1.0, 1.0, size=5), alpha)
-            new, diag = power_step(w, grad, params)
-            want, want_diag = power_step(w, grad.values, params)
+            log_a = rng.uniform(-1.0, 1.0, size=5)
+            new, diag = power_step(w, _log_base_gradient(log_a, alpha), params)
+            want, want_diag = power_step(w, np.expm1(log_a) / (alpha - 1.0), params)
             assert np.allclose(new, want, rtol=1e-12, atol=0)
             assert diag.guard_min == pytest.approx(want_diag.guard_min, rel=1e-12)
 
@@ -251,9 +248,9 @@ class TestLogBaseSteps:
         for alpha, shift in self.CASES:
             params = DescentParams(alpha, 0.7, shift=shift)
             w = random_weights(rng, 5)
-            grad = _log_base_gradient(rng.uniform(-1.0, 1.0, size=5), alpha)
-            new, diag = renyi_step(w, grad, params)
-            want, want_diag = renyi_step(w, grad.values, params)
+            log_a = rng.uniform(-1.0, 1.0, size=5)
+            new, diag = renyi_step(w, _log_base_gradient(log_a, alpha), params)
+            want, want_diag = renyi_step(w, np.expm1(log_a) / (alpha - 1.0), params)
             assert np.allclose(new, want, rtol=1e-12, atol=0)
             assert diag.guard_min == pytest.approx(want_diag.guard_min, rel=1e-12)
 
@@ -305,14 +302,20 @@ class TestLogBaseSteps:
                 step([0.3, 0.3, 0.4], grad, params)
             assert not isinstance(info.value, GuardViolation)
 
-    def test_unweighted_denominator_reads_values(self):
+    def test_values_steps_refuse_a_log_base_gradient(self):
+        # log A_j has no values, and emd, kl and the unweighted renyi
+        # denominator read values; the refusal is not a guard's
         grad = _log_base_gradient(np.array([0.2, -0.3, 0.5]), 0.5)
+        w = [0.2, 0.3, 0.5]
         params = DescentParams(0.5, 0.5, shift=-0.2)
-        new, _ = renyi_step([0.2, 0.3, 0.5], grad, params, unweighted_denominator=True)
-        want, _ = renyi_step(
-            [0.2, 0.3, 0.5], grad.values, params, unweighted_denominator=True
-        )
-        assert np.array_equal(new, want)
+        for step, match in (
+            (lambda: emd_step(w, grad, params), "log_base"),
+            (lambda: renyi_step(w, grad, params, unweighted_denominator=True), "log_base"),
+            (lambda: kl_step(w, grad, 0.5), "alpha=1"),
+        ):
+            with pytest.raises(ValueError, match=match) as info:
+                step()
+            assert not isinstance(info.value, GuardViolation)
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
@@ -1078,12 +1081,12 @@ def _frozen_sample_logs(weights, points, kernel, target, samples, *, exp_kernel=
 def _frozen_gradient(perturb=1.0, seen=None):
     """``gradient_monte_carlo_from_logs`` with the literal mean as it stood,
     ``exp(log k - log q) @ f' / M``, for ``run_descent`` under
-    :func:`_frozen_sample_logs`, which hands the values arms ``log k`` as
-    ``exp_kernel``.  The values are multiplied by ``perturb``; each gradient
-    is appended to ``seen``."""
+    :func:`_frozen_sample_logs`, which hands every arm ``log k``.  The
+    values are multiplied by ``perturb``; each gradient's values are
+    appended to ``seen``."""
 
     def gradient(log_kernel, log_target, weights, alpha, *, log_base=False,
-                 log_mixture=None, exp_kernel=None):
+                 log_mixture=None):
         if log_base:
             grad = gradient_monte_carlo_from_logs(
                 log_kernel, log_target, weights, alpha, log_base=True,
@@ -1091,8 +1094,8 @@ def _frozen_gradient(perturb=1.0, seen=None):
             )
         else:
             deriv = amari_alpha_deriv_log(log_mixture - log_target, alpha)
-            ratio = np.exp(exp_kernel - log_mixture)
-            values = (ratio @ deriv) / exp_kernel.shape[1] * perturb
+            ratio = np.exp(log_kernel - log_mixture)
+            values = (ratio @ deriv) / log_kernel.shape[1] * perturb
             grad = MixtureGradient(values, alpha)
         if seen is not None:
             seen.append(grad.values)

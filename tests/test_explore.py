@@ -49,6 +49,16 @@ class TestMeanUpdate:
         with pytest.raises(ValueError, match="sample_count"):
             explore_mean_update(state, self._target(), 0, 0.5, rng)
 
+    @pytest.mark.parametrize("sample_count", [2.5, True, "3"])
+    def test_sample_count_must_be_an_integer(self, sample_count):
+        # these used to die inside the draw with numpy's TypeError
+        state = _state([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="sample_count must be an integer"):
+            explore_mean_update(state, self._target(), sample_count, 0.5, rng)
+        assert rng.bit_generator.state == before
+
     def test_output_shape(self):
         state = _state([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])
         fresh = explore_mean_update(state, self._target(), 64, 0.5, np.random.default_rng(5))

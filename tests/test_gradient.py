@@ -81,6 +81,16 @@ class TestContainers:
         with pytest.raises(ValueError):
             MixtureGradient([], 0.5)
 
+    def test_gradient_carries_exactly_one_array(self):
+        based = MixtureGradient(None, 0.5, log_base=[0.0, -1.0])
+        assert based.values is None and based.log_base.dtype == float
+        assert MixtureGradient([1.0, 2.0], 0.5).log_base is None
+        for values, log_base in (([1.0, 2.0], [0.0, -1.0]), (None, None)):
+            with pytest.raises(ValueError, match="exactly one of values and log_base"):
+                MixtureGradient(values, 0.5, log_base=log_base)
+        with pytest.raises(ValueError, match="log_base must be a nonempty vector"):
+            MixtureGradient(None, 0.5, log_base=[])
+
 
 class TestExactGradient:
     def test_matches_loop_oracle(self):
@@ -336,6 +346,41 @@ class TestMonteCarloGradient:
         )
         assert np.array_equal(grad.values, want.values)
 
+    def _pair_batch(self):
+        rng = np.random.default_rng(55)
+        kernel = GaussianKernel(0.7, 2)
+        points = rng.normal(size=(4, 2))
+        w = random_weights(rng, 4)
+        target = GaussianMixtureTarget([[0.5, -0.5]])
+        samples = sample_mixture(w, points, kernel, 32, rng)
+        log_k = kernel.logpdf_matrix(points, samples)
+        return log_k, sample_logs(w, points, kernel, target, samples, exp_kernel=True), w
+
+    def test_exp_kernel_pair_matches_log_kernel(self):
+        # the pair is the kernel_exp pass that the log k form runs on a copy
+        log_k, (pair, log_q, log_p), w = self._pair_batch()
+        got = gradient_monte_carlo_from_logs(pair, log_p, w, 0.5, log_mixture=log_q)
+        want = gradient_monte_carlo_from_logs(log_k, log_p, w, 0.5)
+        assert np.array_equal(got.values, want.values)
+
+    def test_exp_kernel_pair_refusals(self):
+        _, (pair, log_q, log_p), w = self._pair_batch()
+        with pytest.raises(ValueError, match="needs its log_mixture and gives no log_base"):
+            gradient_monte_carlo_from_logs(
+                pair, log_p, w, 0.5, log_base=True, log_mixture=log_q
+            )
+        with pytest.raises(ValueError, match="needs its log_mixture"):
+            gradient_monte_carlo_from_logs(pair, log_p, w, 0.5)
+        matrix, total = pair
+        with pytest.raises(ValueError, match="total must hold one value per sample"):
+            gradient_monte_carlo_from_logs(
+                (matrix, total[:-1]), log_p, w, 0.5, log_mixture=log_q
+            )
+        with pytest.raises(ValueError, match="log_kernel must have shape"):
+            gradient_monte_carlo_from_logs(
+                (matrix[:-1], total), log_p, w, 0.5, log_mixture=log_q
+            )
+
     def test_unbiased_against_exact_on_atoms(self):
         # draw support atoms with the mixture's own probabilities and the
         # estimator's mean must be the exact finite-support gradient
@@ -406,8 +451,8 @@ class TestMonteCarloGradient:
             u = mix / np.exp(log_target)
             want = (kernel_vals / mix * u ** (alpha - 1.0)).mean(axis=1)
             assert np.allclose(np.exp(grad.log_base), want, rtol=1e-12)
-            # the count term mean_m k_j / mix is replaced by its exact value 1
-            assert np.allclose(grad.values, (want - 1.0) / (alpha - 1.0), rtol=1e-12)
+            # the base is read in the log domain; no values are derived from it
+            assert grad.values is None
 
     def test_log_base_stays_positive_where_literal_base_does_not(self):
         # the mixture sits e^200 above the target at every sample, so A_j
@@ -431,6 +476,4 @@ class TestMonteCarloGradient:
                 np.zeros((2, 4)), np.zeros(4), [0.5, 0.5], 1.0, log_base=True
             )
         with pytest.raises(ValueError, match="alpha=1"):
-            MixtureGradient([1.0], 1.0, log_base=[0.0])
-        with pytest.raises(ValueError, match="log_base"):
-            MixtureGradient([1.0, 2.0], 0.5, log_base=[0.0])
+            MixtureGradient(None, 1.0, log_base=[0.0])

@@ -172,6 +172,16 @@ class TestGaussianKernel:
         with pytest.raises(ValueError):
             GaussianKernel(bandwidth=1.0, dim=0)
 
+    @pytest.mark.parametrize("dim", [2.5, True, "3"])
+    def test_dim_must_be_an_integer(self, dim):
+        # 2.5 and True used to be truncated to 2 and 1
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            GaussianKernel(1.0, dim)
+
+    def test_numpy_integer_dim_accepted(self):
+        kernel = GaussianKernel(1.0, np.int64(16))
+        assert kernel.dim == 16 and type(kernel.dim) is int
+
 
 class TestMixtureStatePoints:
     def test_wraps_and_exposes_shape(self):

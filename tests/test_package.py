@@ -3,8 +3,10 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from dataclasses import fields
@@ -14,7 +16,11 @@ import pytest
 
 import alpha_descent
 from alpha_descent.descent import StepDiagnostics
-from alpha_descent.gradient import MixtureGradient, MixtureState
+from alpha_descent.gradient import (
+    MixtureGradient,
+    MixtureState,
+    gradient_monte_carlo_from_logs,
+)
 from alpha_descent.model import GaussianKernel
 
 
@@ -75,6 +81,22 @@ def test_deleted_fields_and_methods_are_gone():
     assert [f.name for f in fields(MixtureState)] == ["weights", "points", "kernel"]
     assert not hasattr(GaussianKernel, "sample")
     assert not hasattr(GaussianKernel, "logpdf")
+    # the batch's kernel comes in the form sample_logs returned it
+    assert "exp_kernel" not in inspect.signature(gradient_monte_carlo_from_logs).parameters
+
+
+def test_every_errstate_in_src_says_why():
+    # A RuntimeWarning fails the suite: an overflow or invalid value means a
+    # ratio left the log domain.  A local np.errstate that silences one must
+    # say on its own line why the value it guards is safe or unread.
+    src = Path(alpha_descent.__file__).resolve().parent
+    bare = [
+        f"{path.relative_to(src)}:{number}: {line.strip()}"
+        for path in sorted(src.rglob("*.py"))
+        for number, line in enumerate(path.read_text().splitlines(), 1)
+        if "np.errstate(" in line and not re.search(r"np\.errstate\(.*#\s*\S", line)
+    ]
+    assert bare == []
 
 
 def test_perfbench_patch_points_resolve():
