@@ -42,7 +42,7 @@ from .gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from .model import _check_integer, as_simplex, logsumexp, sample_logs
+from .model import _check_float, _check_integer, as_simplex, logsumexp, sample_logs
 
 __all__ = [
     "ALGORITHMS",
@@ -86,7 +86,9 @@ class StepDiagnostics:
             with room, ``inf`` for the guard-free updates.  A power step
             that reads ``log_base`` records ``exp`` of the smallest log
             base, which is 0.0 for a base below about ``e^-745``: the
-            guard held there too, since it refuses only a zero base.
+            guard held there too, since it refuses only a zero base.  A
+            renyi step records its admissibility margin, the smallest
+            ``1 - step (alpha-1) V_j`` over the weighted components.
     """
 
     guard_min: float
@@ -217,8 +219,7 @@ def emd_step(weights, grad, params):
 
 def kl_step(weights, grad, step_size):
     """Mirror descent on the forward KL; the gradient must be the alpha=1 one."""
-    if step_size <= 0:
-        raise ValueError(f"step_size must be positive, got {step_size}")
+    _check_float("step_size", step_size, positive=True)
     if isinstance(grad, MixtureGradient) and grad.alpha != 1.0:
         raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
     weights = as_simplex(weights)
@@ -237,7 +238,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     product strictly positive, see :class:`RateConstants`).
 
     The admissibility check ``1 - step (alpha-1) V_j >= 0`` is recorded in
-    the diagnostics, not enforced.
+    the diagnostics, over the weighted components only, not enforced.
 
     A gradient carrying ``log_base`` is read through it with the weighted
     denominator (module docstring); the unweighted variant has no positive
@@ -247,6 +248,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     _check_params("renyi", params)
     alpha = params.alpha
     weights = as_simplex(weights)
+    active = weights > 0
     log_a = None if unweighted_denominator else _log_base(grad, weights.size)
     if log_a is None:
         values = _gradient_values(grad, weights.size)
@@ -268,11 +270,15 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
                 f"= {float(log_denom)!r}"
             )
         # A_j / ((alpha-1) D) is (b_j + 1/(alpha-1)) / D, the scaled
-        # gradient up to a constant that cancels on renormalisation
-        scaled = raw_check = np.exp(log_a - log_denom) / (alpha - 1.0)
+        # gradient up to a constant that cancels on renormalisation; a
+        # zero-weight row is never read, so it is not exponentiated
+        scaled = raw_check = np.exp(
+            log_a - log_denom, out=np.zeros(weights.shape), where=active
+        ) / (alpha - 1.0)
     new = _renormalise(weights, -params.step_size * scaled)
     margin = 1.0 - params.step_size * (alpha - 1.0) * raw_check
-    return new, StepDiagnostics(float(margin.min()))
+    guard_min = np.minimum.reduce(margin, where=active, initial=np.inf)
+    return new, StepDiagnostics(float(guard_min))
 
 
 @dataclass(frozen=True)
@@ -350,7 +356,10 @@ def run_descent(
     (integers, not bools) and the parameters the step demands
     (``params.power_valid`` for power, ``alpha != 1`` and
     ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
-    inputs are refused before the first sample is drawn.  Each step then
+    inputs are refused before the first sample is drawn.  Like every count
+    and positive real of the package, the two counts are checked by one
+    call to ``model._check_integer`` (``model._check_float`` for a real),
+    which carries the range.  Each step then
     calls public functions, and each checks what it reads: the step runs
     ``as_simplex`` on the weights and checks the gradient's size and
     finiteness (or, for ``log A_j``, no NaN or ``+inf``);
@@ -389,9 +398,7 @@ def run_descent(
     """
     if (problem is None) == (target is None):
         raise ValueError("pass exactly one of problem= or target=")
-    _check_integer("num_steps", num_steps)
-    if num_steps < 0:
-        raise ValueError(f"num_steps must be >= 0, got {num_steps}")
+    _check_integer("num_steps", num_steps, 0)
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     _check_params(algorithm, params)
@@ -420,9 +427,7 @@ def run_descent(
     else:
         if not isinstance(initial, MixtureState):
             raise ValueError("Monte Carlo descent needs a MixtureState")
-        _check_integer("sample_count", sample_count)
-        if sample_count < 1:
-            raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+        _check_integer("sample_count", sample_count, 1)
         if rng is None:
             raise ValueError("Monte Carlo descent needs an rng")
         # the weights may have been changed since the state was built
@@ -530,10 +535,8 @@ class RateConstants:
             raise ValueError(
                 f"rate constants need alpha != 1 and (alpha-1)*shift > 0, got {params}"
             )
-        if not np.isfinite(grad_bound) or grad_bound <= 0:
-            raise ValueError(f"grad_bound must be positive and finite, got {grad_bound}")
-        if num_components < 1:
-            raise ValueError(f"num_components must be >= 1, got {num_components}")
+        _check_float("grad_bound", grad_bound, positive=True)
+        _check_integer("num_components", num_components, 1)
         alpha, eta, shift = params.alpha, params.step_size, params.shift
         margin = 1.0 - eta * grad_bound / abs(shift)
         if margin <= 0:
@@ -563,8 +566,7 @@ def rate_bound(constants, num_steps, params, num_components):
     Valid from a uniform start over ``num_components`` components; decays
     like 1/N.
     """
-    if num_steps < 1:
-        raise ValueError(f"num_steps must be >= 1, got {num_steps}")
+    _check_integer("num_steps", num_steps, 1)
     if not params.renyi_valid:
         raise ValueError(f"rate bound needs (alpha-1)*shift > 0, got {params}")
     correction = (

@@ -51,9 +51,7 @@ class DescentParams:
 
     def __post_init__(self):
         for name in ("alpha", "step_size", "shift"):
-            _check_float(name, getattr(self, name))
-        if self.step_size <= 0:
-            raise ValueError(f"step_size must be positive, got {self.step_size}")
+            _check_float(name, getattr(self, name), positive=name == "step_size")
 
     @property
     def power_valid(self):

@@ -33,9 +33,7 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
-    _check_integer("sample_count", sample_count)
-    if sample_count < 1:
-        raise ValueError(f"sample_count must be >= 1, got {sample_count}")
+    _check_integer("sample_count", sample_count, 1)
     mixture = state.weights, state.points, state.kernel
     samples = sample_mixture(*mixture, sample_count, rng)
     log_k, log_mix, log_p = sample_logs(*mixture, target, samples)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, as_simplex, kernel_exp, logsumexp
+from .model import GaussianKernel, _check_integer, as_simplex, kernel_exp, logsumexp
 
 __all__ = [
     "MixtureGradient",
@@ -129,8 +129,7 @@ def sample_mixture(weights, points, kernel, size, rng):
     checked: the arrays are those of a :class:`MixtureState`, or iterates a
     step has produced from one, so their callers have checked them once.
     """
-    if size < 1:
-        raise ValueError(f"size must be >= 1, got {size}")
+    _check_integer("size", size, 1)
     cdf = (weights / weights.sum()).cumsum()
     cdf /= cdf[-1]
     idx = cdf.searchsorted(rng.random(size), side="right")

@@ -51,6 +51,14 @@ EXPLORATIONS = ("resample", "mean_update")
 
 CSV_HEADER = ["t", "n", "vr_bound", "psi_exact", "guard_min", "elapsed_ms"]
 
+# The least value of each integer config key, and the float keys that must
+# be positive.
+_MINIMUM = {
+    "num_components": 1, "num_steps": 0, "num_phases": 1, "dim": 1,
+    "replicates": 0, "seed": 0,
+}
+_POSITIVE = {"step_size_base", "target_scale", "init_cov_scale", "bandwidth_coeff"}
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -91,35 +99,25 @@ class ExperimentConfig:
         counts = self.sample_count
         counts = (counts,) if np.ndim(counts) == 0 else tuple(counts)
         for m in counts:
-            _check_integer("sample_count entry", m)
+            _check_integer("sample_count entry", m, 1)
         counts = tuple(int(m) for m in counts)
-        if not counts or any(m < 1 for m in counts):
-            raise ValueError(f"sample_count entries must be >= 1, got {counts}")
+        if not counts:
+            raise ValueError("sample_count must list at least one batch size")
+        repeated = sorted({m for m in counts if counts.count(m) > 1})
+        if repeated:
+            # each entry writes to its own samples_<M> directory
+            raise ValueError(f"sample_count lists {repeated[0]} more than once")
         object.__setattr__(self, "sample_count", counts)
         # each key's type is its annotation, the one the CLI flags read
         for f in fields(self):
             value = getattr(self, f.name)
             if f.type == "int":
-                _check_integer(f.name, value)
+                _check_integer(f.name, value, _MINIMUM[f.name])
                 object.__setattr__(self, f.name, int(value))
             elif f.type == "float":
-                _check_float(f.name, value)
+                _check_float(f.name, value, positive=f.name in _POSITIVE)
             elif f.type == "bool" and not isinstance(value, bool):
                 raise ValueError(f"{f.name} must be true or false, got {value!r}")
-        for name in ("num_components", "num_phases", "dim"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("num_steps", "replicates", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
-        for name in (
-            "step_size_base",
-            "target_scale",
-            "init_cov_scale",
-            "bandwidth_coeff",
-        ):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         # the step parameters run_descent refuses at entry, refused here
         # before any replicate starts
         try:

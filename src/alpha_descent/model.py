@@ -43,14 +43,16 @@ __all__ = [
 LOG_2PI = float(np.log(2.0 * np.pi))
 
 
-def _check_integer(name, value):
+def _check_integer(name, value, minimum):
     # bool is an int subclass; a float such as 2.0 or 100.7 would be
     # truncated or fail mid-run
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value!r}")
 
 
-def _check_float(name, value):
+def _check_float(name, value, positive=False):
     # a string would fail mid-run inside numpy, and true would run as 1.0
     if (
         isinstance(value, bool)
@@ -58,9 +60,15 @@ def _check_float(name, value):
         or not math.isfinite(value)
     ):
         raise ValueError(f"{name} must be a finite number, got {value!r}")
+    if positive and value <= 0:
+        raise ValueError(f"{name} must be positive, got {value!r}")
 
 
-def as_simplex(weights, *, tol=1e-12, name="weights"):
+# the ``tol`` of as_simplex
+_SIMPLEX_TOL = 1e-12
+
+
+def as_simplex(weights, *, name="weights"):
     """Validate and return ``weights`` as a float array on the simplex.
 
     Entries must be finite and nonnegative and sum to one within ``tol``.
@@ -72,6 +80,7 @@ def as_simplex(weights, *, tol=1e-12, name="weights"):
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {w.shape}")
+    tol = _SIMPLEX_TOL
     if w.min() >= 0.0 and w.max() <= 1.0 + tol and abs(w.sum() - 1.0) <= tol:
         return w
     if not np.isfinite(w).all():
@@ -206,8 +215,7 @@ def gaussian_kernel_logpdf(theta, y, bandwidth):
     Returns:
         float, ``-||y - theta||^2 / (2 h^2) - (d/2) log(2 pi h^2)``.
     """
-    if bandwidth <= 0 or not np.isfinite(bandwidth):
-        raise ValueError(f"bandwidth must be positive and finite, got {bandwidth}")
+    _check_float("bandwidth", bandwidth, positive=True)
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     y = np.atleast_1d(np.asarray(y, dtype=float))
     if theta.shape != y.shape:
@@ -219,12 +227,9 @@ def gaussian_kernel_logpdf(theta, y, bandwidth):
 
 def bandwidth_rule(num_components, dim, coeff=1.0):
     """Bandwidth ``coeff * J^(-1/(4+d))`` for ``J`` particles in dimension ``d``."""
-    if num_components < 1:
-        raise ValueError(f"num_components must be >= 1, got {num_components}")
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    if coeff <= 0:
-        raise ValueError(f"coeff must be positive, got {coeff}")
+    _check_integer("num_components", num_components, 1)
+    _check_integer("dim", dim, 1)
+    _check_float("coeff", coeff, positive=True)
     return float(coeff * float(num_components) ** (-1.0 / (4.0 + dim)))
 
 
@@ -241,11 +246,8 @@ class GaussianKernel:
     dim: int
 
     def __post_init__(self):
-        if self.bandwidth <= 0 or not np.isfinite(self.bandwidth):
-            raise ValueError(f"bandwidth must be positive and finite, got {self.bandwidth}")
-        _check_integer("dim", self.dim)
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        _check_float("bandwidth", self.bandwidth, positive=True)
+        _check_integer("dim", self.dim, 1)
         object.__setattr__(self, "dim", int(self.dim))
 
     def logpdf_matrix(self, points, ys):
@@ -280,10 +282,7 @@ class Target:
 
     def __init__(self, log_density, normalisation_hint=None):
         if normalisation_hint is not None:
-            if not np.isfinite(normalisation_hint) or normalisation_hint <= 0:
-                raise ValueError(
-                    f"normalisation_hint must be positive, got {normalisation_hint}"
-                )
+            _check_float("normalisation_hint", normalisation_hint, positive=True)
         self._log_density = log_density
         self.normalisation_hint = normalisation_hint
 
@@ -310,8 +309,7 @@ class GaussianMixtureTarget(Target):
         weights = as_simplex(weights, name="mixture weights")
         if weights.size != n:
             raise ValueError(f"{n} means but {weights.size} weights")
-        if scale <= 0 or not np.isfinite(scale):
-            raise ValueError(f"scale must be positive, got {scale}")
+        _check_float("scale", scale, positive=True)
         self.means = means
         self.weights = weights
         self.scale = float(scale)

@@ -219,6 +219,22 @@ class TestRenyiStep:
         new, _ = renyi_step([0.5, 0.5, 0.0], np.array([0.0, -1.0, 3.0]), params)
         assert new[2] == 0.0
 
+    def test_margin_read_off_weighted_components(self):
+        # D = 1; the weighted margin is 1 - 0.5 (0 + 1) = 0.5, and the
+        # zero-weight component's 1 - 0.5 (100 + 1) = -49.5 is not the step's
+        new, diag = renyi_step([1.0, 0.0], np.array([0.0, 100.0]), DescentParams(2, 0.5))
+        assert new.tolist() == [1.0, 0.0]
+        assert diag.guard_min == 0.5
+
+    def test_log_base_zero_weight_row_not_exponentiated(self):
+        # exp(800 - log D) of the dead row would overflow; nothing reads it
+        grad = MixtureGradient(None, 2.0, log_base=np.array([0.0, 800.0]))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, diag = renyi_step([1.0, 0.0], grad, DescentParams(2, 0.5))
+        assert new.tolist() == [1.0, 0.0]
+        assert diag.guard_min == 0.5
+
 
 def _log_base_gradient(log_a, alpha):
     return MixtureGradient(None, alpha, log_base=log_a)

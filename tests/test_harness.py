@@ -163,6 +163,12 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"{key} must be a finite number"):
             parse_config(path)
 
+    def test_repeated_sample_count_refused(self, tmp_path):
+        # both entries would write to one samples_100/ directory
+        data = {**config_dict(_config()), "sample_count": [100, 64, 100]}
+        with pytest.raises(ValueError, match="^sample_count lists 100 more than once$"):
+            parse_config(_write_json(tmp_path / "bad.json", data))
+
     def test_integer_and_numpy_values_of_float_keys_accepted(self):
         config = _config(algorithm="renyi", alpha=2, shift=np.float64(0.5), target_scale=3)
         assert (config.alpha, config.shift, config.target_scale) == (2, 0.5, 3)
@@ -667,6 +673,28 @@ class TestCli:
             lines = captured.err.splitlines()
             assert len(lines) == 1, captured.err
             assert lines[0].startswith("alpha-descent run: error: ")
+
+    @pytest.mark.parametrize(
+        "counts, flags", [([16, 16], []), ([16], ["--sample-count", "16,8,16"])]
+    )
+    def test_repeated_sample_count_is_one_error_line_before_any_run(
+        self, tmp_path, capsys, monkeypatch, counts, flags
+    ):
+        def refuse(config):
+            raise AssertionError("a replicate ran")
+
+        monkeypatch.setattr(cli, "run_experiment", refuse)
+        config = self._smoke_config(tmp_path, sample_count=counts)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", config, "--out", str(out), *flags])
+        assert info.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "alpha-descent run: error: sample_count lists 16 more than once"
+        ]
+        assert not out.exists()
 
     def test_check_subcommand_passes(self, capsys):
         with pytest.raises(SystemExit) as info:

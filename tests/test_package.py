@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import os
 import pkgutil
 import re
@@ -12,16 +13,33 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import alpha_descent
-from alpha_descent.descent import StepDiagnostics
+from alpha_descent.descent import (
+    RateConstants,
+    StepDiagnostics,
+    kl_step,
+    rate_bound,
+    run_descent,
+)
+from alpha_descent.divergence import DescentParams
+from alpha_descent.explore import explore_mean_update
 from alpha_descent.gradient import (
     MixtureGradient,
     MixtureState,
     gradient_monte_carlo_from_logs,
+    sample_mixture,
 )
-from alpha_descent.model import GaussianKernel
+from alpha_descent.harness import ExperimentConfig
+from alpha_descent.model import (
+    GaussianKernel,
+    GaussianMixtureTarget,
+    Target,
+    bandwidth_rule,
+    gaussian_kernel_logpdf,
+)
 
 
 def test_import_loads_no_scipy():
@@ -115,3 +133,151 @@ def test_perfbench_patch_points_resolve():
         if owner is None or attr not in vars(owner):
             missing.append(f"{module_name}.{attr_path}")
     assert missing == []
+
+
+def test_range_checks_live_in_the_two_model_helpers():
+    # A count or a positive real is checked by one call to
+    # model._check_integer or model._check_float, which carry the range; a
+    # raise that states a range anywhere else is a second copy of the rule.
+    src = Path(alpha_descent.__file__).resolve().parent
+    helpers = {"_check_integer", "_check_float"}
+    inline = []
+    for path in sorted(src.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = {
+            id(node)
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name in helpers
+            for node in ast.walk(fn)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Raise) and id(node) not in allowed:
+                text = ast.unparse(node)
+                if "must be >=" in text or "must be positive" in text:
+                    inline.append(f"{path.relative_to(src)}:{node.lineno}: {text}")
+    assert inline == []
+
+
+_PARAMS = DescentParams(2.0, 0.1, shift=0.5)
+_CONSTANTS = RateConstants.from_grad_bound(1.0, _PARAMS, 10)
+_STATE = MixtureState(
+    np.full(2, 0.5), np.array([[1.0, 0.0], [-1.0, 0.0]]), GaussianKernel(1.0, 2)
+)
+_TARGET = GaussianMixtureTarget([[0.0, 0.0]])
+_CONFIG = dict(
+    algorithm="emd", alpha=0.5, step_size_base=0.3, num_components=4,
+    sample_count=(8,), num_steps=2, num_phases=2, dim=2, replicates=1, seed=3,
+)
+
+
+def _config(key, x):
+    if key == "sample_count":
+        x = [x]
+    return ExperimentConfig(**{**_CONFIG, key: x})
+
+
+# (site, argument as the message names it, least value, call with it set to
+# x).  A call that draws samples takes the generator ``rng``.
+COUNTS = [
+    ("bandwidth_rule", "num_components", 1, lambda x, rng: bandwidth_rule(x, 2)),
+    ("bandwidth_rule", "dim", 1, lambda x, rng: bandwidth_rule(16, x)),
+    ("GaussianKernel", "dim", 1, lambda x, rng: GaussianKernel(1.0, x)),
+    (
+        "run_descent", "num_steps", 0,
+        lambda x, rng: run_descent(
+            _STATE, DescentParams(0.5, 0.5), "emd", x, target=_TARGET,
+            sample_count=8, rng=rng,
+        ),
+    ),
+    (
+        "run_descent", "sample_count", 1,
+        lambda x, rng: run_descent(
+            _STATE, DescentParams(0.5, 0.5), "emd", 2, target=_TARGET,
+            sample_count=x, rng=rng,
+        ),
+    ),
+    (
+        "RateConstants.from_grad_bound", "num_components", 1,
+        lambda x, rng: RateConstants.from_grad_bound(1.0, _PARAMS, x),
+    ),
+    ("rate_bound", "num_steps", 1, lambda x, rng: rate_bound(_CONSTANTS, x, _PARAMS, 10)),
+    (
+        "sample_mixture", "size", 1,
+        lambda x, rng: sample_mixture(
+            _STATE.weights, _STATE.points, _STATE.kernel, x, rng
+        ),
+    ),
+    (
+        "explore_mean_update", "sample_count", 1,
+        lambda x, rng: explore_mean_update(_STATE, _TARGET, x, 0.5, rng),
+    ),
+    *[
+        ("ExperimentConfig", name, least, lambda x, rng, key=key: _config(key, x))
+        for key, name, least in (
+            ("num_components", "num_components", 1),
+            ("num_steps", "num_steps", 0),
+            ("num_phases", "num_phases", 1),
+            ("dim", "dim", 1),
+            ("replicates", "replicates", 0),
+            ("seed", "seed", 0),
+            ("sample_count", "sample_count entry", 1),
+        )
+    ],
+]
+
+POSITIVE_REALS = [
+    (
+        "gaussian_kernel_logpdf", "bandwidth",
+        lambda x: gaussian_kernel_logpdf([0.0], [0.0], x),
+    ),
+    ("bandwidth_rule", "coeff", lambda x: bandwidth_rule(16, 2, coeff=x)),
+    ("GaussianKernel", "bandwidth", lambda x: GaussianKernel(x, 2)),
+    ("Target", "normalisation_hint", lambda x: Target(np.sum, normalisation_hint=x)),
+    ("GaussianMixtureTarget", "scale", lambda x: GaussianMixtureTarget([[0.0]], scale=x)),
+    ("kl_step", "step_size", lambda x: kl_step([0.5, 0.5], np.zeros(2), x)),
+    (
+        "RateConstants.from_grad_bound", "grad_bound",
+        lambda x: RateConstants.from_grad_bound(x, _PARAMS, 10),
+    ),
+    ("DescentParams", "step_size", lambda x: DescentParams(0.5, x)),
+    *[
+        ("ExperimentConfig", key, lambda x, key=key: _config(key, x))
+        for key in ("step_size_base", "target_scale", "init_cov_scale", "bandwidth_coeff")
+    ],
+]
+
+REFUSED = [
+    pytest.param(name, call, x, id=f"{site}-{name}-{x!r}")
+    for site, name, least, call in COUNTS
+    for x in (True, "1", math.nan, math.inf, least - 1, 2.5)
+] + [
+    pytest.param(name, lambda x, rng, call=call: call(x), x, id=f"{site}-{name}-{x!r}")
+    for site, name, call in POSITIVE_REALS
+    for x in (True, "1", math.nan, math.inf, 0.0)
+]
+
+
+@pytest.mark.parametrize("name, call, value", REFUSED)
+def test_refused_input_names_its_argument(name, call, value):
+    # True, strings, NaN and infinities are refused as a bad input, not
+    # run as 1.0, left to fail inside numpy or read as a guard verdict;
+    # a call that samples refuses before its generator draws
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{re.escape(name)} must be "):
+        call(value, rng)
+    assert rng.bit_generator.state == before
+
+
+ACCEPTED = [
+    pytest.param(call, np.int64(16), id=f"{site}-{name}")
+    for site, name, _, call in COUNTS
+] + [
+    pytest.param(lambda x, rng, call=call: call(x), np.float32(0.5), id=f"{site}-{name}")
+    for site, name, call in POSITIVE_REALS
+]
+
+
+@pytest.mark.parametrize("call, value", ACCEPTED)
+def test_numpy_scalars_accepted(call, value):
+    call(value, np.random.default_rng(0))
