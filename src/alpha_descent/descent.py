@@ -24,6 +24,11 @@ in the log domain:
 The renyi form drops the constant ``step / ((alpha-1) D)``, which cancels
 when the weights are renormalised.  Such a gradient has no values, so the
 emd, kl and unweighted renyi updates refuse it.
+
+In Monte Carlo mode every update, ``log A_j`` or values, is read from one
+:class:`~alpha_descent.model.SampleBatch` per iterate: one distance
+product and one exp pass over the ``(J, M)`` kernel block, which the
+iterate's sampled bound reads too.
 """
 
 from __future__ import annotations
@@ -365,9 +370,10 @@ def run_descent(
     finiteness (or, for ``log A_j``, no NaN or ``+inf``);
     ``problem.log_mixture`` checks the weights' shape, sign and
     finiteness; the exact objective checks that each density ratio is
-    positive and finite; the Monte Carlo gradient checks its weights and
-    the shapes of its batch.  On valid input each check is a minimum, a
-    maximum or a sum; the conditions are told apart only when one fails.
+    positive and finite; the Monte Carlo gradient checks the shapes of
+    its batch, which carries the weights it was drawn under.  On valid
+    input each check is a minimum, a maximum, a sum or a shape; the
+    conditions are told apart only when one fails.
     The Monte Carlo mode reads the state's points and kernel once, at
     entry, and draws every batch from them under the current iterate; it
     builds no state per step.
@@ -383,10 +389,10 @@ def run_descent(
     update and the weighted renyi update read ``log A_j``, the positive
     estimate of their base (see :mod:`alpha_descent.gradient`); the other
     updates and the exact mode read the gradient values.  In Monte Carlo
-    mode those values come from the kernel matrix that the batch's ``log
-    q`` pass exponentiated in place (``sample_logs(..., exp_kernel=True)``),
-    and the batch is let go once its gradient is read, so a step holds one
-    kernel matrix.
+    mode both come from the one kernel block that ``sample_logs``
+    exponentiated in place (a :class:`~alpha_descent.model.SampleBatch`),
+    and the batch is let go once its gradient is read, so a step of any arm
+    holds one kernel matrix.
 
     ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
     the weights by less than the tolerance in l1 norm; by default the run
@@ -439,28 +445,22 @@ def run_descent(
         batch = None  # the scored iterate's monitor batch
 
         def draw(w):
-            """``(log k, log q, log p)`` of a new batch drawn under ``w``; for
-            the values arms ``(E, total)`` in place of ``log k``."""
+            """The :class:`SampleBatch` of a new batch drawn under ``w``."""
             samples = sample_mixture(w, points, kernel, sample_count, rng)
-            return sample_logs(
-                w, points, kernel, target, samples, exp_kernel=not log_base
-            )
+            return sample_logs(w, points, kernel, target, samples)
 
         def gradient(w):
             nonlocal batch
-            matrix, log_q, log_p = batch if batch is not None else draw(w)
+            logs = batch if batch is not None else draw(w)
             batch = None  # read once; freed before the next draw makes its own
-            return gradient_monte_carlo_from_logs(
-                matrix, log_p, w, grad_alpha, log_base=log_base, log_mixture=log_q
-            )
+            return gradient_monte_carlo_from_logs(logs, grad_alpha, log_base=log_base)
 
         def score(w):
             nonlocal batch
             if params.alpha == 1.0:
                 return np.nan, np.nan
             batch = draw(w)
-            _, log_q, log_p = batch
-            return vr_bound_from_logs(log_p, log_q, params.alpha), np.nan
+            return vr_bound_from_logs(batch.log_p, batch.log_q, params.alpha), np.nan
 
     trace = DescentTrace(status="completed")
 
@@ -560,11 +560,11 @@ class RateConstants:
         )
 
 
-def rate_bound(constants, num_steps, params, num_components):
+def rate_bound(constants, num_steps, params):
     """Upper bound on the objective gap after ``num_steps`` renyi updates.
 
-    Valid from a uniform start over ``num_components`` components; decays
-    like 1/N.
+    Valid from a uniform start over the components ``constants`` was built
+    for (its ``kl_init_bound`` is their ``log J``); decays like 1/N.
     """
     _check_integer("num_steps", num_steps, 1)
     if not params.renyi_valid:

@@ -29,21 +29,30 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
         gamma_j(y) = k(theta_j, y) / mix(y) * (mix(y) / p(y))^(alpha - 1),
 
     self-normalised over the batch.  Only sensible for ``alpha`` in [0, 1),
-    where the second factor rewards regions the mixture underweights.
+    where the second factor rewards regions the mixture underweights.  The
+    weights are the terms of ``M A_j`` at this ``alpha`` (see
+    :mod:`alpha_descent.gradient`), read off the batch's kernel block, and
+    ``M A_j`` is each row's normaliser; a row whose normaliser falls below
+    the normal float range is normalised in the log domain.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
     _check_integer("sample_count", sample_count, 1)
     mixture = state.weights, state.points, state.kernel
     samples = sample_mixture(*mixture, sample_count, rng)
-    log_k, log_mix, log_p = sample_logs(*mixture, target, samples)
-    log_gamma = log_k - log_mix + (alpha - 1.0) * (log_mix - log_p)
-    row_norm = logsumexp(log_gamma, axis=1)
-    if not np.all(np.isfinite(row_norm)):
-        bad = int(np.flatnonzero(~np.isfinite(row_norm))[0])
-        raise ValueError(
-            f"importance weights for particle {bad} degenerated "
-            f"(log normaliser {row_norm[bad]!r})"
-        )
-    w = np.exp(log_gamma - row_norm[:, None])
-    return w @ samples
+    batch = sample_logs(*mixture, target, samples)
+    t, _ = batch.tilt(alpha)
+    sums, rows, exps = batch.tilted_sums(t)
+    new = batch.ratio @ (np.exp(t)[:, None] * samples)
+    new /= sums[:, None]
+    if rows is not None:
+        row_norm = logsumexp(exps, axis=1)
+        if not np.all(np.isfinite(row_norm)):
+            bad = np.flatnonzero(~np.isfinite(row_norm))[0]
+            raise ValueError(
+                f"importance weights for particle {rows[bad]} degenerated "
+                f"(log normaliser {row_norm[bad]!r})"
+            )
+        exps -= row_norm[:, None]
+        new[rows] = np.exp(exps, out=exps) @ samples
+    return new

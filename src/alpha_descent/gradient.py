@@ -22,10 +22,18 @@ the exact value 1 in place of ``c_j``: the base is ``A_j`` itself, still
 unbiased.  A :class:`MixtureGradient` from it carries ``log A_j`` alone, and
 only the power and weighted renyi updates accept it.
 
-The emd, kl and unweighted renyi updates read the literal mean of the
-values.  Its ratios ``k_j / mix`` come from the matrix ``E = exp(log k -
-peak)`` that also gives ``log mix`` (:func:`alpha_descent.model.kernel_exp`),
-so a Monte Carlo step exponentiates its kernel matrix once.
+Both estimates read the kernel block ``E`` of a
+:class:`~alpha_descent.model.SampleBatch`, which the batch exponentiated
+once against the kernel's peak density.  The emd, kl and unweighted renyi
+updates read the literal mean of the values, ``E @ (f' / total) / M``,
+since ``E_j / total`` is ``k_j / mix``.  The power and weighted renyi
+updates read ``log A_j = log_peak + S + log(E_j @ exp(c - S)) - log M``,
+with ``c = shift + (alpha-2) log mix - (alpha-1) log p`` and ``S = max
+c``: one matrix-vector product, with every exponentiated number at most 1
+on the weighted rows.  A row whose product falls below the normal float
+range, as it does for a particle far from every sample, is summed in the
+log domain from its exponents instead, so ``log A_j`` is never ``-inf``
+where the log domain gives a finite value.
 """
 
 from __future__ import annotations
@@ -35,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, _check_integer, as_simplex, kernel_exp, logsumexp
+from .model import GaussianKernel, _check_integer, as_simplex, logsumexp
 
 __all__ = [
     "MixtureGradient",
@@ -139,79 +147,39 @@ def sample_mixture(weights, points, kernel, size, rng):
     return z
 
 
-def gradient_monte_carlo_from_logs(
-    log_kernel, log_target, weights, alpha, *, log_base=False, log_mixture=None
-):
-    """Monte Carlo gradient from precomputed log evaluations.
+def gradient_monte_carlo_from_logs(batch, alpha, *, log_base=False):
+    """Monte Carlo gradient from a batch's log evaluations.
 
     Args:
-        log_kernel: the batch's kernel in the form
-            :func:`alpha_descent.model.sample_logs` returned it: the
-            ``(J, M)`` matrix of log kernel values at the samples, or, from
-            ``sample_logs(..., exp_kernel=True)``, the tuple ``(E, total)``
-            of :func:`alpha_descent.model.kernel_exp` under ``weights``.
-            The pair needs its ``log q`` as ``log_mixture`` and gives no
-            ``log_base``.
-        log_target: ``(M,)`` log target values at the samples.
-        weights: simplex weights the samples were drawn under.
+        batch: the :class:`~alpha_descent.model.SampleBatch` of
+            :func:`alpha_descent.model.sample_logs`, drawn under the
+            weights of the mixture the gradient is taken at.
         alpha: divergence order.
         log_base: if true (``alpha != 1`` only), use the positive estimator
-            of the module docstring: the result carries ``log A_j``, by a
-            max-subtracted log-sum-exp over the samples, and no values.
-            Otherwise the values are the literal sample mean.
-        log_mixture: ``(M,)`` log mixture values under ``weights`` at the
-            samples, when the caller already has them (the ``log q`` of
-            :func:`alpha_descent.model.sample_logs`); computed here
-            otherwise.
+            of the module docstring: the result carries ``log A_j`` and no
+            values.  Otherwise the values are the literal sample mean.
 
     All density ratios are formed as differences of logs; ``f'`` of the
     ratio goes through ``expm1`` so the estimate stays finite even when the
-    ratio itself would underflow.  The literal mean, which the emd, kl and
-    unweighted renyi updates read, takes ``k_j / mix`` as ``E_j / total``
-    from the one exp pass of :func:`~alpha_descent.model.kernel_exp` that
-    also gives ``log q`` (run here on a copy of ``log k`` when the pair is
-    not given), and is one matrix-vector product, ``E @ (f' / total) / M``.
-    ``log A_j``, which the power and weighted renyi updates read, is a
-    log-sum-exp over ``log k`` itself: built from ``E`` in the linear
-    domain it would underflow to ``-inf`` when the particles are spread.
+    ratio itself would underflow.  Both forms cost one matrix-vector
+    product over the batch's kernel block (module docstring).
     """
-    weights = as_simplex(weights)
-    if isinstance(log_kernel, tuple):
-        if log_base or log_mixture is None:
-            raise ValueError(
-                "the (E, total) pair needs its log_mixture and gives no log_base"
-            )
-        matrix, total = log_kernel
-    else:
-        matrix, total = np.asarray(log_kernel, dtype=float), None
-    log_target = np.asarray(log_target, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != weights.size:
-        raise ValueError(
-            f"log_kernel must have shape ({weights.size}, M), got {matrix.shape}"
-        )
-    if log_target.shape != (matrix.shape[1],) or log_target.size == 0:
-        raise ValueError("log_target must hold one value per sample")
+    matrix = batch.ratio
     count = matrix.shape[1]
-    if log_mixture is not None:
-        log_mix = np.asarray(log_mixture, dtype=float)
-        if log_mix.shape != (count,):
-            raise ValueError("log_mixture must hold one value per sample")
+    if batch.log_p.shape != (count,) or batch.log_q.shape != (count,):
+        raise ValueError(
+            f"the batch's log_q and log_p must hold one value per sample ({count})"
+        )
     if log_base:
-        if log_mixture is None:
-            log_mix = logsumexp(matrix, axis=0, b=weights)
-        # log(k_j / mix * u^(alpha-1)) = log k_j + (alpha-2) log mix
-        #                                - (alpha-1) log p
-        terms = matrix + ((alpha - 2.0) * log_mix - (alpha - 1.0) * log_target)
-        log_a = logsumexp(terms, axis=1) - np.log(count)
+        t, log_scale = batch.tilt(alpha)
+        sums, rows, exps = batch.tilted_sums(t)
+        log_a = np.log(sums, out=sums)
+        if rows is not None:
+            log_a[rows] = logsumexp(exps, axis=1)
+        log_a += log_scale - np.log(count)
         return MixtureGradient(None, alpha, log_base=log_a)
-    if total is None:
-        matrix, total, own = kernel_exp(matrix, weights, out=np.empty(matrix.shape))
-        if log_mixture is None:
-            log_mix = own
-    elif np.shape(total) != (count,):
-        raise ValueError("the pair's total must hold one value per sample")
-    deriv = amari_alpha_deriv_log(log_mix - log_target, alpha)
-    deriv /= total
+    deriv = amari_alpha_deriv_log(batch.log_q - batch.log_p, alpha)
+    deriv /= batch.total
     values = matrix @ deriv
     values /= count
     return MixtureGradient(values, alpha)

@@ -3,24 +3,25 @@
 All density evaluations live in the log domain.  At dimension 16 a Gaussian
 kernel value at a typical inter-particle distance underflows float64 in the
 linear domain, so values only leave log space inside a log-sum-exp or when
-they are provably O(1).
+they are provably at most O(1), as kernel values taken against the
+kernel's peak density are; a sum of them that underflows is recomputed in
+the log domain.
 
-One path turns a sample batch into ``(log k, log q, log p)``:
-:meth:`GaussianKernel.logpdf_matrix` for the kernel matrix (squared
-distances through one matrix product, :func:`squared_distances`), the
-mixture weights for ``log q``, and the target's ``log_density``;
-:func:`sample_logs` returns the three together.  Its ``log q`` comes from
-one of two passes over the kernel matrix.  For the power and weighted
-renyi gradients, which read ``log A_j`` in the log domain, it is
-:func:`logsumexp` and ``log k`` is kept.  For the emd, kl and unweighted
-renyi gradients, which read the literal mean, it is :func:`kernel_exp`,
-which exponentiates the matrix in place; the gradient then reads that
-matrix, so a step makes one exp pass over it.
+One path turns a sample batch into what every Monte Carlo consumer reads:
+:func:`sample_logs` forms one matrix product of the augmented sample rows
+(:func:`squared_distances`) against the particle rows and, for a
+:class:`GaussianMixtureTarget`, the target's mean rows, and returns a
+:class:`SampleBatch`.  The kernel block is exponentiated in place against
+the kernel's own peak density, so it is bounded by 1 and no row can
+overflow; ``log q`` is the log of its weighted column sums, and ``log p``
+the weighted log-sum-exp of the target block.  The gradient, the
+monitor and exploration all read that one product and that one exp pass.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -30,11 +31,11 @@ __all__ = [
     "FiniteSupportProblem",
     "GaussianKernel",
     "GaussianMixtureTarget",
+    "SampleBatch",
     "Target",
     "as_simplex",
     "bandwidth_rule",
     "gaussian_kernel_logpdf",
-    "kernel_exp",
     "logsumexp",
     "sample_logs",
     "squared_distances",
@@ -146,59 +147,32 @@ def logsumexp(a, axis=-1, b=None):
     return out.reshape(rest)[()]
 
 
-def kernel_exp(log_k, weights, out=None):
-    """``(E, total, log q)`` of a ``(J, M)`` log kernel matrix, in one exp pass.
-
-    ``E = exp(log k - peak)`` for every row, zero weights included, with
-    the peak of each column taken over the weighted rows only, as
-    :func:`logsumexp` takes it; ``total = weights @ E`` over the weighted
-    rows, and ``log q = peak + log total`` is the log-mixture.  ``E_j /
-    total`` is the ratio ``k_j / q`` at each sample, so the gradient reads
-    ``E`` instead of exponentiating the kernel matrix a second time.  ``E``
-    goes to ``out``, which may be ``log_k`` itself.  A zero-weight row that
-    sits more than about 709 above the peak gives ``inf`` in ``E``, as its
-    ratio to ``q`` would; it never reaches ``total``.
-    """
-    keep = weights > 0
-    dense = keep.all()
-    if dense:
-        peak = log_k.max(axis=0)
-    else:
-        peak = np.maximum.reduce(log_k, axis=0, where=keep[:, None], initial=-np.inf)
-    peak[~np.isfinite(peak)] = 0.0
-    e = np.subtract(log_k, peak, out=out)
-    np.exp(e, out=e)
-    total = weights @ e if dense else weights[keep] @ e[keep]
-    log_q = np.empty_like(total)
-    log_q.fill(-np.inf)
-    np.log(total, out=log_q, where=total != 0)
-    log_q += peak
-    return e, total, log_q
-
-
 def squared_distances(x, y, scale=1.0, offset=0.0):
     """``scale * ||x_i - y_m||^2 + offset`` for the rows of two 2-d arrays.
 
-    Returns shape ``(len(x), len(y))``.  Both sets are first shifted by the
-    mean of ``y``, so that rounding scales with the spread of the points
-    rather than with their distance from the origin; the centre comes from
-    ``y`` alone, so one row of ``x`` never moves the values of another.  The
-    expansion ``||x||^2 + ||y||^2 - 2 x.y`` is then a single matrix product
-    of the augmented rows ``[-2 scale x_i, scale ||x_i||^2 + offset, scale]``
-    and ``[y_m, 1, ||y_m||^2]``, which also applies ``scale`` and
-    ``offset``.  Its rounding error is relative to
-    ``||x_i - c||^2 + ||y_m - c||^2``, not to the distance itself.
+    Returns shape ``(len(x), len(y))``.  ``scale`` and ``offset`` are scalars
+    or hold one entry per row of ``x``, so that one product serves rows of
+    different kinds.  Both sets are first shifted by the mean of ``y``, so
+    that rounding scales with the spread of the points rather than with
+    their distance from the origin; the centre comes from ``y`` alone, so
+    one row of ``x`` never moves the values of another.  The expansion
+    ``||x||^2 + ||y||^2 - 2 x.y`` is then a single matrix product of the
+    augmented rows ``[-2 scale_i x_i, scale_i ||x_i||^2 + offset_i,
+    scale_i]`` and ``[y_m, 1, ||y_m||^2]``, which also applies ``scale``
+    and ``offset``.  Its rounding error is relative to ``||x_i - c||^2 +
+    ||y_m - c||^2``, not to the distance itself.
     """
     centre = np.add.reduce(y, axis=0)
     centre /= len(y)
     d = x.shape[1]
+    scale = np.asarray(scale, dtype=float)
     left = np.empty((x.shape[0], d + 2))
     right = np.empty((y.shape[0], d + 2))
     np.subtract(x, centre, out=left[:, :d])
     np.subtract(y, centre, out=right[:, :d])
     left[:, d] = scale * np.einsum("ij,ij->i", left[:, :d], left[:, :d]) + offset
     left[:, d + 1] = scale
-    left[:, :d] *= -2.0 * scale
+    left[:, :d] *= -2.0 * scale[..., None]
     right[:, d] = 1.0
     right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d])
     return left @ right.T
@@ -250,6 +224,11 @@ class GaussianKernel:
         _check_integer("dim", self.dim, 1)
         object.__setattr__(self, "dim", int(self.dim))
 
+    @property
+    def log_peak(self):
+        """The log density at the kernel's centre, ``-(d/2) log(2 pi h^2)``."""
+        return -0.5 * self.dim * (LOG_2PI + 2.0 * np.log(self.bandwidth))
+
     def logpdf_matrix(self, points, ys):
         """Matrix of ``log k(points[j], ys[m])`` with shape ``(J, M)``."""
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -259,12 +238,8 @@ class GaussianKernel:
                 f"expected points of dimension {self.dim}, "
                 f"got {points.shape[1]} and {ys.shape[1]}"
             )
-        h = self.bandwidth
         return squared_distances(
-            points,
-            ys,
-            scale=-0.5 / h**2,
-            offset=-0.5 * self.dim * (LOG_2PI + 2.0 * np.log(h)),
+            points, ys, scale=-0.5 / self.bandwidth**2, offset=self.log_peak
         )
 
 
@@ -314,45 +289,154 @@ class GaussianMixtureTarget(Target):
         self.weights = weights
         self.scale = float(scale)
         self._log_scale = np.log(self.scale)
+        # a mean row of squared_distances at scale -1/2 and this offset is
+        # the log density of one unit-covariance component
+        self._row_offset = -0.5 * means.shape[1] * LOG_2PI
         super().__init__(self._eval, normalisation_hint=float(scale))
 
-    def _eval(self, y):
-        ys = np.atleast_2d(y)
+    def _check_dim(self, ys):
         if ys.shape[1] != self.means.shape[1]:
             raise ValueError(
                 f"dimension mismatch: target is {self.means.shape[1]}-dimensional, "
                 f"got points of dimension {ys.shape[1]}"
             )
-        d = self.means.shape[1]
-        comp = squared_distances(self.means, ys, scale=-0.5, offset=-0.5 * d * LOG_2PI)
+
+    def _from_rows(self, comp):
+        """``log p`` from the component rows, the weighted log-sum-exp."""
         out = logsumexp(comp, axis=0, b=self.weights)
         out += self._log_scale
+        return out
+
+    def _eval(self, y):
+        ys = np.atleast_2d(y)
+        self._check_dim(ys)
+        comp = squared_distances(self.means, ys, scale=-0.5, offset=self._row_offset)
+        out = self._from_rows(comp)
         return out[0] if np.ndim(y) == 1 else out
 
 
-def sample_logs(weights, points, kernel, target, samples, *, exp_kernel=False):
-    """``(log k, log q, log p)`` of a sample batch ``(M, d)``.
+# The smallest normal float.  A column or row sum of the kernel block below
+# it has lost digits to underflow, and is recomputed from the locations.
+_TINY = np.finfo(float).tiny
 
-    ``log k`` is the ``(J, M)`` kernel matrix of every component, zero
-    weights included; ``log q`` the mixture under ``weights``, which no
-    zero-weight component enters, and ``log p`` the target, both ``(M,)``.
 
-    With ``exp_kernel``, for a gradient that reads its values rather than
-    ``log A_j``, the first entry is the pair ``(E, total)`` of
-    :func:`kernel_exp` instead: the kernel matrix exponentiated in place by
-    the pass that gives ``log q``, so ``log k`` itself is not kept.
-    Otherwise ``log q`` is :func:`logsumexp` of ``log k``.
+@dataclass(frozen=True, slots=True, eq=False)
+class SampleBatch:
+    """One Monte Carlo batch, as the gradient, the monitor and exploration read it.
+
+    ``ratio`` is the ``(J, M)`` kernel block ``E = exp(log k - log_peak -
+    shift)`` of every component, zero weights included, and ``total`` its
+    weighted column sums, so that ``E_j / total`` is the ratio ``k_j / q``
+    at each sample and ``log q = log_peak + shift + log total``.
+    ``log_peak`` is the kernel's log density at its centre, so ``E <= 1``
+    wherever ``shift`` is 0.  ``shift`` is 0 except in a column whose total
+    fell below the normal float range: that column is taken against the
+    peak of its weighted rows instead, and a zero-weight row more than
+    about 709 above that peak reads ``inf`` there, as its ratio to ``q``
+    would.  ``log_p`` is the target at the samples.  ``log_rows`` maps
+    component indices to their ``log k - log_peak`` at every sample,
+    recomputed in the log domain for a row whose sums underflow.
+    """
+
+    ratio: np.ndarray
+    total: np.ndarray
+    shift: np.ndarray
+    log_q: np.ndarray
+    log_p: np.ndarray
+    log_peak: float
+    log_rows: Callable[[np.ndarray], np.ndarray]
+
+    def tilt(self, alpha):
+        """``(t, log_scale)`` with ``t <= 0``, such that at each sample
+
+            k_j / q * (q / p)^(alpha - 1) = E_j * exp(t + log_scale).
+
+        ``t`` is ``c - max c`` for ``c = shift + (alpha-2) log q - (alpha-1)
+        log p``, so ``exp(t)`` never overflows.
+        """
+        c = (alpha - 2.0) * self.log_q
+        c -= (alpha - 1.0) * self.log_p
+        c += self.shift
+        top = c.max()
+        c -= top
+        return c, self.log_peak + top
+
+    def tilted_sums(self, t):
+        """``(sums, rows, exps)``: the row sums ``E @ exp(t)`` of a tilt.
+
+        A row whose sum falls outside the normal float range has lost its
+        digits to underflow (or read an ``inf`` of ``E``); its index is in
+        ``rows``, its ``sums`` entry reads 1, and ``exps`` holds its
+        exponents ``log E_j + t``, recomputed from the locations, for the
+        caller to sum in the log domain.  ``rows`` and ``exps`` are None
+        when every row is in range.
+        """
+        sums = self.ratio @ np.exp(t)
+        if sums.min() >= _TINY and sums.max() < np.inf:
+            return sums, None, None
+        rows = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
+        sums[rows] = 1.0
+        exps = self.log_rows(rows)
+        exps -= self.shift
+        exps += t
+        return sums, rows, exps
+
+
+def sample_logs(weights, points, kernel, target, samples):
+    """The :class:`SampleBatch` of a sample batch ``(M, d)`` under ``weights``.
+
+    One call to :func:`squared_distances` gives the particle rows, at scale
+    ``-1/(2 h^2)`` and no offset, and, for a :class:`GaussianMixtureTarget`,
+    the target's mean rows, at their own scale and offset; ``log p`` is then
+    the weighted log-sum-exp of that block.  A plain :class:`Target` is read
+    through its ``log_density``.  The kernel block is exponentiated in
+    place, and ``weights @ E`` gives ``log q``, which no zero-weight
+    component enters.  A column whose weighted sum falls below the normal
+    float range (a sample far from every weighted particle) is recomputed
+    from the samples against the peak of its weighted rows, so ``log q``
+    stays exact.
 
     No validation: callers check their inputs.
     """
-    log_k = kernel.logpdf_matrix(points, samples)
-    if exp_kernel:
-        e, total, log_q = kernel_exp(log_k, weights, out=log_k)
-        matrix = e, total
+    j = len(points)
+    scale = -0.5 / kernel.bandwidth**2
+    if isinstance(target, GaussianMixtureTarget):
+        target._check_dim(samples)
+        scales = np.full(j + len(target.means), -0.5)
+        scales[:j] = scale
+        offset = np.zeros(scales.size)
+        offset[j:] = target._row_offset
+        block = squared_distances(
+            np.concatenate((points, target.means)), samples, scales, offset
+        )
+        log_p = target._from_rows(block[j:])
     else:
-        log_q = logsumexp(log_k, axis=0, b=weights)
-        matrix = log_k
-    return matrix, log_q, target.log_density(samples)
+        block = squared_distances(points, samples, scale=scale)
+        log_p = target.log_density(samples)
+    log_peak = kernel.log_peak
+    ratio = np.exp(block[:j], out=block[:j])
+    total = weights @ ratio
+    shift = np.zeros(total.size)
+    if not total.min() >= _TINY:
+        cols = np.flatnonzero(~(total >= _TINY))
+        keep = weights > 0
+        part = squared_distances(points, samples[cols], scale=scale)
+        peak = np.maximum.reduce(part, axis=0, where=keep[:, None], initial=-np.inf)
+        peak[~np.isfinite(peak)] = 0.0
+        part -= peak
+        with np.errstate(over="ignore"):  # a zero-weight row far above the peak reads inf
+            np.exp(part, out=part)
+        ratio[:, cols] = part
+        shift[cols] = peak
+        total[cols] = weights[keep] @ part[keep]
+    log_q = np.full(total.size, -np.inf)
+    np.log(total, out=log_q, where=total > 0)
+    log_q += shift
+    log_q += log_peak
+    return SampleBatch(
+        ratio, total, shift, log_q, log_p, log_peak,
+        lambda rows: squared_distances(points[rows], samples, scale=scale),
+    )
 
 
 @dataclass(frozen=True)
@@ -435,6 +519,21 @@ class FiniteSupportProblem:
             raise ValueError("mixture weights are all zero")
         # Entries are O(1) by row normalisation, so the linear sum is safe.
         return np.log(weights @ self.kernel_matrix)
+
+    def sample_batch(self, weights, atoms):
+        """The :class:`SampleBatch` of the atoms ``atoms`` (indices) under ``weights``.
+
+        The Monte Carlo estimators then run on the finite support, with the
+        atoms drawn from :meth:`atom_probs` in place of samples.  The kernel
+        entries are O(1) by row normalisation, so they are the batch's
+        kernel block as they stand: no peak density and no shift.
+        """
+        ratio = self.kernel_matrix[:, atoms]
+        log_q = self.log_mixture(weights)[atoms]
+        return SampleBatch(
+            ratio, np.exp(log_q), np.zeros(ratio.shape[1]), log_q,
+            self.log_p_values[atoms], 0.0, lambda rows: np.log(ratio[rows]),
+        )
 
     def atom_probs(self, weights):
         """Sampling probabilities ``nu_s * mix_s`` of the atoms (sum to 1)."""

@@ -185,7 +185,7 @@ def test_criterion_2_renyi_descent_monotone_with_rate():
             consts = RateConstants.from_grad_bound(bound_b, params, j)
             for n in range(1, 101):
                 gap = objs[n] - best_value
-                slack = rate_bound(consts, n, params, j) - gap
+                slack = rate_bound(consts, n, params) - gap
                 worst_slack = min(worst_slack, float(slack))
             fixtures += 1
     ok = worst_rise <= 1e-10 and worst_margin >= 0.0 and worst_slack >= 0.0
@@ -347,14 +347,10 @@ def test_criterion_7_monte_carlo_gradient_unbiased():
         w = random_weights(rng, 4)
         exact = gradient_exact(problem, w, alpha).values
         probs = problem.atom_probs(w)
-        log_kernel = np.log(problem.kernel_matrix)
-        log_target = np.log(problem.p_values)
         estimates = np.empty((batches, 4))
         for b in range(batches):
             idx = rng.choice(problem.support_size, size=draws, p=probs)
-            grad = gradient_monte_carlo_from_logs(
-                log_kernel[:, idx], log_target[idx], w, alpha
-            )
+            grad = gradient_monte_carlo_from_logs(problem.sample_batch(w, idx), alpha)
             estimates[b] = grad.values
         se = estimates.std(axis=0, ddof=1) / math.sqrt(batches)
         sigmas = np.abs(estimates.mean(axis=0) - exact) / se

@@ -6,6 +6,7 @@ import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -48,6 +49,7 @@ from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
     as_simplex,
+    SampleBatch,
     bandwidth_rule,
     logsumexp,
     sample_logs,
@@ -924,8 +926,8 @@ class TestRunDescentMonteCarlo:
             recorded[seed] = trace.records[1].vr_bound
             rng = np.random.default_rng(1000 + seed)
             samples = sample_mixture(w, points, kernel, m, rng)
-            _, log_q, log_p = sample_logs(w, points, kernel, target, samples)
-            fresh[seed] = vr_bound_from_logs(log_p, log_q, 0.5)
+            batch = sample_logs(w, points, kernel, target, samples)
+            fresh[seed] = vr_bound_from_logs(batch.log_p, batch.log_q, 0.5)
         se_recorded = recorded.std(ddof=1) / np.sqrt(seeds)
         se_gap = np.hypot(se_recorded, fresh.std(ddof=1) / np.sqrt(seeds))
         assert abs(recorded.mean() - fresh.mean()) < 4.0 * se_gap
@@ -1064,57 +1066,56 @@ class TestRunDescentParity:
         logs = None if alpha == 1.0 else batch(state)
         want = []
         if record_initial:
-            vr = np.nan if logs is None else vr_bound_from_logs(logs[2], logs[1], alpha)
+            vr = np.nan if logs is None else vr_bound_from_logs(logs.log_p, logs.log_q, alpha)
             want.append(_key(0, state.weights, vr, np.nan, np.nan))
         for n in range(1, 7):
-            log_k, log_q, log_p = batch(state) if logs is None else logs
             grad = gradient_monte_carlo_from_logs(
-                log_k,
-                log_p,
-                state.weights,
-                grad_alpha,
-                log_base=log_base,
-                log_mixture=log_q,
+                batch(state) if logs is None else logs, grad_alpha, log_base=log_base
             )
             new, diag = _public_step(
                 algorithm, state.weights, grad, params, unweighted
             )
             state = MixtureState(new, state.points, state.kernel)
             logs = None if alpha == 1.0 else batch(state)
-            vr = np.nan if logs is None else vr_bound_from_logs(logs[2], logs[1], alpha)
+            vr = np.nan if logs is None else vr_bound_from_logs(logs.log_p, logs.log_q, alpha)
             want.append(_key(n, new, vr, np.nan, diag.guard_min))
         assert trace.status == "completed"
         assert _record_keys(trace) == want
 
 
-def _frozen_sample_logs(weights, points, kernel, target, samples, *, exp_kernel=False):
-    """``sample_logs`` as it stood: ``log k`` kept, ``log q`` by its own
-    log-sum-exp.  ``exp_kernel`` is ignored."""
+def _frozen_sample_logs(weights, points, kernel, target, samples):
+    """``sample_logs`` as it stood: ``log k`` from its own product, ``log q``
+    by its own log-sum-exp and ``log p`` from the target's product."""
     log_k = kernel.logpdf_matrix(points, samples)
-    return log_k, logsumexp(log_k, axis=0, b=weights), target.log_density(samples)
+    return SimpleNamespace(
+        log_k=log_k,
+        log_q=logsumexp(log_k, axis=0, b=weights),
+        log_p=target.log_density(samples),
+    )
 
 
 def _frozen_gradient(perturb=1.0, seen=None):
-    """``gradient_monte_carlo_from_logs`` with the literal mean as it stood,
-    ``exp(log k - log q) @ f' / M``, for ``run_descent`` under
-    :func:`_frozen_sample_logs`, which hands every arm ``log k``.  The
-    values are multiplied by ``perturb``; each gradient's values are
-    appended to ``seen``."""
+    """``gradient_monte_carlo_from_logs`` as it stood, for ``run_descent``
+    under :func:`_frozen_sample_logs`: the literal mean ``exp(log k - log q)
+    @ f' / M``, and ``log A_j`` as a log-sum-exp over ``terms = log k +
+    (alpha-2) log q - (alpha-1) log p``.  The values, or each row of
+    ``terms``, are multiplied by ``perturb``; the array the gradient
+    carries, its values or ``log A_j``, is appended to ``seen``."""
 
-    def gradient(log_kernel, log_target, weights, alpha, *, log_base=False,
-                 log_mixture=None):
+    def gradient(batch, alpha, *, log_base=False):
+        log_k, log_q, log_p = batch.log_k, batch.log_q, batch.log_p
         if log_base:
-            grad = gradient_monte_carlo_from_logs(
-                log_kernel, log_target, weights, alpha, log_base=True,
-                log_mixture=log_mixture,
-            )
+            terms = log_k + ((alpha - 2.0) * log_q - (alpha - 1.0) * log_p)
+            terms *= np.reshape(perturb, (-1, 1))
+            log_a = logsumexp(terms, axis=1) - np.log(log_k.shape[1])
+            grad = MixtureGradient(None, alpha, log_base=log_a)
         else:
-            deriv = amari_alpha_deriv_log(log_mixture - log_target, alpha)
-            ratio = np.exp(log_kernel - log_mixture)
-            values = (ratio @ deriv) / log_kernel.shape[1] * perturb
+            deriv = amari_alpha_deriv_log(log_q - log_p, alpha)
+            ratio = np.exp(log_k - log_q)
+            values = (ratio @ deriv) / log_k.shape[1] * perturb
             grad = MixtureGradient(values, alpha)
         if seen is not None:
-            seen.append(grad.values)
+            seen.append(grad.values if grad.log_base is None else grad.log_base)
         return grad
 
     return gradient
@@ -1123,7 +1124,7 @@ def _frozen_gradient(perturb=1.0, seen=None):
 def _spied_gradient(seen):
     def gradient(*args, **kwargs):
         grad = gradient_monte_carlo_from_logs(*args, **kwargs)
-        seen.append(grad.values)
+        seen.append(grad.values if grad.log_base is None else grad.log_base)
         return grad
 
     return gradient
@@ -1138,20 +1139,30 @@ def _guard_value(status):
 FIG1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "figure1.json"
 
 
+def _weights_gap(a, b):
+    """Largest difference of any weight between two traces, record by record."""
+    return max(
+        float(np.abs(x.weights - y.weights).max()) for x, y in zip(a.records, b.records)
+    )
+
+
 class TestSharedKernelMatrix:
-    """The emd, kl and unweighted renyi steps read the kernel matrix that
-    the log q pass exponentiated; power and weighted renyi keep log k.
+    """Every arm reads the kernel block that ``sample_logs`` exponentiated
+    once: the values arms through ``E / total``, power and weighted renyi
+    through ``log A_j`` summed from ``E``.
 
     Each figure-1 run is two phases of one replicate at J=100, M=2000,
-    d=16, once as it is and once with the frozen estimator (a separate
-    exp of ``log k - log q`` per step) wired into the same loop."""
+    d=16, once as it is and once with the frozen estimator (separate
+    products for ``log k`` and ``log p``, a log-sum-exp for ``log q``, and
+    for each step an exp of ``log k - log q`` or a log-sum-exp over
+    ``terms``) wired into the same loop."""
 
     @staticmethod
-    def _fig1(monkeypatch, algorithm, alpha, unweighted=False, gradient=None):
+    def _fig1(monkeypatch, algorithm, alpha, unweighted=False, gradient=None, **keys):
         config = replace(
             parse_config(FIG1_CONFIG), algorithm=algorithm, alpha=alpha,
             sample_count=(2000,), num_phases=2, replicates=1,
-            renyi_unweighted_denominator=unweighted,
+            renyi_unweighted_denominator=unweighted, **keys,
         )
         with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
@@ -1201,45 +1212,78 @@ class TestSharedKernelMatrix:
         )
         assert trace.status == want.status == nudged.status
         assert len(trace.records) == len(want.records) == len(nudged.records) == 41
-
-        def gap(a, b):
-            return max(
-                float(np.abs(x.weights - y.weights).max())
-                for x, y in zip(a.records, b.records)
-            )
-
-        spread = gap(nudged, want)
+        spread = _weights_gap(nudged, want)
         assert 0.0 < spread < 1e-6
-        assert gap(trace, want) <= 10.0 * spread
+        assert _weights_gap(trace, want) <= 10.0 * spread
+
+    def _log_base_parity(self, monkeypatch, algorithm, alpha, **keys):
+        """Power within 1e-12 of the frozen run; weighted renyi, which
+        amplifies a last-digit change on some states, within 10 times what
+        a change of 4 ulps in the terms of every ``log A_j`` does to the
+        frozen run."""
+        trace = self._fig1(monkeypatch, algorithm, alpha, **keys)
+        want = self._fig1(monkeypatch, algorithm, alpha, gradient=_frozen_gradient(), **keys)
+        assert trace.status == want.status == "completed"
+        assert len(trace.records) == len(want.records) == 41
+        if algorithm == "power":
+            for got, ref in zip(trace.records, want.records):
+                np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
+                np.testing.assert_allclose(
+                    [got.vr_bound, got.guard_min], [ref.vr_bound, ref.guard_min],
+                    rtol=1e-12, atol=0.0,
+                )
+            return
+        eps = np.finfo(float).eps
+        signs = np.where(np.random.default_rng(0).random(100) < 0.5, -1.0, 1.0)
+        nudged = self._fig1(
+            monkeypatch, algorithm, alpha,
+            gradient=_frozen_gradient(1.0 + 4.0 * eps * signs), **keys,
+        )
+        assert nudged.status == "completed"
+        spread = _weights_gap(nudged, want)
+        assert 0.0 < spread < 1e-6
+        assert _weights_gap(trace, want) <= 10.0 * spread
 
     @pytest.mark.parametrize(
         "algorithm, alpha", [("power", 0.5), ("renyi", 0.5), ("renyi", 2.0)]
     )
-    def test_log_base_arms_give_identical_bytes(self, monkeypatch, algorithm, alpha):
-        trace = self._fig1(monkeypatch, algorithm, alpha)
-        want = self._fig1(monkeypatch, algorithm, alpha, gradient=_frozen_gradient())
-        assert trace.status == want.status
-        assert _record_keys(trace) == _record_keys(want)
+    def test_log_base_arms_match_the_frozen_estimator(self, monkeypatch, algorithm, alpha):
+        self._log_base_parity(monkeypatch, algorithm, alpha)
 
-    def test_zero_weight_rows_far_above_the_weighted_peak(self, monkeypatch):
-        # Row 0 sits 650 nats above where its kernel would put it, so its
-        # log k is hundreds of nats above the weighted peak at every sample,
-        # and its ratio to q (about e^650) is still finite.
-        class LiftedKernel(GaussianKernel):
-            def logpdf_matrix(self, points, ys):
-                log_k = super().logpdf_matrix(points, ys)
-                log_k[0] += 650.0
-                return log_k
+    @pytest.mark.parametrize("algorithm", ["power", "renyi"])
+    def test_spread_particles_take_the_row_fallback(self, monkeypatch, algorithm):
+        # At init_cov_scale=50 some particles sit so far from every sample
+        # that their row of E @ exp(c - S) underflows: an A_j summed in the
+        # linear domain alone would read 0 and fire the power guard.  Those
+        # rows are summed in the log domain, so both arms complete and agree
+        # with the frozen log-domain estimator.
+        fallbacks = []
+        tilted_sums = SampleBatch.tilted_sums
 
+        def counted(batch, t):
+            out = tilted_sums(batch, t)
+            fallbacks.append(out[1] is not None)
+            return out
+
+        monkeypatch.setattr(SampleBatch, "tilted_sums", counted)
+        self._log_base_parity(monkeypatch, algorithm, 0.5, init_cov_scale=50.0)
+        assert len(fallbacks) == 40 and any(fallbacks)
+
+    @pytest.mark.parametrize("algorithm", ["power", "renyi", "emd"])
+    def test_zero_weight_rows_stay_finite_and_zero(self, monkeypatch, algorithm):
+        # Row 0 sits on a weighted particle, so its ratio to q is large; row
+        # 5 sits far from every sample, so its row of E underflows.  Neither
+        # brings +inf into log A_j or the values, and zero weights stay 0.
         j, d = 20, 16
         rng = np.random.default_rng(94)
+        points = math.sqrt(5.0) * rng.standard_normal((j, d))
+        points[0] = points[1]
+        points[5] += 60.0
         weights = np.full(j, 1.0 / (j - 3))
         weights[[0, 5, 11]] = 0.0
-        state = MixtureState(
-            weights, math.sqrt(5.0) * rng.standard_normal((j, d)),
-            LiftedKernel(bandwidth_rule(j, d), d),
-        )
+        state = MixtureState(weights, points, GaussianKernel(bandwidth_rule(j, d), d))
         target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+
         def run(gradient, logs):
             seen = []
             with warnings.catch_warnings(), monkeypatch.context() as patch:
@@ -1249,19 +1293,18 @@ class TestSharedKernelMatrix:
                 )
                 patch.setattr(descent_module, "sample_logs", logs)
                 trace = run_descent(
-                    state, DescentParams(0.5, 0.067), "emd", 20, target=target,
+                    state, DescentParams(0.5, 0.067), algorithm, 20, target=target,
                     sample_count=500, rng=np.random.default_rng(95),
                 )
             return trace, np.array(seen)
 
-        trace, values = run(_spied_gradient, sample_logs)
-        want, want_values = run(
+        trace, seen = run(_spied_gradient, sample_logs)
+        want, want_seen = run(
             lambda seen: _frozen_gradient(seen=seen), _frozen_sample_logs
         )
         assert trace.status == want.status == "completed"
-        assert np.isfinite(values).all() and np.isfinite(want_values).all()
-        assert (values[:, 0] > math.exp(600.0)).all()
-        np.testing.assert_allclose(values, want_values, rtol=1e-12, atol=0.0)
+        assert np.isfinite(seen).all() and np.isfinite(want_seen).all()
+        np.testing.assert_allclose(seen, want_seen, rtol=1e-12, atol=0.0)
         for got, ref in zip(trace.records, want.records):
             assert (got.weights[[0, 5, 11]] == 0.0).all()
             np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
@@ -1269,13 +1312,20 @@ class TestSharedKernelMatrix:
 
     @pytest.mark.parametrize(
         "algorithm, alpha, unweighted",
-        [("emd", 0.5, False), ("kl", 1.0, False), ("renyi", 2.0, True)],
+        [
+            ("emd", 0.5, False),
+            ("kl", 1.0, False),
+            ("renyi", 2.0, True),
+            ("power", 0.5, False),
+            ("renyi", 0.5, False),
+        ],
     )
     def test_a_step_holds_one_kernel_matrix(self, algorithm, alpha, unweighted):
-        # Peak memory of values-arm steps at the figure-1 shape: one (J, M)
-        # matrix, its draw and its O(M) vectors.  A step that formed the
-        # ratios in a second matrix, or kept the last batch's matrix while
-        # the next one is drawn, peaks at two (about 2.5 here).
+        # Peak memory of a step at the figure-1 shape, for every arm: one
+        # (J, M) matrix, its draw and its O(M) vectors.  A step that formed
+        # the ratios or the log A_j terms in a second matrix, or kept the
+        # last batch's matrix while the next one is drawn, peaks at two
+        # (about 2.5 here).
         j, m, d = 100, 2000, 16
         rng = np.random.default_rng(96)
         state = MixtureState(
@@ -1435,20 +1485,20 @@ class TestRateConstants:
                 )
             )
             for n in (1, 7, 100):
-                got = rate_bound(consts, n, params, j)
+                got = rate_bound(consts, n, params)
                 assert math.isclose(got, want / n, rel_tol=1e-12)
 
     def test_decays_exactly_like_one_over_n(self):
         params = self._params()
         consts = RateConstants.from_grad_bound(1.0, params, 10)
-        b1 = rate_bound(consts, 1, params, 10)
-        assert rate_bound(consts, 2, params, 10) == pytest.approx(b1 / 2, rel=1e-15)
-        assert rate_bound(consts, 10, params, 10) == pytest.approx(b1 / 10, rel=1e-15)
+        b1 = rate_bound(consts, 1, params)
+        assert rate_bound(consts, 2, params) == pytest.approx(b1 / 2, rel=1e-15)
+        assert rate_bound(consts, 10, params) == pytest.approx(b1 / 10, rel=1e-15)
 
     def test_bound_validation(self):
         params = self._params()
         consts = RateConstants.from_grad_bound(1.0, params, 10)
         with pytest.raises(ValueError):
-            rate_bound(consts, 0, params, 10)
+            rate_bound(consts, 0, params)
         with pytest.raises(ValueError):
-            rate_bound(consts, 5, DescentParams(0.5, 0.2), 10)
+            rate_bound(consts, 5, DescentParams(0.5, 0.2))

@@ -347,6 +347,6 @@ class TestVrBound:
         weights = random_weights(rng, 5)
         target = GaussianMixtureTarget([[0.0, 0.0]])
         samples = sample_mixture(weights, points, kernel, 500, rng)
-        _, log_q, log_p = sample_logs(weights, points, kernel, target, samples)
-        val = vr_bound_from_logs(log_p, log_q, 0.5)
+        batch = sample_logs(weights, points, kernel, target, samples)
+        val = vr_bound_from_logs(batch.log_p, batch.log_q, 0.5)
         assert np.isfinite(val)

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from alpha_descent.gradient import (
 from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
+    Target,
     bandwidth_rule,
     sample_logs,
 )
@@ -48,15 +50,46 @@ def _reference_from_logs(log_kernel, log_target, weights, alpha):
     return values, log_a, log_mix
 
 
-def _fig1_logs(rng):
-    """Log kernel and target at one batch of the figure 1 shape."""
+def _gaussian_batch(rng, num_components, dim, count, *, weights=None, target=None):
+    """A batch at random particles, with the log evaluations it replaces:
+    ``(batch, log k, log p, weights)``."""
+    kernel = GaussianKernel(0.8, dim)
+    points = rng.normal(size=(num_components, dim))
+    w = random_weights(rng, num_components) if weights is None else np.asarray(weights)
+    if target is None:
+        target = GaussianMixtureTarget(rng.normal(size=(2, dim)))
+    samples = rng.normal(size=(count, dim))
+    batch = sample_logs(w, points, kernel, target, samples)
+    return batch, kernel.logpdf_matrix(points, samples), target.log_density(samples), w
+
+
+def _fig1_batch(rng):
+    """One batch of the figure 1 shape and the log evaluations it replaces."""
     J, M, d = 100, 2000, 16
     kernel = GaussianKernel(bandwidth_rule(J, d), d)
     points = math.sqrt(5.0) * rng.standard_normal((J, d))
     w = rng.dirichlet(np.ones(J))
     samples = sample_mixture(w, points, kernel, M, rng)
     target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
-    return kernel.logpdf_matrix(points, samples), target.log_density(samples), w
+    batch = sample_logs(w, points, kernel, target, samples)
+    return batch, kernel.logpdf_matrix(points, samples), target.log_density(samples), w
+
+
+def _far_batch(move):
+    """A batch at J=20, M=300, d=16 after ``move(points, samples)``, and the
+    log evaluations it replaces, under warnings as errors."""
+    j, m, d = 20, 300, 16
+    rng = np.random.default_rng(62)
+    kernel = GaussianKernel(bandwidth_rule(j, d), d)
+    points = math.sqrt(5.0) * rng.standard_normal((j, d))
+    w = random_weights(rng, j)
+    samples = sample_mixture(w, points, kernel, m, rng)
+    move(points, samples)
+    target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        batch = sample_logs(w, points, kernel, target, samples)
+    return batch, kernel.logpdf_matrix(points, samples), target.log_density(samples), w
 
 
 class TestContainers:
@@ -231,64 +264,66 @@ class TestSampler:
 
 class TestMonteCarloGradient:
     def test_shape_checks(self):
-        with pytest.raises(ValueError, match="log_kernel"):
-            gradient_monte_carlo_from_logs(np.zeros((3, 4)), np.zeros(4), [0.5, 0.5], 0.5)
-        with pytest.raises(ValueError, match="log_target"):
-            gradient_monte_carlo_from_logs(np.zeros((2, 4)), np.zeros(3), [0.5, 0.5], 0.5)
-        with pytest.raises(ValueError, match="log_mixture"):
-            gradient_monte_carlo_from_logs(
-                np.zeros((2, 4)), np.zeros(4), [0.5, 0.5], 0.5, log_mixture=np.zeros(3)
-            )
+        batch, _, _, _ = _gaussian_batch(np.random.default_rng(50), 2, 2, 4)
+        for field in ("log_q", "log_p"):
+            short = replace(batch, **{field: getattr(batch, field)[:-1]})
+            with pytest.raises(ValueError, match="one value per sample"):
+                gradient_monte_carlo_from_logs(short, 0.5)
 
     @pytest.mark.parametrize("alpha", [-0.5, 0.0, 0.5, 1.0, 2.0])
     def test_matches_reference_formula_at_fig1_shape(self, alpha):
-        log_kernel, log_target, w = _fig1_logs(np.random.default_rng(60))
+        batch, log_kernel, log_target, w = _fig1_batch(np.random.default_rng(60))
         want_values, want_log_a, _ = _reference_from_logs(log_kernel, log_target, w, alpha)
-        grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, alpha)
+        grad = gradient_monte_carlo_from_logs(batch, alpha)
         np.testing.assert_allclose(grad.values, want_values, rtol=PARITY_RTOL, atol=0.0)
         if alpha != 1.0:
-            based = gradient_monte_carlo_from_logs(
-                log_kernel, log_target, w, alpha, log_base=True
-            )
+            based = gradient_monte_carlo_from_logs(batch, alpha, log_base=True)
             # equal logs to 1e-12 are equal A_j to 1e-12 relative
             assert np.all(np.abs(based.log_base - want_log_a) <= PARITY_RTOL)
 
     def test_dead_component_far_above_the_mixture(self):
-        # A zero-weight component whose log kernel sits 800 nats above every
-        # weighted row: its own ratio overflows (its value is not finite, as
-        # with the elementwise form), but it must neither reach log q nor,
-        # through 0 * inf, the values of the weighted components.
+        # A zero-weight component at the samples and the weighted ones 60
+        # units away: its log kernel sits over 1000 nats above every
+        # weighted row, and every column falls below the normal range.  Its
+        # own ratio overflows (its value is not finite, as with the
+        # elementwise form), but it must neither reach log q nor the values
+        # of the weighted components, and its log A_j stays finite.
         rng = np.random.default_rng(61)
-        log_kernel = rng.normal(size=(4, 64))
-        log_kernel[1] = log_kernel.max() + 800.0
-        log_target = rng.normal(size=64)
+        kernel = GaussianKernel(1.0, 2)
+        points = rng.normal(size=(4, 2))
+        points[1] = [60.0, 0.0]
+        samples = points[1] + rng.normal(size=(64, 2))
+        target = GaussianMixtureTarget([[0.0, 0.0]])
         w = np.array([0.3, 0.0, 0.3, 0.4])
         live = w > 0
-        want_values, want_log_a, _ = _reference_from_logs(
-            log_kernel[live], log_target, w[live], 0.5
+        log_kernel = kernel.logpdf_matrix(points, samples)
+        want_values, want_log_a, want_log_q = _reference_from_logs(
+            log_kernel[live], target.log_density(samples), w[live], 0.5
         )
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, 0.5)
-            based = gradient_monte_carlo_from_logs(
-                log_kernel, log_target, w, 0.5, log_base=True
-            )
+            batch = sample_logs(w, points, kernel, target, samples)
+            grad = gradient_monte_carlo_from_logs(batch, 0.5)
+        based = gradient_monte_carlo_from_logs(batch, 0.5, log_base=True)
+        assert (batch.shift < -1000.0).all()
+        np.testing.assert_allclose(batch.log_q, want_log_q, rtol=PARITY_RTOL, atol=0.0)
         np.testing.assert_allclose(
             grad.values[live], want_values, rtol=PARITY_RTOL, atol=0.0
         )
-        assert np.all(np.abs(based.log_base[live] - want_log_a) <= PARITY_RTOL)
+        assert not np.isfinite(grad.values[1])
+        np.testing.assert_allclose(
+            based.log_base[live], want_log_a, rtol=PARITY_RTOL, atol=0.0
+        )
+        assert np.isfinite(based.log_base).all()
 
     def test_weighted_mean_collapses_to_derivative_mean(self):
         # sum_j lambda_j b_j == mean_m f'(u_m) exactly: the kernel ratios
         # average out under the sampling weights
         rng = np.random.default_rng(51)
         for _ in range(10):
-            J, M = 5, 64
-            log_kernel = rng.normal(size=(J, M))
-            log_target = rng.normal(size=M)
-            w = random_weights(rng, J)
+            batch, log_kernel, log_target, w = _gaussian_batch(rng, 5, 2, 64)
             for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0):
-                grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, alpha)
+                grad = gradient_monte_carlo_from_logs(batch, alpha)
                 log_mix = logsumexp(log_kernel + np.log(w)[:, None], axis=0)
                 want = float(
                     np.mean(amari_alpha_deriv(np.exp(log_mix - log_target), alpha))
@@ -296,13 +331,11 @@ class TestMonteCarloGradient:
                 assert math.isclose(float(w @ grad.values), want, rel_tol=1e-11, abs_tol=1e-12)
 
     def test_matches_linear_domain_formula(self):
-        rng = np.random.default_rng(52)
-        J, M = 3, 16
-        log_kernel = rng.normal(size=(J, M))
-        log_target = rng.normal(size=M)
-        w = random_weights(rng, J)
+        batch, log_kernel, log_target, w = _gaussian_batch(
+            np.random.default_rng(52), 3, 2, 16
+        )
         alpha = 0.5
-        grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, alpha)
+        grad = gradient_monte_carlo_from_logs(batch, alpha)
         kernel_vals = np.exp(log_kernel)
         mix = w @ kernel_vals
         u = mix / np.exp(log_target)
@@ -311,75 +344,117 @@ class TestMonteCarloGradient:
 
     def test_zero_weight_excluded_from_mixture_but_scored(self):
         rng = np.random.default_rng(53)
-        log_kernel = rng.normal(size=(3, 8))
-        log_target = rng.normal(size=8)
+        kernel = GaussianKernel(0.8, 2)
+        points = rng.normal(size=(3, 2))
+        target = GaussianMixtureTarget([[0.5, 0.0]])
+        samples = rng.normal(size=(8, 2))
         w = np.array([0.5, 0.5, 0.0])
-        grad = gradient_monte_carlo_from_logs(log_kernel, log_target, w, 0.5)
+        grad = gradient_monte_carlo_from_logs(
+            sample_logs(w, points, kernel, target, samples), 0.5
+        )
         # mixture ignores the dead row entirely
-        reduced = gradient_monte_carlo_from_logs(log_kernel[:2], log_target, w[:2], 0.5)
+        reduced = gradient_monte_carlo_from_logs(
+            sample_logs(w[:2], points[:2], kernel, target, samples), 0.5
+        )
         assert np.allclose(grad.values[:2], reduced.values, rtol=1e-14)
         assert np.isfinite(grad.values[2])
 
     def test_survives_far_from_target_regime(self):
-        # mixture sits e^400 above the target at every sample: ratios must
-        # not overflow into nan
-        log_kernel = np.full((2, 4), -3.0)
-        log_target = np.full(4, -403.0)
-        grad = gradient_monte_carlo_from_logs(log_kernel, log_target, [0.5, 0.5], 0.5)
+        # mixture sits about e^400 above the target at every sample: ratios
+        # must not overflow into nan
+        far = Target(lambda ys: np.full(len(ys), -403.0))
+        kernel = GaussianKernel(1.0, 2)
+        batch = sample_logs(
+            np.array([0.5, 0.5]), np.zeros((2, 2)), kernel, far,
+            np.random.default_rng(59).normal(size=(4, 2)),
+        )
+        grad = gradient_monte_carlo_from_logs(batch, 0.5)
         assert np.all(np.isfinite(grad.values))
         assert np.allclose(grad.values, 2.0, rtol=1e-12)  # f' saturates at 1/(1-alpha)
 
     def test_composed_form_matches_from_logs(self):
+        # the batch's one product and exp pass give the gradient of the
+        # separate log evaluations
         rng = np.random.default_rng(54)
         kernel = GaussianKernel(0.7, 2)
         points = rng.normal(size=(4, 2))
         w = random_weights(rng, 4)
         target = GaussianMixtureTarget([[0.5, -0.5]])
         samples = sample_mixture(w, points, kernel, 32, rng)
-        log_k, log_q, log_p = sample_logs(w, points, kernel, target, samples)
-        grad = gradient_monte_carlo_from_logs(log_k, log_p, w, 0.5, log_mixture=log_q)
-        want = gradient_monte_carlo_from_logs(
-            kernel.logpdf_matrix(points, samples),
-            target.log_density(samples),
-            w,
-            0.5,
+        grad = gradient_monte_carlo_from_logs(
+            sample_logs(w, points, kernel, target, samples), 0.5
         )
-        assert np.array_equal(grad.values, want.values)
-
-    def _pair_batch(self):
-        rng = np.random.default_rng(55)
-        kernel = GaussianKernel(0.7, 2)
-        points = rng.normal(size=(4, 2))
-        w = random_weights(rng, 4)
-        target = GaussianMixtureTarget([[0.5, -0.5]])
-        samples = sample_mixture(w, points, kernel, 32, rng)
-        log_k = kernel.logpdf_matrix(points, samples)
-        return log_k, sample_logs(w, points, kernel, target, samples, exp_kernel=True), w
+        want, _, _ = _reference_from_logs(
+            kernel.logpdf_matrix(points, samples), target.log_density(samples), w, 0.5
+        )
+        np.testing.assert_allclose(grad.values, want, rtol=PARITY_RTOL, atol=0.0)
 
     def test_exp_kernel_pair_matches_log_kernel(self):
-        # the pair is the kernel_exp pass that the log k form runs on a copy
-        log_k, (pair, log_q, log_p), w = self._pair_batch()
-        got = gradient_monte_carlo_from_logs(pair, log_p, w, 0.5, log_mixture=log_q)
-        want = gradient_monte_carlo_from_logs(log_k, log_p, w, 0.5)
-        assert np.array_equal(got.values, want.values)
+        # the batch's exponentiated block and its column shift are log k,
+        # in normal columns and in columns that fell below the normal range
+        def far(points, samples):
+            samples[:5, 0] = points[:, 0].max() + 60.0
+
+        batch, log_kernel, _, w = _far_batch(far)
+        assert (batch.shift[:5] < -1000.0).all() and (batch.shift[5:] == 0.0).all()
+        np.testing.assert_allclose(
+            np.log(batch.ratio) + batch.shift + batch.log_peak, log_kernel,
+            rtol=PARITY_RTOL, atol=0.0,
+        )
+        np.testing.assert_allclose(batch.total, w @ batch.ratio, rtol=PARITY_RTOL, atol=0.0)
+        assert (batch.ratio[:, 5:] <= 1.0).all()
 
     def test_exp_kernel_pair_refusals(self):
-        _, (pair, log_q, log_p), w = self._pair_batch()
-        with pytest.raises(ValueError, match="needs its log_mixture and gives no log_base"):
-            gradient_monte_carlo_from_logs(
-                pair, log_p, w, 0.5, log_base=True, log_mixture=log_q
+        # sample_logs refuses a target of another dimension before any
+        # product; the gradient refuses a batch whose vectors and block
+        # disagree
+        rng = np.random.default_rng(55)
+        kernel = GaussianKernel(0.7, 2)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            sample_logs(
+                np.array([1.0]), np.zeros((1, 2)), kernel,
+                GaussianMixtureTarget([[0.0, 0.0, 0.0]]), rng.normal(size=(4, 2)),
             )
-        with pytest.raises(ValueError, match="needs its log_mixture"):
-            gradient_monte_carlo_from_logs(pair, log_p, w, 0.5)
-        matrix, total = pair
-        with pytest.raises(ValueError, match="total must hold one value per sample"):
-            gradient_monte_carlo_from_logs(
-                (matrix, total[:-1]), log_p, w, 0.5, log_mixture=log_q
+        batch, _, _, _ = _gaussian_batch(rng, 4, 2, 32)
+        with pytest.raises(ValueError, match="one value per sample"):
+            gradient_monte_carlo_from_logs(replace(batch, ratio=batch.ratio[:, :-1]), 0.5)
+
+    def test_column_fallback_matches_the_log_domain(self):
+        # five samples 60 units from every particle: their weighted column
+        # sums underflow, and are recomputed against their weighted peak
+        def far(points, samples):
+            samples[:5, 0] = points[:, 0].max() + 60.0 + np.arange(5)
+
+        batch, log_kernel, log_target, w = _far_batch(far)
+        assert (batch.shift[:5] < -1000.0).all()
+        for alpha in (0.5, 2.0):
+            _, want_log_a, want_log_q = _reference_from_logs(
+                log_kernel, log_target, w, alpha
             )
-        with pytest.raises(ValueError, match="log_kernel must have shape"):
-            gradient_monte_carlo_from_logs(
-                (matrix[:-1], total), log_p, w, 0.5, log_mixture=log_q
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grad = gradient_monte_carlo_from_logs(batch, alpha, log_base=True)
+            np.testing.assert_allclose(batch.log_q, want_log_q, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(grad.log_base, want_log_a, rtol=1e-12, atol=0.0)
+
+    def test_row_fallback_matches_the_log_domain(self):
+        # one weighted particle 60 units from every sample: its row of
+        # E @ exp(c - S) underflows, and is summed in the log domain
+        def far(points, samples):
+            points[3, 0] = samples[:, 0].max() + 60.0
+
+        batch, log_kernel, log_target, w = _far_batch(far)
+        assert w[3] > 0 and (batch.shift == 0.0).all()
+        for alpha in (0.5, 2.0):
+            _, want_log_a, want_log_q = _reference_from_logs(
+                log_kernel, log_target, w, alpha
             )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                grad = gradient_monte_carlo_from_logs(batch, alpha, log_base=True)
+            assert want_log_a[3] < -1000.0
+            np.testing.assert_allclose(batch.log_q, want_log_q, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(grad.log_base, want_log_a, rtol=1e-12, atol=0.0)
 
     def test_unbiased_against_exact_on_atoms(self):
         # draw support atoms with the mixture's own probabilities and the
@@ -390,17 +465,11 @@ class TestMonteCarloGradient:
         alpha = 0.5
         exact = gradient_exact(problem, w, alpha).values
         probs = problem.atom_probs(w)
-        log_mix = problem.log_mixture(w)
         batches, M = 400, 256
         estimates = np.empty((batches, 3))
         for b in range(batches):
             idx = rng.choice(problem.support_size, size=M, p=probs)
-            grad = gradient_monte_carlo_from_logs(
-                np.log(problem.kernel_matrix[:, idx]),
-                np.log(problem.p_values[idx]),
-                w,
-                alpha,
-            )
+            grad = gradient_monte_carlo_from_logs(problem.sample_batch(w, idx), alpha)
             estimates[b] = grad.values
         se = estimates.std(axis=0, ddof=1) / math.sqrt(batches)
         assert np.all(np.abs(estimates.mean(axis=0) - exact) < 4.0 * se + 1e-12)
@@ -424,28 +493,22 @@ class TestMonteCarloGradient:
                 rtol=1e-10,
             )
             probs = problem.atom_probs(w)
-            log_kernel = np.log(problem.kernel_matrix)
-            log_target = np.log(problem.p_values)
             estimates = np.empty((batches, 4))
             for b in range(batches):
                 idx = rng.choice(problem.support_size, size=M, p=probs)
                 grad = gradient_monte_carlo_from_logs(
-                    log_kernel[:, idx], log_target[idx], w, alpha, log_base=True
+                    problem.sample_batch(w, idx), alpha, log_base=True
                 )
                 estimates[b] = np.exp(grad.log_base)
             se = estimates.std(axis=0, ddof=1) / math.sqrt(batches)
             assert np.all(np.abs(estimates.mean(axis=0) - exact) < 4.0 * se + 1e-12)
 
     def test_log_base_matches_linear_domain_formula(self):
-        rng = np.random.default_rng(57)
-        J, M = 3, 16
-        log_kernel = rng.normal(size=(J, M))
-        log_target = rng.normal(size=M)
-        w = random_weights(rng, J)
+        batch, log_kernel, log_target, w = _gaussian_batch(
+            np.random.default_rng(57), 3, 2, 16
+        )
         for alpha in (-0.5, 0.0, 0.5, 2.0):
-            grad = gradient_monte_carlo_from_logs(
-                log_kernel, log_target, w, alpha, log_base=True
-            )
+            grad = gradient_monte_carlo_from_logs(batch, alpha, log_base=True)
             kernel_vals = np.exp(log_kernel)
             mix = w @ kernel_vals
             u = mix / np.exp(log_target)
@@ -455,25 +518,22 @@ class TestMonteCarloGradient:
             assert grad.values is None
 
     def test_log_base_stays_positive_where_literal_base_does_not(self):
-        # the mixture sits e^200 above the target at every sample, so A_j
-        # is about e^-100 and the literal base A_j + 1 - c_j is set by the
-        # count noise 1 - c_j, negative for some component
-        rng = np.random.default_rng(58)
-        log_kernel = rng.normal(size=(4, 32))
-        log_target = np.full(32, -200.0)
-        w = np.full(4, 0.25)
-        literal = gradient_monte_carlo_from_logs(log_kernel, log_target, w, 0.5)
-        positive = gradient_monte_carlo_from_logs(
-            log_kernel, log_target, w, 0.5, log_base=True
+        # the mixture sits about e^200 above the target at every sample, so
+        # A_j is about e^-100 and the literal base A_j + 1 - c_j is set by
+        # the count noise 1 - c_j, negative for some component
+        below = Target(lambda ys: np.full(len(ys), -200.0))
+        batch, _, _, _ = _gaussian_batch(
+            np.random.default_rng(58), 4, 2, 32, weights=np.full(4, 0.25), target=below
         )
+        literal = gradient_monte_carlo_from_logs(batch, 0.5)
+        positive = gradient_monte_carlo_from_logs(batch, 0.5, log_base=True)
         assert np.any(-0.5 * literal.values + 1.0 <= 0)
         assert np.all(np.isfinite(positive.log_base))
         assert np.all(positive.log_base < -90.0)
 
     def test_log_base_needs_alpha_other_than_one(self):
+        batch, _, _, _ = _gaussian_batch(np.random.default_rng(59), 2, 2, 4)
         with pytest.raises(ValueError, match="alpha=1"):
-            gradient_monte_carlo_from_logs(
-                np.zeros((2, 4)), np.zeros(4), [0.5, 0.5], 1.0, log_base=True
-            )
+            gradient_monte_carlo_from_logs(batch, 1.0, log_base=True)
         with pytest.raises(ValueError, match="alpha=1"):
             MixtureGradient(None, 1.0, log_base=[0.0])

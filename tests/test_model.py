@@ -253,7 +253,7 @@ class TestTargets:
 def _log_q(weights, points, kernel, ys):
     """The mixture log density ``log q`` of :func:`sample_logs` at ``ys``."""
     target = GaussianMixtureTarget(np.zeros((1, kernel.dim)))
-    return sample_logs(weights, points, kernel, target, np.atleast_2d(ys))[1]
+    return sample_logs(weights, points, kernel, target, np.atleast_2d(ys)).log_q
 
 
 class TestMixtureLogpdf:
@@ -278,11 +278,12 @@ class TestMixtureLogpdf:
     def test_batch_shape(self):
         kernel = GaussianKernel(bandwidth=1.0, dim=2)
         target = GaussianMixtureTarget([[0.0, 0.0]])
-        log_k, log_q, log_p = sample_logs(
+        batch = sample_logs(
             np.array([0.25, 0.75]), np.zeros((2, 2)), kernel, target, np.zeros((5, 2))
         )
-        assert log_k.shape == (2, 5)
-        assert log_q.shape == (5,) and log_p.shape == (5,)
+        assert batch.ratio.shape == (2, 5)
+        for vector in (batch.total, batch.shift, batch.log_q, batch.log_p):
+            assert vector.shape == (5,)
 
 
 class TestSquaredDistances:
@@ -315,6 +316,18 @@ class TestSquaredDistances:
         got = squared_distances(points, ys, scale=-0.7, offset=3.0)
         want = -0.7 * cdist(points, ys, "sqeuclidean") + 3.0
         np.testing.assert_allclose(got, want, rtol=PARITY_RTOL, atol=0.0)
+
+    def test_scale_and_offset_per_row(self):
+        # rows of two kinds in one product give what each kind gives alone
+        points, ys = _fig1_batch(np.random.default_rng(19))
+        scale = np.where(np.arange(FIG1_J) < 60, -0.7, -0.5)
+        offset = np.where(np.arange(FIG1_J) < 60, 0.0, 3.0)
+        got = squared_distances(points, ys, scale, offset)
+        for rows, s, o in ((slice(None, 60), -0.7, 0.0), (slice(60, None), -0.5, 3.0)):
+            np.testing.assert_allclose(
+                got[rows], squared_distances(points[rows], ys, scale=s, offset=o),
+                rtol=PARITY_RTOL, atol=0.0,
+            )
 
     @pytest.mark.parametrize("shift", [0.0, 1e3])
     def test_kernel_matrix_matches_cdist_form(self, shift):
@@ -504,9 +517,18 @@ class TestSampleLogs:
         w = np.array([0.1, 0.2, 0.0, 0.3, 0.15, 0.25])
         target = GaussianMixtureTarget([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0]])
         ys = rng.normal(size=(40, 3))
-        log_k, log_q, log_p = sample_logs(w, points, kernel, target, ys)
-        assert np.array_equal(log_k, kernel.logpdf_matrix(points, ys))
-        assert np.array_equal(log_p, target.log_density(ys))
+        batch = sample_logs(w, points, kernel, target, ys)
+        # one product: the kernel block, taken against the kernel's peak
+        # density, and the target block
+        assert (batch.shift == 0.0).all() and (batch.ratio <= 1.0).all()
+        np.testing.assert_allclose(
+            np.log(batch.ratio) + batch.log_peak, kernel.logpdf_matrix(points, ys),
+            rtol=PARITY_RTOL, atol=0.0,
+        )
+        np.testing.assert_allclose(
+            batch.log_p, target.log_density(ys), rtol=PARITY_RTOL, atol=0.0
+        )
+        assert batch.log_peak == kernel.log_peak
         # pointwise reference over the weighted components only
         keep = w > 0
         want = [
@@ -516,7 +538,16 @@ class TestSampleLogs:
             )
             for y in ys
         ]
-        np.testing.assert_allclose(log_q, want, rtol=PARITY_RTOL, atol=0.0)
+        np.testing.assert_allclose(batch.log_q, want, rtol=PARITY_RTOL, atol=0.0)
+
+    def test_plain_target_is_read_through_its_log_density(self):
+        rng = np.random.default_rng(23)
+        kernel = GaussianKernel(0.8, 3)
+        points = rng.normal(size=(4, 3))
+        ys = rng.normal(size=(10, 3))
+        target = Target(lambda y: -0.5 * np.sum(y * y, axis=-1))
+        batch = sample_logs(np.full(4, 0.25), points, kernel, target, ys)
+        assert np.array_equal(batch.log_p, target.log_density(ys))
 
 
 class TestFiniteSupportProblem:

@@ -39,6 +39,7 @@ from alpha_descent.model import (
     Target,
     bandwidth_rule,
     gaussian_kernel_logpdf,
+    sample_logs,
 )
 
 
@@ -65,6 +66,7 @@ DELETED = (
     "FIXED_POINT_TOL",
     "ParticleSet",
     "gradient_monte_carlo",
+    "kernel_exp",
     "mixture_logpdf",
     "power_transform",
     "vr_bound_estimate",
@@ -101,6 +103,9 @@ def test_deleted_fields_and_methods_are_gone():
     assert not hasattr(GaussianKernel, "logpdf")
     # the batch's kernel comes in the form sample_logs returned it
     assert "exp_kernel" not in inspect.signature(gradient_monte_carlo_from_logs).parameters
+    # every arm reads the one batch that sample_logs forms
+    assert "exp_kernel" not in inspect.signature(sample_logs).parameters
+    assert "num_components" not in inspect.signature(rate_bound).parameters
 
 
 def test_every_errstate_in_src_says_why():
@@ -200,7 +205,7 @@ COUNTS = [
         "RateConstants.from_grad_bound", "num_components", 1,
         lambda x, rng: RateConstants.from_grad_bound(1.0, _PARAMS, x),
     ),
-    ("rate_bound", "num_steps", 1, lambda x, rng: rate_bound(_CONSTANTS, x, _PARAMS, 10)),
+    ("rate_bound", "num_steps", 1, lambda x, rng: rate_bound(_CONSTANTS, x, _PARAMS)),
     (
         "sample_mixture", "size", 1,
         lambda x, rng: sample_mixture(
