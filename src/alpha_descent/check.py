@@ -60,7 +60,7 @@ def _check_hand_values():
         ("power factor(-1), step 0.5", _power_factor(-1.0, DescentParams(0.5, 0.5)), 1.5),
         ("power factor(1), step 1", _power_factor(1.0, DescentParams(0.5, 1.0)), 0.25),
     ):
-        _ensure(math.isclose(got, want), f"{what} = {got!r}, want {want!r}")
+        _ensure(math.isclose(got, want), f"{what} = {float(got)!r}, want {want!r}")
     p = DescentParams(alpha=0.5, step_size=1.0)
     new, _ = power_step([0.5, 0.5], np.array([0.0, -1.0]), p)
     _ensure(
@@ -135,7 +135,7 @@ def _check_simplex_and_support():
             new, _ = step()
             _ensure(
                 abs(new.sum() - 1.0) <= 1e-12,
-                f"{name} step weights sum to {new.sum()!r}",
+                f"{name} step weights sum to {float(new.sum())!r}",
             )
             _ensure(
                 np.all(new[w == 0] == 0),

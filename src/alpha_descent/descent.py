@@ -99,7 +99,12 @@ class StepDiagnostics:
     guard_min: float
 
 
-def _gradient_values(grad, num_components):
+def _gradient_values(grad, num_components, weights=None):
+    """The values of ``grad``, checked finite on every row.
+
+    Given ``weights``, only the weighted rows, the ones the step reads,
+    must be finite.
+    """
     if isinstance(grad, MixtureGradient):
         if grad.values is None:
             raise ValueError("a log_base gradient has no values for this step to read")
@@ -111,7 +116,9 @@ def _gradient_values(grad, num_components):
         raise ValueError(
             f"gradient has {values.size} entries for {num_components} weights"
         )
-    if not np.isfinite(values).all():
+    if not np.isfinite(values).all() and (
+        weights is None or not np.isfinite(values[weights > 0]).all()
+    ):
         raise ValueError("gradient values must be finite")
     return values
 
@@ -182,7 +189,7 @@ def power_step(weights, grad, params):
     # each pass below reads the weighted components only, through ``active``
     log_a = _log_base(grad, weights.size)
     if log_a is None:
-        values = _gradient_values(grad, weights.size)
+        values = _gradient_values(grad, weights.size, weights)
         base = (alpha - 1.0) * (values + params.shift) + 1.0
         guard_min = float(np.minimum.reduce(base, where=active, initial=np.inf))
         if guard_min <= 0.0:
@@ -217,7 +224,7 @@ def power_step(weights, grad, params):
 def emd_step(weights, grad, params):
     """One entropic mirror descent update, factors ``exp(-step (b + shift))``."""
     weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size)
+    values = _gradient_values(grad, weights.size, weights)
     new = _renormalise(weights, -params.step_size * (values + params.shift))
     return new, StepDiagnostics(np.inf)
 
@@ -228,7 +235,7 @@ def kl_step(weights, grad, step_size):
     if isinstance(grad, MixtureGradient) and grad.alpha != 1.0:
         raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
     weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size)
+    values = _gradient_values(grad, weights.size, weights)
     return _renormalise(weights, -step_size * values), StepDiagnostics(np.inf)
 
 
@@ -367,7 +374,8 @@ def run_descent(
     which carries the range.  Each step then
     calls public functions, and each checks what it reads: the step runs
     ``as_simplex`` on the weights and checks the gradient's size and
-    finiteness (or, for ``log A_j``, no NaN or ``+inf``);
+    that the values it reads are finite (or, for ``log A_j``, no NaN or
+    ``+inf``);
     ``problem.log_mixture`` checks the weights' shape, sign and
     finiteness; the exact objective checks that each density ratio is
     positive and finite; the Monte Carlo gradient checks the shapes of

@@ -51,7 +51,7 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
             bad = np.flatnonzero(~np.isfinite(row_norm))[0]
             raise ValueError(
                 f"importance weights for particle {rows[bad]} degenerated "
-                f"(log normaliser {row_norm[bad]!r})"
+                f"(log normaliser {float(row_norm[bad])!r})"
             )
         exps -= row_norm[:, None]
         new[rows] = np.exp(exps, out=exps) @ samples

@@ -93,12 +93,6 @@ def as_simplex(weights, *, name="weights"):
     raise ValueError(f"{name} must sum to 1 within {tol}, got {total!r}")
 
 
-# Entries per block of the log-sum-exp: 128 KiB of float64, small enough to
-# stay in cache between the passes and to come from the heap, not from a
-# fresh mapping.
-_LSE_BLOCK = 16384
-
-
 def logsumexp(a, axis=-1, b=None):
     """``log sum_i b_i exp(a_i)`` along ``axis``, with the maximum subtracted.
 
@@ -106,14 +100,12 @@ def logsumexp(a, axis=-1, b=None):
     (default all ones).  Its zero entries are dropped before the peak is
     taken, so an entry far above every weighted one neither sets the peak
     nor turns into ``0 * inf``.  The sum is a matrix-vector product with
-    ``b`` over a C-ordered copy of ``a - peak``; above ``_LSE_BLOCK``
-    entries it is taken block by block, so no temporary of the size of
-    ``a`` is made.  A slice whose entries are all ``-inf`` gives ``-inf``.
+    ``b`` over a C-ordered copy of ``a - peak``.  A slice whose entries are
+    all ``-inf`` gives ``-inf``.
     """
     a = np.asarray(a, dtype=float)
-    if axis != 0:
-        # swapaxes is moveaxis for ndim <= 2, at a fraction of the call cost
-        a = a.swapaxes(axis, 0) if a.ndim <= 2 else np.moveaxis(a, axis, 0)
+    if axis not in (0, -a.ndim):
+        a = np.moveaxis(a, axis, 0)
     if b is None:
         b = np.ones(a.shape[0])
     else:
@@ -125,21 +117,10 @@ def logsumexp(a, axis=-1, b=None):
     a = a.reshape(b.size, -1)
     peak = a.max(axis=0)
     peak[~np.isfinite(peak)] = 0.0
-    width = max(1, _LSE_BLOCK // b.size)
-    if peak.size <= width:
-        # a fresh C-ordered array: the order of a view's difference would
-        # change the summation order of the product
-        part = np.subtract(a, peak, out=np.empty(a.shape))
-        total = b @ np.exp(part, out=part)
-    else:
-        total = np.empty_like(peak)
-        block = np.empty((b.size, width))
-        for lo in range(0, peak.size, width):
-            hi = min(lo + width, peak.size)
-            part = block[:, : hi - lo]
-            np.subtract(a[:, lo:hi], peak[lo:hi], out=part)
-            np.exp(part, out=part)
-            np.matmul(b, part, out=total[lo:hi])
+    # a fresh C-ordered array: the order of a view's difference would
+    # change the summation order of the product
+    part = np.subtract(a, peak, out=np.empty(a.shape))
+    total = b @ np.exp(part, out=part)
     out = np.empty_like(total)
     out.fill(-np.inf)
     np.log(total, out=out, where=total != 0)

@@ -238,6 +238,62 @@ class TestRenyiStep:
         assert diag.guard_min == 0.5
 
 
+class TestStepsCheckTheRowsTheyRead:
+    def test_emd_and_kl_take_the_dead_component_batch(self):
+        # the batch of test_gradient's dead component far above the mixture:
+        # its own value is inf, and no step reads it
+        rng = np.random.default_rng(61)
+        kernel = GaussianKernel(1.0, 2)
+        points = rng.normal(size=(4, 2))
+        points[1] = [60.0, 0.0]
+        samples = points[1] + rng.normal(size=(64, 2))
+        target = GaussianMixtureTarget([[0.0, 0.0]])
+        w = np.array([0.3, 0.0, 0.3, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = sample_logs(w, points, kernel, target, samples)
+            emd_grad = gradient_monte_carlo_from_logs(batch, 0.5)
+            kl_grad = gradient_monte_carlo_from_logs(batch, 1.0)
+            assert emd_grad.values[1] == np.inf and kl_grad.values[1] == np.inf
+            emd_new, _ = emd_step(w, emd_grad, DescentParams(0.5, 0.1))
+            kl_new, _ = kl_step(w, kl_grad, 0.1)
+        for new in (emd_new, kl_new):
+            assert new[1] == 0.0
+            assert np.isfinite(new).all() and new.sum() == pytest.approx(1.0)
+
+    def test_power_values_form_skips_a_dead_inf(self):
+        values = np.array([0.0, -1.0, np.inf])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new, _ = power_step([0.5, 0.5, 0.0], values, DescentParams(0.5, 1.0))
+        assert new[2] == 0.0
+        assert np.allclose(new[:2], [4.0 / 13.0, 9.0 / 13.0], atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "step",
+        [
+            lambda w, b: emd_step(w, b, DescentParams(0.5, 0.5)),
+            lambda w, b: kl_step(w, b, 0.5),
+            lambda w, b: power_step(w, b, DescentParams(0.5, 0.5)),
+        ],
+        ids=["emd", "kl", "power"],
+    )
+    def test_nan_on_a_weighted_row_is_refused(self, step):
+        with pytest.raises(ValueError, match="must be finite"):
+            step([0.5, 0.5, 0.0], np.array([0.0, np.nan, 0.0]))
+
+    @pytest.mark.parametrize("unweighted", [False, True])
+    def test_renyi_refuses_inf_on_a_zero_weight_row(self, unweighted):
+        # weights @ values and the plain sum read every row
+        with pytest.raises(ValueError, match="must be finite"):
+            renyi_step(
+                [0.5, 0.5, 0.0],
+                np.array([0.0, -1.0, np.inf]),
+                DescentParams(0.5, 1.0, shift=-1.0),
+                unweighted_denominator=unweighted,
+            )
+
+
 def _log_base_gradient(log_a, alpha):
     return MixtureGradient(None, alpha, log_base=log_a)
 

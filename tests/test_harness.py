@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from alpha_descent import cli
+from alpha_descent import check, cli
 from alpha_descent.cli import main
 from alpha_descent.descent import run_descent
 from alpha_descent.divergence import DescentParams
@@ -701,6 +701,24 @@ class TestCli:
             main(["check"])
         assert info.value.code == 0
         assert "ok" in capsys.readouterr().out.lower()
+
+    def test_check_failures_print_plain_numbers(self, capsys, monkeypatch):
+        # a power step that doubles its first weight fails the hand values
+        # and the simplex check; their messages print floats, not reprs
+        original = check.power_step
+
+        def skewed(weights, grad, params):
+            new, diag = original(weights, grad, params)
+            new[0] *= 2.0
+            return new, diag
+
+        monkeypatch.setattr(check, "power_step", skewed)
+        assert check.run_checks() >= 2
+        out = capsys.readouterr().out
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert any("power factor(-1), step 0.5 = 3.0" in line for line in failed)
+        assert any("power step weights sum to" in line for line in failed)
+        assert not any("np.float64" in line for line in failed)
 
     def test_check_fails_under_python_optimise(self):
         # python -O strips assert statements; a broken generator must still

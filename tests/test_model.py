@@ -371,6 +371,24 @@ class TestLogsumexp:
         want = scipy_logsumexp(a[keep], axis=0, b=b[keep].reshape((-1,) + (1,) * (a.ndim - 1)))
         np.testing.assert_allclose(logsumexp(a, axis=0, b=b), want, rtol=PARITY_RTOL, atol=0.0)
 
+    @pytest.mark.parametrize("axis", [0, 1, 2, -1])
+    def test_three_dimensional_matches_scipy(self, axis):
+        rng = np.random.default_rng(40 + axis)
+        a = 30.0 * rng.standard_normal((4, 5, 6))
+        want = scipy_logsumexp(a, axis=axis)
+        np.testing.assert_allclose(logsumexp(a, axis=axis), want, rtol=PARITY_RTOL, atol=0.0)
+        b = rng.dirichlet(np.ones(a.shape[axis]))
+        b[::2] = 0.0
+        shape = [1, 1, 1]
+        shape[axis] = b.size
+        want = scipy_logsumexp(a, axis=axis, b=b.reshape(shape))
+        np.testing.assert_allclose(logsumexp(a, axis=axis, b=b), want, rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("shape, axis", [((7,), 1), ((7,), -2), ((3, 4), 2), ((3, 4), -3)])
+    def test_out_of_range_axis_raises(self, shape, axis):
+        with pytest.raises(np.exceptions.AxisError):
+            logsumexp(np.zeros(shape), axis=axis)
+
     def test_scalar_for_a_vector(self):
         got = logsumexp(np.log([1.0, 2.0, 5.0]))
         assert np.ndim(got) == 0

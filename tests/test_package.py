@@ -65,6 +65,7 @@ MODULES = sorted(m.name for m in pkgutil.iter_modules(alpha_descent.__path__))
 DELETED = (
     "FIXED_POINT_TOL",
     "ParticleSet",
+    "_LSE_BLOCK",
     "gradient_monte_carlo",
     "kernel_exp",
     "mixture_logpdf",
