@@ -88,8 +88,6 @@ def _check_power_monotone():
         problem = random_problem(rng)
         j = problem.num_components
         for alpha in ALPHA_GRID:
-            if alpha == 1.0:
-                continue
             params = DescentParams(alpha=alpha, step_size=rng.uniform(0.1, 1.0))
             w = random_weights(rng, j)
             value = divergence_exact(problem, w, alpha)

@@ -38,10 +38,6 @@ def _add_config_flags(parser):
             parser.add_argument(flag, choices=ALGORITHMS, default=None)
         elif name == "exploration":
             parser.add_argument(flag, choices=EXPLORATIONS, default=None)
-        elif kind == "bool":
-            parser.add_argument(
-                flag, action=argparse.BooleanOptionalAction, default=None
-            )
         elif kind == "int":
             parser.add_argument(flag, type=int, default=None)
         else:

@@ -1,15 +1,17 @@
 """Multiplicative updates on the simplex and their convergence-rate bound.
 
-Four update rules share one shape: multiply each weight by a positive
-factor computed from the gradient, renormalise in the log domain.
+Five update rules, one per name in :data:`ALGORITHMS`, share one shape:
+multiply each weight by a positive factor computed from the gradient,
+renormalise in the log domain.
 
     power:  factor_j = [(alpha-1)(b_j + shift) + 1]^(step/(1-alpha))
-    emd:    factor_j = exp(-step (b_j + shift))
+    emd:    factor_j = exp(-step b_j)
     kl:     factor_j = exp(-step b_j)           (alpha = 1 gradient)
     renyi:  factor_j = exp(-step b_j / D),  D = (alpha-1)(mu_b + shift) + 1
+    renyi_unweighted:  renyi with mu_b the plain sum of the gradient
 
-where ``mu_b`` is the weighted mean of the gradient.  The power and renyi
-updates carry positivity guards; a violated guard raises
+where ``mu_b`` is the weighted mean of the gradient.  The power and both
+renyi updates carry positivity guards; a violated guard raises
 :class:`GuardViolation` instead of producing NaNs.
 
 A Monte Carlo gradient that carries ``log_base = log A_j`` (see
@@ -23,7 +25,7 @@ in the log domain:
 
 The renyi form drops the constant ``step / ((alpha-1) D)``, which cancels
 when the weights are renormalised.  Such a gradient has no values, so the
-emd, kl and unweighted renyi updates refuse it.
+emd, kl and renyi_unweighted updates refuse it.
 
 In Monte Carlo mode every update, ``log A_j`` or values, is read from one
 :class:`~alpha_descent.model.SampleBatch` per iterate: one distance
@@ -64,7 +66,7 @@ __all__ = [
     "run_descent",
 ]
 
-ALGORITHMS = ("power", "renyi", "emd", "kl")
+ALGORITHMS = ("power", "renyi", "emd", "kl", "renyi_unweighted")
 
 
 class GuardViolation(RuntimeError):
@@ -163,7 +165,7 @@ def _check_params(algorithm, params):
             "power step needs alpha != 1, (alpha-1)*shift >= 0 and "
             f"step_size in (0, 1]; got {params}"
         )
-    if algorithm == "renyi":
+    if algorithm in ("renyi", "renyi_unweighted"):
         if params.alpha == 1.0:
             raise ValueError("renyi step is undefined at alpha=1")
         if (params.alpha - 1.0) * params.shift < 0:
@@ -221,12 +223,16 @@ def power_step(weights, grad, params):
     return _renormalise(weights, log_factors), StepDiagnostics(guard_min)
 
 
-def emd_step(weights, grad, params):
-    """One entropic mirror descent update, factors ``exp(-step (b + shift))``."""
+def _mirror_step(weights, grad, step_size):
+    """Entropic mirror descent, factors ``exp(-step b)``; no guard."""
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size, weights)
-    new = _renormalise(weights, -params.step_size * (values + params.shift))
-    return new, StepDiagnostics(np.inf)
+    return _renormalise(weights, -step_size * values), StepDiagnostics(np.inf)
+
+
+def emd_step(weights, grad, params):
+    """One entropic mirror descent update; a shift would cancel, so none is read."""
+    return _mirror_step(weights, grad, params.step_size)
 
 
 def kl_step(weights, grad, step_size):
@@ -234,9 +240,7 @@ def kl_step(weights, grad, step_size):
     _check_float("step_size", step_size, positive=True)
     if isinstance(grad, MixtureGradient) and grad.alpha != 1.0:
         raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
-    weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size, weights)
-    return _renormalise(weights, -step_size * values), StepDiagnostics(np.inf)
+    return _mirror_step(weights, grad, step_size)
 
 
 def renyi_step(weights, grad, params, unweighted_denominator=False):
@@ -245,7 +249,8 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     ``D = (alpha-1)(mu_b + shift) + 1`` with ``mu_b`` the weighted mean of
     the gradient; ``unweighted_denominator`` swaps in the plain sum instead,
     which reproduces a published variant but loses the positivity guarantee
-    of the weighted form.  Requires ``alpha != 1`` and
+    of the weighted form.  ``run_descent`` runs that variant as the
+    algorithm ``renyi_unweighted``.  Requires ``alpha != 1`` and
     ``(alpha-1)*shift >= 0`` (the convergence rate additionally wants the
     product strictly positive, see :class:`RateConstants`).
 
@@ -326,7 +331,7 @@ class DescentTrace:
         return self.records[-1].weights
 
 
-def _step_once(algorithm, weights, grad, params, unweighted_denominator):
+def _step_once(algorithm, weights, grad, params):
     if algorithm == "power":
         return power_step(weights, grad, params)
     if algorithm == "emd":
@@ -334,7 +339,7 @@ def _step_once(algorithm, weights, grad, params, unweighted_denominator):
     if algorithm == "kl":
         return kl_step(weights, grad, params.step_size)
     return renyi_step(
-        weights, grad, params, unweighted_denominator=unweighted_denominator
+        weights, grad, params, unweighted_denominator=algorithm == "renyi_unweighted"
     )
 
 
@@ -349,7 +354,6 @@ def run_descent(
     sample_count=None,
     rng=None,
     fixed_point_tol=None,
-    unweighted_denominator=False,
     phase=1,
     record_initial=True,
 ):
@@ -367,9 +371,9 @@ def run_descent(
     The weights or state, their size, ``num_steps`` and ``sample_count``
     (integers, not bools) and the parameters the step demands
     (``params.power_valid`` for power, ``alpha != 1`` and
-    ``(alpha-1)*shift >= 0`` for renyi) are checked at entry, so invalid
-    inputs are refused before the first sample is drawn.  Like every count
-    and positive real of the package, the two counts are checked by one
+    ``(alpha-1)*shift >= 0`` for both renyi updates) are checked at entry, so
+    invalid inputs are refused before the first sample is drawn.  Like every
+    count and positive real of the package, the two counts are checked by one
     call to ``model._check_integer`` (``model._check_float`` for a real),
     which carries the range.  Each step then
     calls public functions, and each checks what it reads: the step runs
@@ -394,9 +398,9 @@ def run_descent(
     mode it is the iterate's one batch, which gives the sampled bound and
     then the next step's gradient, so N steps draw N+1 batches (N when the
     bound is not monitored and each gradient draws its own).  The power
-    update and the weighted renyi update read ``log A_j``, the positive
-    estimate of their base (see :mod:`alpha_descent.gradient`); the other
-    updates and the exact mode read the gradient values.  In Monte Carlo
+    and renyi updates read ``log A_j``, the positive estimate of their base
+    (see :mod:`alpha_descent.gradient`); emd, kl, renyi_unweighted and the
+    exact mode read the gradient values.  In Monte Carlo
     mode both come from the one kernel block that ``sample_logs``
     exponentiated in place (a :class:`~alpha_descent.model.SampleBatch`),
     and the batch is let go once its gradient is read, so a step of any arm
@@ -447,9 +451,7 @@ def run_descent(
         # the weights may have been changed since the state was built
         weights = as_simplex(initial.weights)
         points, kernel = initial.points, initial.kernel
-        log_base = algorithm == "power" or (
-            algorithm == "renyi" and not unweighted_denominator
-        )
+        log_base = algorithm in ("power", "renyi")
         batch = None  # the scored iterate's monitor batch
 
         def draw(w):
@@ -484,9 +486,7 @@ def run_descent(
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:
-            new, diag = _step_once(
-                algorithm, weights, gradient(weights), params, unweighted_denominator
-            )
+            new, diag = _step_once(algorithm, weights, gradient(weights), params)
         except GuardViolation as exc:
             err = GuardViolation(
                 f"step {n} of phase {phase}: {exc}",

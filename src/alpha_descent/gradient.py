@@ -20,17 +20,17 @@ high dimension ``A_j`` is exponentially small and the count noise ``1 - c_j``
 decides the sign of the base.  The positive-by-construction estimator puts
 the exact value 1 in place of ``c_j``: the base is ``A_j`` itself, still
 unbiased.  A :class:`MixtureGradient` from it carries ``log A_j`` alone, and
-only the power and weighted renyi updates accept it.
+only the power and renyi updates accept it.
 
 Both estimates read the kernel block ``E`` of a
 :class:`~alpha_descent.model.SampleBatch`, which the batch exponentiated
-once against the kernel's peak density.  The emd, kl and unweighted renyi
+once against the kernel's peak density.  The emd, kl and renyi_unweighted
 updates read the literal mean of the values, ``E @ (f' / total) / M``,
-since ``E_j / total`` is ``k_j / mix``.  The power and weighted renyi
-updates read ``log A_j = log_peak + S + log(E_j @ exp(c - S)) - log M``,
-with ``c = shift + (alpha-2) log mix - (alpha-1) log p`` and ``S = max
-c``: one matrix-vector product, with every exponentiated number at most 1
-on the weighted rows.  A row whose product falls below the normal float
+since ``E_j / total`` is ``k_j / mix``.  The power and renyi updates
+read ``log A_j = log_peak + S + log(E_j @ exp(c - S)) - log M``, with
+``c = shift + (alpha-2) log mix - (alpha-1) log p`` and ``S = max c``:
+one matrix-vector product, with every exponentiated number at most 1 on
+the weighted rows.  A row whose product falls below the normal float
 range, as it does for a particle far from every sample, is summed in the
 log domain from its exponents instead, so ``log A_j`` is never ``-inf``
 where the log domain gives a finite value.

@@ -85,7 +85,6 @@ class ExperimentConfig:
     init_cov_scale: float = 5.0
     bandwidth_coeff: float = 1.0
     exploration: str = "resample"
-    renyi_unweighted_denominator: bool = False
 
     def __post_init__(self):
         if self.algorithm not in ALGORITHMS:
@@ -116,8 +115,6 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, int(value))
             elif f.type == "float":
                 _check_float(f.name, value, positive=f.name in _POSITIVE)
-            elif f.type == "bool" and not isinstance(value, bool):
-                raise ValueError(f"{f.name} must be true or false, got {value!r}")
         # the step parameters run_descent refuses at entry, refused here
         # before any replicate starts
         try:
@@ -218,7 +215,6 @@ def run_replicate(config, index):
                 target=target,
                 sample_count=sample_count,
                 rng=rng,
-                unweighted_denominator=config.renyi_unweighted_denominator,
                 phase=phase,
                 record_initial=(phase == 1),
             )

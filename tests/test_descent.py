@@ -130,6 +130,10 @@ class TestPowerStep:
         assert np.allclose(new[:2], [4.0 / 13.0, 9.0 / 13.0], atol=1e-15)
         assert diag.guard_min == pytest.approx(1.0)
 
+    def test_matrix_gradient_refused(self):
+        with pytest.raises(ValueError, match=r"vector, got shape \(2, 2\)"):
+            power_step([0.5, 0.5], np.zeros((2, 2)), DescentParams(0.5, 1.0))
+
     def test_invalid_params_rejected(self):
         for params in (
             DescentParams(1.0, 0.5),
@@ -154,12 +158,13 @@ class TestEmdStep:
         assert diag.guard_min == np.inf
 
     def test_shift_is_cosmetic(self):
-        # a constant shift cancels in the normalisation
+        # a constant shift cancels in the normalisation, so the step does
+        # not read it
         a, _ = emd_step([0.3, 0.7], np.array([0.2, -0.4]), DescentParams(0.5, 0.8))
         b, _ = emd_step(
             [0.3, 0.7], np.array([0.2, -0.4]), DescentParams(0.5, 0.8, shift=-3.0)
         )
-        assert np.allclose(a, b, atol=1e-15)
+        assert np.array_equal(a, b)
 
     def test_zero_weights_preserved(self):
         new, _ = emd_step([0.0, 1.0], np.array([-50.0, 0.0]), DescentParams(0.5, 1.0))
@@ -779,10 +784,9 @@ class TestRunDescentExact:
             run_descent(
                 np.full(3, 1.0 / 3.0),
                 DescentParams(0.5, 0.5),
-                "renyi",
+                "renyi_unweighted",
                 10,
                 problem=problem,
-                unweighted_denominator=True,
             )
         err = info.value
         assert "step 1 of phase 1" in str(err)
@@ -832,7 +836,7 @@ class TestRunDescentExact:
 
             return wrapper
 
-        step = f"{algorithm}_step"
+        step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
         for owner, name in (
             (descent_module, step),
             (descent_module, "as_simplex"),
@@ -1029,14 +1033,22 @@ EXACT_GRID = tuple(("kl", 1.0, eta) for eta in (0.1, 0.5, 1.0)) + tuple(
 )
 
 
-def _public_step(algorithm, weights, grad, params, unweighted_denominator=False):
+def _public_step(algorithm, weights, grad, params):
     if algorithm == "power":
         return power_step(weights, grad, params)
     if algorithm == "emd":
         return emd_step(weights, grad, params)
     if algorithm == "kl":
         return kl_step(weights, grad, params.step_size)
-    return renyi_step(weights, grad, params, unweighted_denominator)
+    return renyi_step(
+        weights, grad, params, unweighted_denominator=algorithm == "renyi_unweighted"
+    )
+
+
+def _arm(algorithm, unweighted):
+    """The algorithm of a parametrised arm; ``unweighted`` marks the
+    ``renyi_unweighted`` arm, which its test ids spell ``renyi-...-True``."""
+    return "renyi_unweighted" if unweighted else algorithm
 
 
 def _key(step, weights, vr_bound, objective, guard_min):
@@ -1092,6 +1104,7 @@ class TestRunDescentParity:
     def test_monte_carlo_matches_public_loop(
         self, algorithm, alpha, unweighted, record_initial
     ):
+        algorithm = _arm(algorithm, unweighted)
         points = np.random.default_rng(7).normal(size=(5, 2))
         state = MixtureState(np.full(5, 0.2), points, GaussianKernel(0.8, 2))
         target = GaussianMixtureTarget([[0.5, 0.0], [-0.5, 0.3]])
@@ -1104,13 +1117,12 @@ class TestRunDescentParity:
             target=target,
             sample_count=40,
             rng=np.random.default_rng(8),
-            unweighted_denominator=unweighted,
             record_initial=record_initial,
         )
 
         rng = np.random.default_rng(8)
         grad_alpha = 1.0 if algorithm == "kl" else alpha
-        log_base = algorithm == "power" or (algorithm == "renyi" and not unweighted)
+        log_base = algorithm in ("power", "renyi")
 
         def batch(state):
             mixture = state.weights, state.points, state.kernel
@@ -1128,9 +1140,7 @@ class TestRunDescentParity:
             grad = gradient_monte_carlo_from_logs(
                 batch(state) if logs is None else logs, grad_alpha, log_base=log_base
             )
-            new, diag = _public_step(
-                algorithm, state.weights, grad, params, unweighted
-            )
+            new, diag = _public_step(algorithm, state.weights, grad, params)
             state = MixtureState(new, state.points, state.kernel)
             logs = None if alpha == 1.0 else batch(state)
             vr = np.nan if logs is None else vr_bound_from_logs(logs.log_p, logs.log_q, alpha)
@@ -1216,9 +1226,8 @@ class TestSharedKernelMatrix:
     @staticmethod
     def _fig1(monkeypatch, algorithm, alpha, unweighted=False, gradient=None, **keys):
         config = replace(
-            parse_config(FIG1_CONFIG), algorithm=algorithm, alpha=alpha,
-            sample_count=(2000,), num_phases=2, replicates=1,
-            renyi_unweighted_denominator=unweighted, **keys,
+            parse_config(FIG1_CONFIG), algorithm=_arm(algorithm, unweighted),
+            alpha=alpha, sample_count=(2000,), num_phases=2, replicates=1, **keys,
         )
         with warnings.catch_warnings(), monkeypatch.context() as patch:
             warnings.simplefilter("error")
@@ -1392,9 +1401,8 @@ class TestSharedKernelMatrix:
 
         def run():
             return run_descent(
-                state, DescentParams(alpha, 0.067), algorithm, 3, target=target,
-                sample_count=m, rng=np.random.default_rng(97),
-                unweighted_denominator=unweighted,
+                state, DescentParams(alpha, 0.067), _arm(algorithm, unweighted), 3,
+                target=target, sample_count=m, rng=np.random.default_rng(97),
             )
 
         run()  # first calls allocate caches that are not the step's

@@ -293,6 +293,13 @@ class TestVrBound:
         with pytest.raises(ValueError):
             vr_bound_exact(problem, np.array([0.5, 0.5]), 1.0)
 
+    def test_from_logs_refusals(self):
+        with pytest.raises(ValueError, match="undefined at alpha=1"):
+            vr_bound_from_logs([0.0, 1.0], [0.0, 1.0], 1.0)
+        for log_p, log_q in (([0.0, 1.0], [0.0]), ([], [])):
+            with pytest.raises(ValueError, match="equal, nonempty batches"):
+                vr_bound_from_logs(log_p, log_q, 0.5)
+
     def test_perfect_fit_recovers_log_normaliser(self):
         # when q == p / Z the bound equals log Z for every order
         rng = np.random.default_rng(20)

@@ -4,12 +4,14 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from alpha_descent.explore import explore_mean_update, explore_resample
 from alpha_descent.gradient import MixtureState, sample_mixture
 from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
+    SampleBatch,
     gaussian_kernel_logpdf,
 )
 
@@ -106,3 +108,38 @@ class TestMeanUpdate:
                 explore_mean_update(
                     state, self._target(), 16, 0.5, np.random.default_rng(8)
                 )
+
+    def test_far_particle_takes_the_log_domain_fallback(self, monkeypatch):
+        # particle 2 sits 60 units from a mixture that all but never samples
+        # near it: its row of the kernel block underflows, so its normaliser
+        # is summed in the log domain; every row must still be the
+        # self-normalised mean of the samples under gamma_j
+        state = _state(
+            [0.5, 0.5 - 1e-12, 1e-12], [[0.0, 0.0], [0.5, -0.5], [60.0, 60.0]],
+            bandwidth=1.0,
+        )
+        target = self._target()
+        fallback_rows = []
+        tilted_sums = SampleBatch.tilted_sums
+
+        def spied(batch, t):
+            out = tilted_sums(batch, t)
+            fallback_rows.append(out[1])
+            return out
+
+        monkeypatch.setattr(SampleBatch, "tilted_sums", spied)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            fresh = explore_mean_update(state, target, 64, 0.5, np.random.default_rng(3))
+        assert len(fallback_rows) == 1 and list(fallback_rows[0]) == [2]
+
+        samples = sample_mixture(
+            state.weights, state.points, state.kernel, 64, np.random.default_rng(3)
+        )
+        sq = ((state.points[:, None, :] - samples[None, :, :]) ** 2).sum(axis=2)
+        log_k = -0.5 * sq - np.log(2.0 * np.pi)
+        log_q = logsumexp(log_k, axis=0, b=state.weights[:, None])
+        log_p = -0.5 * (samples**2).sum(axis=1) - np.log(2.0 * np.pi)
+        log_gamma = log_k - log_q + (0.5 - 1.0) * (log_q - log_p)
+        want = np.exp(log_gamma - logsumexp(log_gamma, axis=1, keepdims=True)) @ samples
+        np.testing.assert_allclose(fresh, want, rtol=1e-12, atol=0.0)

@@ -285,9 +285,9 @@ class TestMonteCarloGradient:
         # A zero-weight component at the samples and the weighted ones 60
         # units away: its log kernel sits over 1000 nats above every
         # weighted row, and every column falls below the normal range.  Its
-        # own ratio overflows (its value is not finite, as with the
-        # elementwise form), but it must neither reach log q nor the values
-        # of the weighted components, and its log A_j stays finite.
+        # own value is inf, formed with no floating-point warning, but it
+        # must neither reach log q nor the values of the weighted
+        # components, and its log A_j stays finite.
         rng = np.random.default_rng(61)
         kernel = GaussianKernel(1.0, 2)
         points = rng.normal(size=(4, 2))
@@ -300,10 +300,8 @@ class TestMonteCarloGradient:
         want_values, want_log_a, want_log_q = _reference_from_logs(
             log_kernel[live], target.log_density(samples), w[live], 0.5
         )
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            batch = sample_logs(w, points, kernel, target, samples)
-            grad = gradient_monte_carlo_from_logs(batch, 0.5)
+        batch = sample_logs(w, points, kernel, target, samples)
+        grad = gradient_monte_carlo_from_logs(batch, 0.5)
         based = gradient_monte_carlo_from_logs(batch, 0.5, log_base=True)
         assert (batch.shift < -1000.0).all()
         np.testing.assert_allclose(batch.log_q, want_log_q, rtol=PARITY_RTOL, atol=0.0)

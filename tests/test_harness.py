@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -89,7 +90,12 @@ class TestConfig:
             parse_config(path)
 
     @pytest.mark.parametrize(
-        "key, value", [("diag_offset", 0.25), ("reuse_monitor_samples", True)]
+        "key, value",
+        [
+            ("diag_offset", 0.25),
+            ("reuse_monitor_samples", True),
+            ("renyi_unweighted_denominator", True),
+        ],
     )
     def test_removed_option_rejected_as_unknown(self, tmp_path, key, value):
         # a config written for a removed option fails loudly, not silently
@@ -121,6 +127,10 @@ class TestConfig:
             _config(seed=1.5)
         with pytest.raises(ValueError, match="seed must be >= 0"):
             _config(seed=-1)
+        with pytest.raises(ValueError, match="at least one batch size"):
+            _config(sample_count=[])
+        with pytest.raises(ValueError, match="exploration must be one of"):
+            _config(exploration="jitter")
 
     @pytest.mark.parametrize(
         "key, value",
@@ -238,18 +248,6 @@ class TestConfig:
         assert (config.num_steps, config.seed, config.sample_count) == (3, 5, (8,))
         assert type(config.seed) is int and type(config.sample_count[0]) is int
 
-    @pytest.mark.parametrize("key", ["renyi_unweighted_denominator"])
-    def test_boolean_keys_must_be_booleans(self, tmp_path, key):
-        # "false" is a truthy string: accepted, it would switch the option on
-        data = {**config_dict(_config()), "algorithm": "renyi"}
-        for value in ("false", 0, 1, None):
-            path = _write_json(tmp_path / "bad.json", {**data, key: value})
-            with pytest.raises(ValueError, match=key):
-                parse_config(path)
-        for value in (False, True):
-            path = _write_json(tmp_path / "good.json", {**data, key: value})
-            assert getattr(parse_config(path), key) is value
-
     def test_algorithm_alpha_coupling(self):
         with pytest.raises(ValueError, match="alpha=1"):
             _config(algorithm="power", alpha=1.0)
@@ -343,8 +341,7 @@ class TestRunReplicate:
 
     def test_guard_violation_truncates_single_replicate(self):
         config = _config(
-            algorithm="renyi",
-            renyi_unweighted_denominator=True,
+            algorithm="renyi_unweighted",
             num_components=10,
             sample_count=(50,),
             num_steps=3,
@@ -453,8 +450,7 @@ class TestRunExperiment:
 
     def test_one_bad_replicate_does_not_stop_the_rest(self):
         config = _config(
-            algorithm="renyi",
-            renyi_unweighted_denominator=True,
+            algorithm="renyi_unweighted",
             num_components=10,
             sample_count=(50,),
             num_steps=2,
@@ -599,25 +595,41 @@ class TestCli:
                 ]
 
     def test_aborted_replicates_fail_the_run(self, tmp_path, capsys):
+        # the config's weighted renyi run completes; the flag picks the
+        # unweighted variant, which refuses step 1
         config = self._smoke_config(
             tmp_path,
             algorithm="renyi",
-            renyi_unweighted_denominator=True,
             num_components=10,
             sample_count=[50],
             num_steps=2,
             dim=16,
             seed=41,
         )
-        with pytest.raises(SystemExit) as info:
-            main(
-                [
-                    "run", "--config", config,
-                    "--out", str(tmp_path / "out"),
-                ]
-            )
-        assert info.value.code == 1
-        assert "1 aborted" in capsys.readouterr().out
+        out = tmp_path / "out"
+        for flags, code, aborted in (
+            ([], 0, "0 aborted"),
+            (["--algorithm", "renyi_unweighted"], 1, "1 aborted"),
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(["run", "--config", config, "--out", str(out), *flags])
+            assert info.value.code == code
+            assert aborted in capsys.readouterr().out
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["config"]["algorithm"] == "renyi_unweighted"
+        assert summary["statuses"][0].startswith("guard_violation: step 1 of phase 1")
+
+    def test_every_config_field_has_a_flag_of_its_kind(self):
+        # cli._add_config_flags builds int and float flags and one flag each
+        # for the three keys below; a field of any other kind (a bool, a
+        # str) would silently get a float flag
+        special = {"sample_count", "algorithm", "exploration"}
+        odd = [
+            (f.name, f.type)
+            for f in fields(ExperimentConfig)
+            if f.name not in special and f.type not in ("int", "float")
+        ]
+        assert odd == []
 
     @pytest.mark.parametrize(
         "flags, key",
@@ -638,6 +650,16 @@ class TestCli:
         lines = captured.err.splitlines()
         assert len(lines) == 1, captured.err
         assert lines[0].startswith("alpha-descent run: error: ") and key in lines[0]
+        assert not out.exists()
+
+    def test_malformed_sample_count_flag_is_refused(self, tmp_path, capsys):
+        config = self._smoke_config(tmp_path)
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as info:
+            main(["run", "--config", config, "--out", str(out), "--sample-count", "8,x"])
+        assert info.value.code == 2
+        err = capsys.readouterr().err
+        assert "expected an integer or comma-separated integers, got '8,x'" in err
         assert not out.exists()
 
     def test_unreadable_config_is_one_error_line(self, tmp_path, capsys):

@@ -178,6 +178,13 @@ class TestGaussianKernel:
         with pytest.raises(ValueError, match="dim must be an integer"):
             GaussianKernel(1.0, dim)
 
+    def test_logpdf_matrix_refuses_the_wrong_dimension(self):
+        kernel = GaussianKernel(1.0, 2)
+        with pytest.raises(ValueError, match="dimension 2, got 3 and 2"):
+            kernel.logpdf_matrix(np.zeros((4, 3)), np.zeros((5, 2)))
+        with pytest.raises(ValueError, match="dimension 2, got 2 and 1"):
+            kernel.logpdf_matrix(np.zeros((4, 2)), np.zeros((5, 1)))
+
     def test_numpy_integer_dim_accepted(self):
         kernel = GaussianKernel(1.0, np.int64(16))
         assert kernel.dim == 16 and type(kernel.dim) is int
@@ -248,6 +255,9 @@ class TestTargets:
         target = GaussianMixtureTarget([[0.0, 0.0]])
         with pytest.raises(ValueError, match="dimension"):
             target.log_density([1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="means must be finite"):
+                GaussianMixtureTarget([[0.0, 0.0], [1.0, bad]])
 
 
 def _log_q(weights, points, kernel, ys):
@@ -595,6 +605,11 @@ class TestFiniteSupportProblem:
             FiniteSupportProblem(kernel, nu, np.array([0.4, 0.0]))
         with pytest.raises(ValueError, match="nu_weights"):
             FiniteSupportProblem(kernel, np.array([-1.0, 2.0]), p)
+
+    def test_rejects_a_kernel_vector(self):
+        kernel, nu, p = self._valid()
+        with pytest.raises(ValueError, match=r"2-d, got shape \(2,\)"):
+            FiniteSupportProblem(kernel[0], nu, p)
 
     def test_rejects_shape_mismatch(self):
         kernel, nu, p = self._valid()

@@ -107,6 +107,9 @@ def test_deleted_fields_and_methods_are_gone():
     # every arm reads the one batch that sample_logs forms
     assert "exp_kernel" not in inspect.signature(sample_logs).parameters
     assert "num_components" not in inspect.signature(rate_bound).parameters
+    # the algorithm name alone picks the update
+    assert "unweighted_denominator" not in inspect.signature(run_descent).parameters
+    assert "renyi_unweighted_denominator" not in {f.name for f in fields(ExperimentConfig)}
 
 
 def test_every_errstate_in_src_says_why():
