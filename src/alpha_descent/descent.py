@@ -12,7 +12,8 @@ renormalise in the log domain.
 
 where ``mu_b`` is the weighted mean of the gradient.  The power and both
 renyi updates carry positivity guards; a violated guard raises
-:class:`GuardViolation` instead of producing NaNs.
+:class:`GuardViolation` instead of producing NaNs.  Only power and renyi
+read the shift; emd and kl are one mirror step, at ``alpha != 1`` and ``alpha = 1``.
 
 A Monte Carlo gradient that carries ``log_base = log A_j`` (see
 :mod:`alpha_descent.gradient`) estimates the power base
@@ -159,30 +160,48 @@ def _renormalise(weights, log_factors):
 
 
 def _check_params(algorithm, params):
-    """Refuse step parameters that the ``algorithm`` update does not accept."""
-    if algorithm == "power" and not params.power_valid:
-        raise ValueError(
-            "power step needs alpha != 1, (alpha-1)*shift >= 0 and "
-            f"step_size in (0, 1]; got {params}"
-        )
-    if algorithm in ("renyi", "renyi_unweighted"):
-        if params.alpha == 1.0:
-            raise ValueError("renyi step is undefined at alpha=1")
-        if (params.alpha - 1.0) * params.shift < 0:
+    """Refuse the alpha, shift and step size that ``algorithm`` does not accept.
+
+    The one place that decides them, so that every accepted setting changes
+    the run.  kl needs alpha = 1 and every other update alpha != 1 (emd at
+    alpha = 1 is kl).  emd and kl take no shift, which renormalisation would
+    cancel; power and renyi need ``(alpha-1)*shift >= 0``, and power
+    ``step_size <= 1``.
+    """
+    alpha, shift = params.alpha, params.shift
+    if algorithm == "kl":
+        if alpha != 1.0:
+            raise ValueError(f"kl step is the alpha=1 update, got alpha={alpha}")
+    elif alpha == 1.0:
+        if algorithm == "emd":
+            raise ValueError("emd at alpha=1 is the kl update; use the kl algorithm")
+        raise ValueError(f"{algorithm} step is undefined at alpha=1")
+    if algorithm in ("emd", "kl"):
+        if shift != 0.0:
             raise ValueError(
-                f"renyi step needs (alpha-1)*shift >= 0, got alpha={params.alpha}, "
-                f"shift={params.shift}"
+                f"{algorithm} step takes no shift, which renormalisation cancels; "
+                f"got shift={shift}"
             )
+    elif (alpha - 1.0) * shift < 0:
+        raise ValueError(
+            f"{algorithm} step needs (alpha-1)*shift >= 0, got alpha={alpha}, "
+            f"shift={shift}"
+        )
+    if algorithm == "power" and params.step_size > 1.0:
+        raise ValueError(
+            f"power step needs step_size in (0, 1], got {params.step_size}"
+        )
 
 
 def power_step(weights, grad, params):
     """One power update.  Returns ``(new_weights, diagnostics)``.
 
-    Requires ``params.power_valid``.  The positivity guard is checked on
-    weighted components only; zero-weight components stay at zero
-    regardless of their gradient value.  A gradient carrying ``log_base``
-    is read through it (module docstring) and must have no NaN or ``+inf``
-    in it; the guard refuses a base whose log is ``-inf``.
+    Requires the parameters ``_check_params`` accepts for power.  The
+    positivity guard is checked on weighted components only; zero-weight
+    components stay at zero regardless of their gradient value.  A gradient
+    carrying ``log_base`` is read through it (module docstring) and must
+    have no NaN or ``+inf`` in it; the guard refuses a base whose log is
+    ``-inf``.
     """
     _check_params("power", params)
     weights = as_simplex(weights)
@@ -231,12 +250,15 @@ def _mirror_step(weights, grad, step_size):
 
 
 def emd_step(weights, grad, params):
-    """One entropic mirror descent update; a shift would cancel, so none is read."""
+    """One entropic mirror descent update; it reads only ``params.step_size``.
+
+    ``run_descent`` refuses a nonzero shift, and ``alpha = 1``, which is kl.
+    """
     return _mirror_step(weights, grad, params.step_size)
 
 
 def kl_step(weights, grad, step_size):
-    """Mirror descent on the forward KL; the gradient must be the alpha=1 one."""
+    """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one."""
     _check_float("step_size", step_size, positive=True)
     if isinstance(grad, MixtureGradient) and grad.alpha != 1.0:
         raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
@@ -364,14 +386,13 @@ def run_descent(
     The exact mode accepts bare weights or a :class:`MixtureState` as
     ``initial``; the Monte Carlo mode needs the state (weights, points and
     kernel) plus ``sample_count`` and ``rng``, and keeps its points and
-    kernel.  The kl algorithm always uses the alpha = 1 gradient and
-    objective, whatever ``params.alpha`` says; the sampled bound is
-    monitored at ``params.alpha`` and recorded as NaN when that is 1.
+    kernel.  Gradients, objective and the sampled bound are read at
+    ``params.alpha``; the bound is recorded as NaN when that is 1, as it is
+    for kl.
 
     The weights or state, their size, ``num_steps`` and ``sample_count``
-    (integers, not bools) and the parameters the step demands
-    (``params.power_valid`` for power, ``alpha != 1`` and
-    ``(alpha-1)*shift >= 0`` for both renyi updates) are checked at entry, so
+    (integers, not bools) and the alpha, shift and step size that
+    ``_check_params`` accepts for the algorithm are checked at entry, so
     invalid inputs are refused before the first sample is drawn.  Like every
     count and positive real of the package, the two counts are checked by one
     call to ``model._check_integer`` (``model._check_float`` for a real),
@@ -420,7 +441,6 @@ def run_descent(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     _check_params(algorithm, params)
-    grad_alpha = 1.0 if algorithm == "kl" else params.alpha
 
     if target is None:
         weights = as_simplex(
@@ -435,12 +455,13 @@ def run_descent(
 
         def gradient(w):
             mix = log_mix if log_mix is not None else problem.log_mixture(w)
-            return gradient_exact(problem, w, grad_alpha, log_mixture=mix)
+            return gradient_exact(problem, w, params.alpha, log_mixture=mix)
 
         def score(w):
             nonlocal log_mix
             log_mix = problem.log_mixture(w)
-            return np.nan, divergence_exact(problem, w, grad_alpha, log_mixture=log_mix)
+            objective = divergence_exact(problem, w, params.alpha, log_mixture=log_mix)
+            return np.nan, objective
 
     else:
         if not isinstance(initial, MixtureState):
@@ -463,7 +484,7 @@ def run_descent(
             nonlocal batch
             logs = batch if batch is not None else draw(w)
             batch = None  # read once; freed before the next draw makes its own
-            return gradient_monte_carlo_from_logs(logs, grad_alpha, log_base=log_base)
+            return gradient_monte_carlo_from_logs(logs, params.alpha, log_base=log_base)
 
         def score(w):
             nonlocal batch

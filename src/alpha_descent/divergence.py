@@ -39,10 +39,12 @@ class DescentParams:
     Attributes:
         alpha: divergence order.
         step_size: multiplicative-update step size, positive.
-        shift: constant added to the gradient inside the update.  Keeping
-            ``(alpha - 1) * shift >= 0`` preserves monotonicity, and a
-            strictly positive product buys the O(1/N) rate of the renyi
-            update.
+        shift: constant added to the gradient inside the power and renyi
+            updates.  Keeping ``(alpha - 1) * shift >= 0`` preserves
+            monotonicity, and a strictly positive product buys the O(1/N)
+            rate of the renyi update.  The emd and kl updates refuse a
+            nonzero shift: it would multiply every weight by one constant,
+            which renormalisation cancels.
     """
 
     alpha: float
@@ -52,15 +54,6 @@ class DescentParams:
     def __post_init__(self):
         for name in ("alpha", "step_size", "shift"):
             _check_float(name, getattr(self, name), positive=name == "step_size")
-
-    @property
-    def power_valid(self):
-        """Monotonicity regime of the power update."""
-        return (
-            self.alpha != 1.0
-            and (self.alpha - 1.0) * self.shift >= 0.0
-            and 0.0 < self.step_size <= 1.0
-        )
 
     @property
     def renyi_valid(self):

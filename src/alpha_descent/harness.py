@@ -126,8 +126,6 @@ class ExperimentConfig:
                 f"num_steps={self.num_steps} do not suit the "
                 f"{self.algorithm} update: {exc}"
             ) from None
-        if self.algorithm == "kl" and self.alpha != 1.0:
-            raise ValueError("the kl algorithm is the alpha=1 update; set alpha to 1")
         if self.exploration == "mean_update" and not 0.0 <= self.alpha < 1.0:
             raise ValueError(
                 f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"

@@ -101,7 +101,8 @@ def logsumexp(a, axis=-1, b=None):
     taken, so an entry far above every weighted one neither sets the peak
     nor turns into ``0 * inf``.  The sum is a matrix-vector product with
     ``b`` over a C-ordered copy of ``a - peak``.  A slice whose entries are
-    all ``-inf`` gives ``-inf``.
+    all ``-inf`` gives ``-inf``, and so does an empty sum: an empty axis, or
+    a ``b`` with no positive entry.
     """
     a = np.asarray(a, dtype=float)
     if axis not in (0, -a.ndim):
@@ -114,6 +115,8 @@ def logsumexp(a, axis=-1, b=None):
         if not keep.all():
             a, b = a[keep], b[keep]
     rest = a.shape[1:]
+    if not b.size:
+        return np.full(rest, -np.inf)[()]
     a = a.reshape(b.size, -1)
     peak = a.max(axis=0)
     peak[~np.isfinite(peak)] = 0.0

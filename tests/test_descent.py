@@ -710,7 +710,7 @@ class TestRunDescentExact:
         monkeypatch.setattr(FiniteSupportProblem, "log_mixture", counted)
         trace = run_descent(
             np.full(3, 1.0 / 3.0),
-            DescentParams(0.5, 0.5),
+            DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
             algorithm,
             7,
             problem=self._problem(91),
@@ -732,16 +732,15 @@ class TestRunDescentExact:
         assert trace.status.startswith("fixed_point: step")
         assert len(trace.records) < 5001
 
-    def test_kl_uses_alpha_one_gradient(self):
-        # params.alpha is ignored by the kl update's gradient
+    def test_kl_refuses_alpha_other_than_one(self):
+        # kl is the alpha = 1 update; any other alpha would change nothing
         problem = self._problem(87)
-        a = run_descent(
-            np.full(3, 1.0 / 3.0), DescentParams(0.5, 0.5), "kl", 5, problem=problem
-        )
-        b = run_descent(
-            np.full(3, 1.0 / 3.0), DescentParams(2.0, 0.5), "kl", 5, problem=problem
-        )
-        assert np.array_equal(a.final_weights, b.final_weights)
+        for alpha in (0.5, 2.0):
+            with pytest.raises(ValueError, match=f"alpha=1 update, got alpha={alpha}"):
+                run_descent(
+                    np.full(3, 1.0 / 3.0), DescentParams(alpha, 0.5), "kl", 5,
+                    problem=problem,
+                )
 
     def test_power_approaches_kl_as_alpha_tends_to_one(self):
         problem = self._problem(88)
@@ -1121,7 +1120,6 @@ class TestRunDescentParity:
         )
 
         rng = np.random.default_rng(8)
-        grad_alpha = 1.0 if algorithm == "kl" else alpha
         log_base = algorithm in ("power", "renyi")
 
         def batch(state):
@@ -1138,7 +1136,7 @@ class TestRunDescentParity:
             want.append(_key(0, state.weights, vr, np.nan, np.nan))
         for n in range(1, 7):
             grad = gradient_monte_carlo_from_logs(
-                batch(state) if logs is None else logs, grad_alpha, log_base=log_base
+                batch(state) if logs is None else logs, alpha, log_base=log_base
             )
             new, diag = _public_step(algorithm, state.weights, grad, params)
             state = MixtureState(new, state.points, state.kernel)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
+from alpha_descent.descent import run_descent
 from alpha_descent.divergence import (
     DescentParams,
     amari_alpha,
@@ -118,14 +119,24 @@ class TestDerivative:
         assert np.isfinite(amari_alpha_deriv_log(800.0, 1.0))
 
 
+def _power_accepts(params):
+    """Whether ``run_descent`` takes ``params`` for the power update."""
+    problem = random_problem(np.random.default_rng(0), num_components=2)
+    try:
+        run_descent(np.full(2, 0.5), params, "power", 0, problem=problem)
+    except ValueError:
+        return False
+    return True
+
+
 class TestDescentParams:
     def test_power_validity_table(self):
-        assert DescentParams(0.5, 0.5).power_valid
-        assert DescentParams(0.5, 0.5, shift=-1.0).power_valid
-        assert DescentParams(2.0, 1.0, shift=1.0).power_valid
-        assert not DescentParams(1.0, 0.5).power_valid
-        assert not DescentParams(0.5, 0.5, shift=1.0).power_valid  # wrong sign side
-        assert not DescentParams(0.5, 1.5).power_valid  # step too large
+        assert _power_accepts(DescentParams(0.5, 0.5))
+        assert _power_accepts(DescentParams(0.5, 0.5, shift=-1.0))
+        assert _power_accepts(DescentParams(2.0, 1.0, shift=1.0))
+        assert not _power_accepts(DescentParams(1.0, 0.5))
+        assert not _power_accepts(DescentParams(0.5, 0.5, shift=1.0))  # wrong sign side
+        assert not _power_accepts(DescentParams(0.5, 1.5))  # step too large
 
     def test_renyi_validity_needs_strict_shift(self):
         assert DescentParams(0.5, 0.5, shift=-1.0).renyi_valid
@@ -159,7 +170,7 @@ class TestDescentParams:
 
     def test_integers_and_numpy_floats_accepted(self):
         params = DescentParams(2, np.float64(0.5), np.int64(1))
-        assert params.power_valid
+        assert _power_accepts(params)
 
 
 class TestExactDivergence:

@@ -15,7 +15,7 @@ import pytest
 
 from alpha_descent import check, cli
 from alpha_descent.cli import main
-from alpha_descent.descent import run_descent
+from alpha_descent.descent import ALGORITHMS, run_descent
 from alpha_descent.divergence import DescentParams
 from alpha_descent.fixtures import random_problem
 from alpha_descent.harness import (
@@ -192,6 +192,9 @@ class TestConfig:
             dict(algorithm="power", step_size_base=1.5, num_steps=0),
             dict(algorithm="renyi", alpha=0.5, shift=0.3),
             dict(algorithm="renyi", alpha=2.0, shift=-0.1),
+            dict(algorithm="emd", shift=-5.0),
+            dict(algorithm="emd", alpha=1.0),
+            dict(algorithm="kl", alpha=1.0, shift=0.3),
         ],
     )
     def test_step_parameters_run_descent_refuses_are_refused_up_front(
@@ -204,17 +207,16 @@ class TestConfig:
             parse_config(path)
 
     def test_step_parameters_at_the_edge_accepted(self):
-        # eta = 4 / sqrt(16) = 1 is the largest power step; renyi has no cap,
-        # and emd and kl take any shift
+        # eta = 4 / sqrt(16) = 1 is the largest power step; renyi, emd and
+        # kl have no cap
         _config(algorithm="power", step_size_base=4.0, num_steps=16)
         _config(algorithm="power", alpha=2.0, shift=0.3)
         _config(algorithm="renyi", step_size_base=4.0, num_steps=3)
-        _config(algorithm="emd", shift=-5.0, step_size_base=4.0, num_steps=1)
-        _config(algorithm="kl", alpha=1.0, shift=0.3)
+        _config(algorithm="emd", step_size_base=4.0, num_steps=1)
+        _config(algorithm="kl", alpha=1.0, step_size_base=4.0, num_steps=1)
 
-    @pytest.mark.parametrize("algorithm", ["power", "renyi", "emd"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_config_refuses_exactly_what_run_descent_refuses(self, algorithm):
-        # kl is left out: its alpha = 1 rule belongs to the config alone
         problem = random_problem(np.random.default_rng(0), 3, 5)
         weights = np.full(3, 1.0 / 3)
         verdicts = set()
@@ -241,7 +243,29 @@ class TestConfig:
                 config_ok = False
             assert config_ok == run_ok, (alpha, shift, eta)
             verdicts.add(run_ok)
-        assert verdicts == ({True} if algorithm == "emd" else {True, False})
+        assert verdicts == {True, False}
+
+    def test_every_accepted_setting_changes_the_records(self):
+        # a setting that changed nothing would be a silent duplicate of
+        # another: emd and kl read no shift, and emd at alpha = 1 is kl
+        runs = {}
+        for algorithm, alpha, shift in itertools.product(
+            ALGORITHMS, (0.5, 1.0, 2.0), (-0.3, 0.0, 0.3)
+        ):
+            try:
+                config = _config(algorithm=algorithm, alpha=alpha, shift=shift, seed=3)
+            except ValueError:
+                continue
+            key = tuple(
+                (trace.status,)
+                + tuple(
+                    np.array([*r.weights, r.vr_bound, r.guard_min]).tobytes()
+                    for r in trace.records
+                )
+                for trace in run_experiment(config)
+            )
+            runs.setdefault(key, []).append((algorithm, alpha, shift))
+        assert [s for s in runs.values() if len(s) > 1] == []
 
     def test_numpy_integers_accepted(self):
         config = _config(num_steps=np.int64(3), seed=np.int64(5), sample_count=[np.int32(8)])
@@ -637,6 +661,8 @@ class TestCli:
             (["--shift", "0.3"], "shift=0.3"),
             (["--step-size-base", "4", "--num-steps", "3"], "step_size_base=4.0"),
             (["--seed", "-1"], "seed"),
+            (["--algorithm", "emd", "--shift", "0.5"], "emd step takes no shift"),
+            (["--algorithm", "emd", "--alpha", "1"], "emd at alpha=1 is the kl update"),
         ],
     )
     def test_invalid_config_is_one_error_line(self, tmp_path, capsys, flags, key):

@@ -445,6 +445,23 @@ class TestLogsumexp:
         assert weighted[1] == -np.inf
         assert logsumexp(np.full(5, -np.inf)) == -np.inf
 
+    @pytest.mark.parametrize(
+        "a, axis, b, shape",
+        [
+            (np.zeros(3), -1, np.zeros(3), ()),
+            (np.zeros((3, 4)), 0, np.zeros(3), (4,)),
+            (np.zeros(0), -1, None, ()),
+            (np.zeros((2, 0)), 1, None, (2,)),
+        ],
+    )
+    def test_empty_sum_is_minus_inf(self, a, axis, b, shape):
+        # nothing to sum: every entry's weight is zero, or the axis is empty
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = logsumexp(a, axis=axis, b=b)
+        assert np.shape(got) == shape
+        assert (np.asarray(got) == -np.inf).all()
+
 
 def _frozen_logsumexp(a, axis=-1, b=None, block=16384):
     """The blocked log-sum-exp as it stood before its single-block path.
