@@ -183,8 +183,8 @@ def vr_bound_from_logs(log_target, log_proposal, alpha):
         raise ValueError("vr bound is undefined at alpha=1")
     log_target = np.atleast_1d(np.asarray(log_target, dtype=float))
     log_proposal = np.atleast_1d(np.asarray(log_proposal, dtype=float))
-    if log_target.shape != log_proposal.shape or log_target.size == 0:
-        raise ValueError("need equal, nonempty batches of log evaluations")
+    if log_target.shape != log_proposal.shape or log_target.ndim != 1 or not log_target.size:
+        raise ValueError("need equal, nonempty batches of log evaluations, each 1-d")
     m = log_target.size
     lse = logsumexp((1.0 - alpha) * (log_target - log_proposal))
     return float((lse - np.log(m)) / (1.0 - alpha))

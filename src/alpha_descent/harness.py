@@ -310,11 +310,16 @@ def read_trace_csv(path):
     """Read a replicate CSV back into a list of row dicts (floats parsed)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header!r} in {path}")
+            raise ValueError(f"{path}, line 1: header {header!r} is not {CSV_HEADER!r}")
         rows = []
         for row in reader:
+            if len(row) != len(CSV_HEADER):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: {len(row)} fields, "
+                    f"not {len(CSV_HEADER)}"
+                )
             rows.append(
                 {
                     "t": int(row[0]),

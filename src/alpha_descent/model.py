@@ -102,7 +102,7 @@ def logsumexp(a, axis=-1, b=None):
     nor turns into ``0 * inf``.  The sum is a matrix-vector product with
     ``b`` over a C-ordered copy of ``a - peak``.  A slice whose entries are
     all ``-inf`` gives ``-inf``, and so does an empty sum: an empty axis, or
-    a ``b`` with no positive entry.
+    a ``b`` with no positive entry.  A NaN or negative ``b`` is refused.
     """
     a = np.asarray(a, dtype=float)
     if axis not in (0, -a.ndim):
@@ -113,6 +113,8 @@ def logsumexp(a, axis=-1, b=None):
         b = np.asarray(b, dtype=float)
         keep = b > 0
         if not keep.all():
+            if not (b[~keep] == 0.0).all():
+                raise ValueError("logsumexp weights b must be nonnegative and not NaN")
             a, b = a[keep], b[keep]
     rest = a.shape[1:]
     if not b.size:

@@ -4,9 +4,6 @@ import collections
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
-from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +28,6 @@ from alpha_descent.descent import (
 )
 from alpha_descent.divergence import (
     DescentParams,
-    amari_alpha_deriv_log,
     divergence_exact,
     vr_bound_from_logs,
 )
@@ -43,7 +39,6 @@ from alpha_descent.gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from alpha_descent.harness import parse_config, run_replicate
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
@@ -51,9 +46,10 @@ from alpha_descent.model import (
     as_simplex,
     SampleBatch,
     bandwidth_rule,
-    logsumexp,
     sample_logs,
 )
+
+import record_grid
 
 
 def _power_factor(v, params):
@@ -1147,179 +1143,18 @@ class TestRunDescentParity:
         assert _record_keys(trace) == want
 
 
-def _frozen_sample_logs(weights, points, kernel, target, samples):
-    """``sample_logs`` as it stood: ``log k`` from its own product, ``log q``
-    by its own log-sum-exp and ``log p`` from the target's product."""
-    log_k = kernel.logpdf_matrix(points, samples)
-    return SimpleNamespace(
-        log_k=log_k,
-        log_q=logsumexp(log_k, axis=0, b=weights),
-        log_p=target.log_density(samples),
-    )
-
-
-def _frozen_gradient(perturb=1.0, seen=None):
-    """``gradient_monte_carlo_from_logs`` as it stood, for ``run_descent``
-    under :func:`_frozen_sample_logs`: the literal mean ``exp(log k - log q)
-    @ f' / M``, and ``log A_j`` as a log-sum-exp over ``terms = log k +
-    (alpha-2) log q - (alpha-1) log p``.  The values, or each row of
-    ``terms``, are multiplied by ``perturb``; the array the gradient
-    carries, its values or ``log A_j``, is appended to ``seen``."""
-
-    def gradient(batch, alpha, *, log_base=False):
-        log_k, log_q, log_p = batch.log_k, batch.log_q, batch.log_p
-        if log_base:
-            terms = log_k + ((alpha - 2.0) * log_q - (alpha - 1.0) * log_p)
-            terms *= np.reshape(perturb, (-1, 1))
-            log_a = logsumexp(terms, axis=1) - np.log(log_k.shape[1])
-            grad = MixtureGradient(None, alpha, log_base=log_a)
-        else:
-            deriv = amari_alpha_deriv_log(log_q - log_p, alpha)
-            ratio = np.exp(log_k - log_q)
-            values = (ratio @ deriv) / log_k.shape[1] * perturb
-            grad = MixtureGradient(values, alpha)
-        if seen is not None:
-            seen.append(grad.values if grad.log_base is None else grad.log_base)
-        return grad
-
-    return gradient
-
-
-def _spied_gradient(seen):
-    def gradient(*args, **kwargs):
-        grad = gradient_monte_carlo_from_logs(*args, **kwargs)
-        seen.append(grad.values if grad.log_base is None else grad.log_base)
-        return grad
-
-    return gradient
-
-
-def _guard_value(status):
-    """A guard status split into its text and the value it ends with."""
-    text, value = status.rsplit(" = ", 1)
-    return text, float(value)
-
-
-FIG1_CONFIG = Path(__file__).resolve().parents[1] / "configs" / "figure1.json"
-
-
-def _weights_gap(a, b):
-    """Largest difference of any weight between two traces, record by record."""
-    return max(
-        float(np.abs(x.weights - y.weights).max()) for x, y in zip(a.records, b.records)
-    )
-
-
+@pytest.mark.filterwarnings("error")
 class TestSharedKernelMatrix:
     """Every arm reads the kernel block that ``sample_logs`` exponentiated
     once: the values arms through ``E / total``, power and weighted renyi
-    through ``log A_j`` summed from ``E``.
-
-    Each figure-1 run is two phases of one replicate at J=100, M=2000,
-    d=16, once as it is and once with the frozen estimator (separate
-    products for ``log k`` and ``log p``, a log-sum-exp for ``log q``, and
-    for each step an exp of ``log k - log q`` or a log-sum-exp over
-    ``terms``) wired into the same loop."""
-
-    @staticmethod
-    def _fig1(monkeypatch, algorithm, alpha, unweighted=False, gradient=None, **keys):
-        config = replace(
-            parse_config(FIG1_CONFIG), algorithm=_arm(algorithm, unweighted),
-            alpha=alpha, sample_count=(2000,), num_phases=2, replicates=1, **keys,
-        )
-        with warnings.catch_warnings(), monkeypatch.context() as patch:
-            warnings.simplefilter("error")
-            if gradient is not None:
-                patch.setattr(descent_module, "sample_logs", _frozen_sample_logs)
-                patch.setattr(descent_module, "gradient_monte_carlo_from_logs", gradient)
-            return run_replicate(config, 0)
-
-    @pytest.mark.parametrize(
-        "algorithm, alpha, unweighted",
-        [("emd", 0.5, False), ("renyi", 0.5, True), ("renyi", 2.0, True)],
-    )
-    def test_values_arms_match_the_frozen_estimator(
-        self, monkeypatch, algorithm, alpha, unweighted
-    ):
-        trace = self._fig1(monkeypatch, algorithm, alpha, unweighted)
-        want = self._fig1(monkeypatch, algorithm, alpha, unweighted, _frozen_gradient())
-        assert len(trace.records) == len(want.records)
-        for got, ref in zip(trace.records, want.records):
-            assert (got.phase, got.step) == (ref.phase, ref.step)
-            np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
-            np.testing.assert_allclose(
-                [got.vr_bound, got.guard_min], [ref.vr_bound, ref.guard_min],
-                rtol=1e-12, atol=0.0,
-            )
-        if want.status == "completed":
-            assert trace.status == "completed" and len(trace.records) == 41
-        else:
-            # at alpha = 0.5 the unweighted normaliser refuses step 1; the
-            # value it prints is computed from the gradient values
-            (text, value), (want_text, want_value) = map(
-                _guard_value, (trace.status, want.status)
-            )
-            assert text == want_text
-            assert math.isclose(value, want_value, rel_tol=1e-12)
-
-    def test_kl_within_its_conditioning(self, monkeypatch):
-        # kl amplifies a last-digit change step after step, so the tolerance
-        # is what a change of 4 ulps in every gradient value does to the
-        # frozen run, with a margin of 10
-        eps = np.finfo(float).eps
-        signs = np.where(np.random.default_rng(0).random(100) < 0.5, -1.0, 1.0)
-        trace = self._fig1(monkeypatch, "kl", 1.0)
-        want = self._fig1(monkeypatch, "kl", 1.0, gradient=_frozen_gradient())
-        nudged = self._fig1(
-            monkeypatch, "kl", 1.0, gradient=_frozen_gradient(1.0 + 4.0 * eps * signs)
-        )
-        assert trace.status == want.status == nudged.status
-        assert len(trace.records) == len(want.records) == len(nudged.records) == 41
-        spread = _weights_gap(nudged, want)
-        assert 0.0 < spread < 1e-6
-        assert _weights_gap(trace, want) <= 10.0 * spread
-
-    def _log_base_parity(self, monkeypatch, algorithm, alpha, **keys):
-        """Power within 1e-12 of the frozen run; weighted renyi, which
-        amplifies a last-digit change on some states, within 10 times what
-        a change of 4 ulps in the terms of every ``log A_j`` does to the
-        frozen run."""
-        trace = self._fig1(monkeypatch, algorithm, alpha, **keys)
-        want = self._fig1(monkeypatch, algorithm, alpha, gradient=_frozen_gradient(), **keys)
-        assert trace.status == want.status == "completed"
-        assert len(trace.records) == len(want.records) == 41
-        if algorithm == "power":
-            for got, ref in zip(trace.records, want.records):
-                np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
-                np.testing.assert_allclose(
-                    [got.vr_bound, got.guard_min], [ref.vr_bound, ref.guard_min],
-                    rtol=1e-12, atol=0.0,
-                )
-            return
-        eps = np.finfo(float).eps
-        signs = np.where(np.random.default_rng(0).random(100) < 0.5, -1.0, 1.0)
-        nudged = self._fig1(
-            monkeypatch, algorithm, alpha,
-            gradient=_frozen_gradient(1.0 + 4.0 * eps * signs), **keys,
-        )
-        assert nudged.status == "completed"
-        spread = _weights_gap(nudged, want)
-        assert 0.0 < spread < 1e-6
-        assert _weights_gap(trace, want) <= 10.0 * spread
-
-    @pytest.mark.parametrize(
-        "algorithm, alpha", [("power", 0.5), ("renyi", 0.5), ("renyi", 2.0)]
-    )
-    def test_log_base_arms_match_the_frozen_estimator(self, monkeypatch, algorithm, alpha):
-        self._log_base_parity(monkeypatch, algorithm, alpha)
+    through ``log A_j`` summed from ``E``.  The record grid holds the runs."""
 
     @pytest.mark.parametrize("algorithm", ["power", "renyi"])
     def test_spread_particles_take_the_row_fallback(self, monkeypatch, algorithm):
         # At init_cov_scale=50 some particles sit so far from every sample
         # that their row of E @ exp(c - S) underflows: an A_j summed in the
         # linear domain alone would read 0 and fire the power guard.  Those
-        # rows are summed in the log domain, so both arms complete and agree
-        # with the frozen log-domain estimator.
+        # rows are summed in the log domain, so both arms complete.
         fallbacks = []
         tilted_sums = SampleBatch.tilted_sums
 
@@ -1329,7 +1164,8 @@ class TestSharedKernelMatrix:
             return out
 
         monkeypatch.setattr(SampleBatch, "tilted_sums", counted)
-        self._log_base_parity(monkeypatch, algorithm, 0.5, init_cov_scale=50.0)
+        (trace,) = record_grid.traces(f"fig1/{algorithm} alpha=0.5 init_cov_scale=50.0")
+        assert trace.status == "completed" and len(trace.records) == 41
         assert len(fallbacks) == 40 and any(fallbacks)
 
     @pytest.mark.parametrize("algorithm", ["power", "renyi", "emd"])
@@ -1337,41 +1173,17 @@ class TestSharedKernelMatrix:
         # Row 0 sits on a weighted particle, so its ratio to q is large; row
         # 5 sits far from every sample, so its row of E underflows.  Neither
         # brings +inf into log A_j or the values, and zero weights stay 0.
-        j, d = 20, 16
-        rng = np.random.default_rng(94)
-        points = math.sqrt(5.0) * rng.standard_normal((j, d))
-        points[0] = points[1]
-        points[5] += 60.0
-        weights = np.full(j, 1.0 / (j - 3))
-        weights[[0, 5, 11]] = 0.0
-        state = MixtureState(weights, points, GaussianKernel(bandwidth_rule(j, d), d))
-        target = GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)
+        seen = []
 
-        def run(gradient, logs):
-            seen = []
-            with warnings.catch_warnings(), monkeypatch.context() as patch:
-                warnings.simplefilter("error")
-                patch.setattr(
-                    descent_module, "gradient_monte_carlo_from_logs", gradient(seen)
-                )
-                patch.setattr(descent_module, "sample_logs", logs)
-                trace = run_descent(
-                    state, DescentParams(0.5, 0.067), algorithm, 20, target=target,
-                    sample_count=500, rng=np.random.default_rng(95),
-                )
-            return trace, np.array(seen)
+        def spied(*args, **kwargs):
+            grad = gradient_monte_carlo_from_logs(*args, **kwargs)
+            seen.append(grad.values if grad.log_base is None else grad.log_base)
+            return grad
 
-        trace, seen = run(_spied_gradient, sample_logs)
-        want, want_seen = run(
-            lambda seen: _frozen_gradient(seen=seen), _frozen_sample_logs
-        )
-        assert trace.status == want.status == "completed"
-        assert np.isfinite(seen).all() and np.isfinite(want_seen).all()
-        np.testing.assert_allclose(seen, want_seen, rtol=1e-12, atol=0.0)
-        for got, ref in zip(trace.records, want.records):
-            assert (got.weights[[0, 5, 11]] == 0.0).all()
-            np.testing.assert_allclose(got.weights, ref.weights, rtol=1e-12, atol=0.0)
-            assert math.isclose(got.vr_bound, ref.vr_bound, rel_tol=1e-12)
+        monkeypatch.setattr(descent_module, "gradient_monte_carlo_from_logs", spied)
+        (trace,) = record_grid.traces(f"zero_weight/{algorithm}")
+        assert trace.status == "completed" and len(seen) == 20 and np.isfinite(seen).all()
+        assert all((r.weights[[0, 5, 11]] == 0.0).all() for r in trace.records)
 
     @pytest.mark.parametrize(
         "algorithm, alpha, unweighted",

@@ -307,7 +307,7 @@ class TestVrBound:
     def test_from_logs_refusals(self):
         with pytest.raises(ValueError, match="undefined at alpha=1"):
             vr_bound_from_logs([0.0, 1.0], [0.0, 1.0], 1.0)
-        for log_p, log_q in (([0.0, 1.0], [0.0]), ([], [])):
+        for log_p, log_q in (([0.0, 1.0], [0.0]), ([], []), (np.zeros((2, 2)),) * 2):
             with pytest.raises(ValueError, match="equal, nonempty batches"):
                 vr_bound_from_logs(log_p, log_q, 0.5)
 

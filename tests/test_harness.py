@@ -31,6 +31,8 @@ from alpha_descent.harness import (
     write_trace,
 )
 
+import record_grid
+
 
 def _config(**overrides):
     base = dict(
@@ -247,25 +249,12 @@ class TestConfig:
 
     def test_every_accepted_setting_changes_the_records(self):
         # a setting that changed nothing would be a silent duplicate of
-        # another: emd and kl read no shift, and emd at alpha = 1 is kl
-        runs = {}
-        for algorithm, alpha, shift in itertools.product(
-            ALGORITHMS, (0.5, 1.0, 2.0), (-0.3, 0.0, 0.3)
-        ):
-            try:
-                config = _config(algorithm=algorithm, alpha=alpha, shift=shift, seed=3)
-            except ValueError:
-                continue
-            key = tuple(
-                (trace.status,)
-                + tuple(
-                    np.array([*r.weights, r.vr_bound, r.guard_min]).tobytes()
-                    for r in trace.records
-                )
-                for trace in run_experiment(config)
-            )
-            runs.setdefault(key, []).append((algorithm, alpha, shift))
-        assert [s for s in runs.values() if len(s) > 1] == []
+        # another: emd and kl read no shift, and emd at alpha = 1 is kl.  The
+        # record grid's small block runs every setting the config accepts.
+        runs = {n: r for n, r in record_grid.load()[0].items() if n.startswith("small/")}
+        assert list(runs) == [name for name, _, _ in record_grid.grid("small")]
+        keys = {str([(s, v.tobytes(), w.tobytes()) for s, v, w in r]) for r in runs.values()}
+        assert len(runs) == len(keys) == 15
 
     def test_numpy_integers_accepted(self):
         config = _config(num_steps=np.int64(3), seed=np.int64(5), sample_count=[np.int32(8)])
@@ -565,6 +554,13 @@ class TestSerialisation:
         path.write_text("a,b\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             read_trace_csv(str(path))
+
+    def test_empty_file_or_short_row_names_the_file_and_line(self, tmp_path):
+        path = tmp_path / "rep_0.csv"
+        for text, line in (("", 1), (",".join(CSV_HEADER) + "\n1,2\n", 2)):
+            path.write_text(text)
+            with pytest.raises(ValueError, match=f"rep_0.csv, line {line}: "):
+                read_trace_csv(str(path))
 
 
 class TestCli:

@@ -462,6 +462,11 @@ class TestLogsumexp:
         assert np.shape(got) == shape
         assert (np.asarray(got) == -np.inf).all()
 
+    @pytest.mark.parametrize("b", [[np.nan, 1.0], [-1.0, 1.0]])
+    def test_nan_or_negative_weight_refused(self, b):
+        with pytest.raises(ValueError, match="nonnegative and not NaN"):
+            logsumexp(np.zeros(2), b=np.array(b))
+
 
 def _frozen_logsumexp(a, axis=-1, b=None, block=16384):
     """The blocked log-sum-exp as it stood before its single-block path.
