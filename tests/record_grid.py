@@ -83,14 +83,18 @@ def traces(name):
     return next(run for group, _, run in grid(name.split("/")[0]) if group == name)()
 
 
+def records(traces, every):
+    """``[(status, scalars, weights)]``: each record's bound, objective and guard margin, and
+    the weights of each record whose step is a multiple of ``every``, and the last's."""
+    return [(t.status, np.array([(r.vr_bound, r.objective, r.guard_min) for r in t.records]),
+             np.concatenate([r.weights for i, r in enumerate(t.records)
+                             if r.step % every == 0 or i == len(t.records) - 1]))
+            for t in traces]
+
+
 def run(block):
-    """``{name: [(status, scalars, weights)]}``: each record's bound, objective and guard
-    margin, and the weights of each record whose step is a multiple of ``every``, and the last's."""
-    return {name: [(t.status,
-                    np.array([(r.vr_bound, r.objective, r.guard_min) for r in t.records]),
-                    np.concatenate([r.weights for i, r in enumerate(t.records)
-                                    if r.step % every == 0 or i == len(t.records) - 1]))
-                   for t in traces()] for name, every, traces in grid(block)}
+    """``{name: records(traces, every)}`` for each group of the block."""
+    return {name: records(traces(), every) for name, every, traces in grid(block)}
 
 
 def load():

@@ -1149,6 +1149,53 @@ class TestSharedKernelMatrix:
     once: the values arms through ``E / total``, power and weighted renyi
     through ``log A_j`` summed from ``E``.  The record grid holds the runs."""
 
+    @staticmethod
+    def _fig1_as_recorded(name):
+        """The traces of the fig1 group ``name`` (two phases of one figure-1
+        replicate at M=2000), within its tolerance of the stored records."""
+        (stored, tolerance), traces = record_grid.load(), record_grid.traces(name)
+        gaps = record_grid.difference(record_grid.records(traces, 5), stored[name]).ravel()
+        assert (gaps[[0, 1, 3]] <= tolerance[name]).all(), gaps
+        return traces, tolerance[name]
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha, unweighted",
+        [("emd", 0.5, False), ("renyi", 0.5, True), ("renyi", 2.0, True)],
+    )
+    def test_values_arms_match_the_frozen_estimator(self, algorithm, alpha, unweighted):
+        # 1e-12 relative; at alpha = 0.5 the unweighted normaliser refuses
+        # step 1, and the guard value it prints is held too
+        (trace,), tolerance = self._fig1_as_recorded(
+            f"fig1/{_arm(algorithm, unweighted)} alpha={alpha}"
+        )
+        assert tolerance[1:].tolist() == [1e-12, 1e-12]
+        if (alpha, unweighted) == (0.5, True):
+            assert trace.status.startswith("guard_violation: step 1 of phase 1")
+        else:
+            assert trace.status == "completed" and len(trace.records) == 41
+
+    def test_kl_within_its_conditioning(self):
+        # kl amplifies a last-digit change step after step, so its weights
+        # are held to 10 times what a change of 4 ulps in every gradient
+        # value moved them; its status text is held exactly
+        (trace,), tolerance = self._fig1_as_recorded("fig1/kl alpha=1.0")
+        assert trace.status.startswith("completed") and len(trace.records) == 41
+        assert 0.0 < tolerance[0] < 1e-5
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha", [("power", 0.5), ("renyi", 0.5), ("renyi", 2.0)]
+    )
+    def test_log_base_arms_match_the_frozen_estimator(self, algorithm, alpha):
+        # power within 1e-12 relative; weighted renyi, which amplifies a
+        # last-digit change on some states, within 10 times what a change of
+        # 4 ulps in every log A_j moved the weights
+        (trace,), tolerance = self._fig1_as_recorded(f"fig1/{algorithm} alpha={alpha}")
+        assert trace.status == "completed" and len(trace.records) == 41
+        if algorithm == "power":
+            assert tolerance[1:].tolist() == [1e-12, 1e-12]
+        else:
+            assert 0.0 < tolerance[0] < 1e-5
+
     @pytest.mark.parametrize("algorithm", ["power", "renyi"])
     def test_spread_particles_take_the_row_fallback(self, monkeypatch, algorithm):
         # At init_cov_scale=50 some particles sit so far from every sample
@@ -1164,7 +1211,7 @@ class TestSharedKernelMatrix:
             return out
 
         monkeypatch.setattr(SampleBatch, "tilted_sums", counted)
-        (trace,) = record_grid.traces(f"fig1/{algorithm} alpha=0.5 init_cov_scale=50.0")
+        (trace,), _ = self._fig1_as_recorded(f"fig1/{algorithm} alpha=0.5 init_cov_scale=50.0")
         assert trace.status == "completed" and len(trace.records) == 41
         assert len(fallbacks) == 40 and any(fallbacks)
 
