@@ -25,7 +25,7 @@ from alpha_descent import (DescentParams, ExperimentConfig, GaussianKernel, Gaus
 from alpha_descent.fixtures import random_problem
 
 PATH = Path(__file__).with_name("record_grid.npz")
-BLOCKS = ("small", "desk", "fig1", "zero_weight", "exact")
+BLOCKS = ("small", "desk", "fig1", "smoke", "zero_weight", "exact")
 SHAPES = {
     "small": dict(num_components=4, sample_count=(32,), num_steps=2, num_phases=2, dim=2,
                   replicates=2, seed=3, target_separation=1.0, init_cov_scale=1.0),
@@ -49,11 +49,17 @@ def grid(block):
         fig1 = parse_config(Path(__file__).parents[1] / "configs" / "figure1.json")
         arms = [(a, x, {}) for a in descent.ALGORITHMS if a != "kl" for x in (0.5, 2.0)]
         spread = [(a, 0.5, {"init_cov_scale": 50.0}) for a in ("power", "renyi")]
-        for alg, alpha, keys in arms + [("kl", 1.0, {})] + spread:
-            config = replace(fig1, algorithm=alg, alpha=alpha, sample_count=(2000,), num_phases=2,
-                             replicates=1, **keys)
+        moved = [(a, 0.5, {"init_cov_scale": 50.0, "exploration": "mean_update", "num_phases": 3})
+                 for a in ("power", "renyi")]
+        for alg, alpha, keys in arms + [("kl", 1.0, {})] + spread + moved:
+            config = replace(fig1, **{"algorithm": alg, "alpha": alpha, "sample_count": (2000,),
+                                      "num_phases": 2, "replicates": 1, **keys})
             name = " ".join([f"fig1/{alg} alpha={alpha}", *(f"{k}={v}" for k, v in keys.items())])
             yield name, 5, lambda c=config: run_experiment(c)
+    elif block == "smoke":  # configs/smoke.json with the mean-update exploration
+        smoke = parse_config(Path(__file__).parents[1] / "configs" / "smoke.json")
+        yield "smoke/power alpha=0.5 exploration=mean_update", 1, lambda: run_experiment(
+            replace(smoke, exploration="mean_update"))
     elif block == "zero_weight":  # no weight on rows 0 (on a weighted particle), 5 and 11
         rng = np.random.default_rng(94)
         points = math.sqrt(5.0) * rng.standard_normal((20, 16))
