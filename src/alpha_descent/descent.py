@@ -2,7 +2,8 @@
 
 Five update rules, one per name in :data:`ALGORITHMS`, share one shape:
 multiply each weight by a positive factor computed from the gradient,
-renormalise in the log domain.
+renormalise in the log domain.  A :class:`MixtureGradient` carries the
+order it was taken at, and every step refuses one of another order.
 
     power:  factor_j = [(alpha-1)(b_j + shift) + 1]^(step/(1-alpha))
     emd:    factor_j = exp(-step b_j)
@@ -28,10 +29,9 @@ The renyi form drops the constant ``step / ((alpha-1) D)``, which cancels
 when the weights are renormalised.  Such a gradient has no values, so the
 emd, kl and renyi_unweighted updates refuse it.
 
-In Monte Carlo mode every update, ``log A_j`` or values, is read from one
-:class:`~alpha_descent.model.SampleBatch` per iterate: one distance
-product and one exp pass over the ``(J, M)`` kernel block, which the
-iterate's sampled bound reads too.
+In Monte Carlo mode every update, ``log A_j`` or values, and the
+iterate's sampled bound read one :class:`~alpha_descent.model.SampleBatch`
+per iterate.
 """
 
 from __future__ import annotations
@@ -193,6 +193,14 @@ def _check_params(algorithm, params):
         )
 
 
+def _check_order(algorithm, grad, alpha):
+    """Refuse a :class:`MixtureGradient` of another order; a raw array has none."""
+    if isinstance(grad, MixtureGradient) and grad.alpha != alpha:
+        raise ValueError(
+            f"{algorithm} step wants an alpha={alpha} gradient, got alpha={grad.alpha}"
+        )
+
+
 def power_step(weights, grad, params):
     """One power update.  Returns ``(new_weights, diagnostics)``.
 
@@ -204,6 +212,7 @@ def power_step(weights, grad, params):
     ``-inf``.
     """
     _check_params("power", params)
+    _check_order("power", grad, params.alpha)
     weights = as_simplex(weights)
     alpha = params.alpha
     active = weights > 0
@@ -254,14 +263,14 @@ def emd_step(weights, grad, params):
 
     ``run_descent`` refuses a nonzero shift, and ``alpha = 1``, which is kl.
     """
+    _check_order("emd", grad, params.alpha)
     return _mirror_step(weights, grad, params.step_size)
 
 
 def kl_step(weights, grad, step_size):
     """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one."""
     _check_float("step_size", step_size, positive=True)
-    if isinstance(grad, MixtureGradient) and grad.alpha != 1.0:
-        raise ValueError(f"kl step wants an alpha=1 gradient, got alpha={grad.alpha}")
+    _check_order("kl", grad, 1.0)
     return _mirror_step(weights, grad, step_size)
 
 
@@ -285,6 +294,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     gradient that carries ``log_base``.
     """
     _check_params("renyi", params)
+    _check_order("renyi", grad, params.alpha)
     alpha = params.alpha
     weights = as_simplex(weights)
     active = weights > 0
@@ -391,16 +401,16 @@ def run_descent(
     for kl.
 
     The weights or state, their size, ``num_steps`` and ``sample_count``
-    (integers, not bools) and the alpha, shift and step size that
-    ``_check_params`` accepts for the algorithm are checked at entry, so
-    invalid inputs are refused before the first sample is drawn.  Like every
-    count and positive real of the package, the two counts are checked by one
-    call to ``model._check_integer`` (``model._check_float`` for a real),
-    which carries the range.  Each step then
-    calls public functions, and each checks what it reads: the step runs
-    ``as_simplex`` on the weights and checks the gradient's size and
-    that the values it reads are finite (or, for ``log A_j``, no NaN or
-    ``+inf``);
+    (integers, not bools), the target's dimension and the alpha, shift and
+    step size that ``_check_params`` accepts for the algorithm are checked
+    at entry, so invalid inputs are refused before the first sample is
+    drawn.  Like every count and positive real of the package, the two
+    counts are checked by one call to ``model._check_integer``
+    (``model._check_float`` for a real), which carries the range.  Each
+    step then calls public functions, and each checks what it reads: the
+    step runs ``as_simplex`` on the weights and checks the gradient's
+    order and size and that the values it reads are finite (or, for
+    ``log A_j``, no NaN or ``+inf``);
     ``problem.log_mixture`` checks the weights' shape, sign and
     finiteness; the exact objective checks that each density ratio is
     positive and finite; the Monte Carlo gradient checks the shapes of
@@ -421,10 +431,8 @@ def run_descent(
     bound is not monitored and each gradient draws its own).  The power
     and renyi updates read ``log A_j``, the positive estimate of their base
     (see :mod:`alpha_descent.gradient`); emd, kl, renyi_unweighted and the
-    exact mode read the gradient values.  In Monte Carlo
-    mode both come from the one kernel block that ``sample_logs``
-    exponentiated in place (a :class:`~alpha_descent.model.SampleBatch`),
-    and the batch is let go once its gradient is read, so a step of any arm
+    exact mode read the gradient values.  In Monte Carlo mode both come
+    from one batch, let go once its gradient is read, so a step of any arm
     holds one kernel matrix.
 
     ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
@@ -472,6 +480,7 @@ def run_descent(
         # the weights may have been changed since the state was built
         weights = as_simplex(initial.weights)
         points, kernel = initial.points, initial.kernel
+        target._check_dim(points)
         log_base = algorithm in ("power", "renyi")
         batch = None  # the scored iterate's monitor batch
 

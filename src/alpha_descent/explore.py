@@ -6,10 +6,8 @@ to the caller (the experiment harness resets them to uniform).
 
 from __future__ import annotations
 
-import numpy as np
-
 from .gradient import sample_mixture
-from .model import _check_integer, logsumexp, sample_logs
+from .model import _check_integer, sample_logs
 
 __all__ = ["explore_mean_update", "explore_resample"]
 
@@ -31,28 +29,14 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
     self-normalised over the batch.  Only sensible for ``alpha`` in [0, 1),
     where the second factor rewards regions the mixture underweights.  The
     weights are the terms of ``M A_j`` at this ``alpha`` (see
-    :mod:`alpha_descent.gradient`), read off the batch's kernel block, and
-    ``M A_j`` is each row's normaliser; a row whose normaliser falls below
-    the normal float range is normalised in the log domain.
+    :mod:`alpha_descent.gradient`), and ``M A_j`` is each row's normaliser
+    (:meth:`~alpha_descent.model.SampleBatch.tilted_mean`).  ``alpha``,
+    ``sample_count`` and the target's dimension are checked before any draw.
     """
     if not 0.0 <= alpha < 1.0:
         raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
     _check_integer("sample_count", sample_count, 1)
+    target._check_dim(state.points)
     mixture = state.weights, state.points, state.kernel
     samples = sample_mixture(*mixture, sample_count, rng)
-    batch = sample_logs(*mixture, target, samples)
-    t, _ = batch.tilt(alpha)
-    sums, rows, exps = batch.tilted_sums(t)
-    new = batch.ratio @ (np.exp(t)[:, None] * samples)
-    new /= sums[:, None]
-    if rows is not None:
-        row_norm = logsumexp(exps, axis=1)
-        if not np.all(np.isfinite(row_norm)):
-            bad = np.flatnonzero(~np.isfinite(row_norm))[0]
-            raise ValueError(
-                f"importance weights for particle {rows[bad]} degenerated "
-                f"(log normaliser {float(row_norm[bad])!r})"
-            )
-        exps -= row_norm[:, None]
-        new[rows] = np.exp(exps, out=exps) @ samples
-    return new
+    return sample_logs(*mixture, target, samples).tilted_mean(alpha, samples)

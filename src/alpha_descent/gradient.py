@@ -22,17 +22,10 @@ the exact value 1 in place of ``c_j``: the base is ``A_j`` itself, still
 unbiased.  A :class:`MixtureGradient` from it carries ``log A_j`` alone, and
 only the power and renyi updates accept it.
 
-Both estimates read the kernel block ``E`` of a
-:class:`~alpha_descent.model.SampleBatch`, which the batch exponentiated
-once against the kernel's peak density.  The emd, kl and renyi_unweighted
-updates read the literal mean of the values, ``E @ (f' / total) / M``,
-since ``E_j / total`` is ``k_j / mix``.  The power and renyi updates
-read ``log A_j = log_peak + S + log(E_j @ exp(c - S)) - log M``, with
-``c = shift + (alpha-2) log mix - (alpha-1) log p`` and ``S = max c``:
-one matrix-vector product, with every exponentiated number at most 1 on
-the weighted rows.  A row whose product falls below the normal float
-range, as it does for a particle far from every sample, is summed in the
-log domain from its exponents instead, so ``log A_j`` is never ``-inf``
+Both estimates are read from a :class:`~alpha_descent.model.SampleBatch`,
+which alone knows its layout: the emd, kl and renyi_unweighted updates read
+the literal mean ``mean_m k_j / mix * f'`` (its ``ratio_mean``), the power
+and renyi updates ``log A_j`` (its ``tilted_mean``), which is never ``-inf``
 where the log domain gives a finite value.
 """
 
@@ -43,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import _exact_log_mixture, amari_alpha_deriv_log
-from .model import GaussianKernel, _check_integer, as_simplex, logsumexp
+from .model import GaussianKernel, _check_integer, as_simplex
 
 __all__ = [
     "MixtureGradient",
@@ -162,24 +155,14 @@ def gradient_monte_carlo_from_logs(batch, alpha, *, log_base=False):
     All density ratios are formed as differences of logs; ``f'`` of the
     ratio goes through ``expm1`` so the estimate stays finite even when the
     ratio itself would underflow.  Both forms cost one matrix-vector
-    product over the batch's kernel block (module docstring).
+    product over the batch's kernel block.
     """
-    matrix = batch.ratio
-    count = matrix.shape[1]
+    count = batch.size
     if batch.log_p.shape != (count,) or batch.log_q.shape != (count,):
         raise ValueError(
             f"the batch's log_q and log_p must hold one value per sample ({count})"
         )
     if log_base:
-        t, log_scale = batch.tilt(alpha)
-        sums, rows, exps = batch.tilted_sums(t)
-        log_a = np.log(sums, out=sums)
-        if rows is not None:
-            log_a[rows] = logsumexp(exps, axis=1)
-        log_a += log_scale - np.log(count)
-        return MixtureGradient(None, alpha, log_base=log_a)
+        return MixtureGradient(None, alpha, log_base=batch.tilted_mean(alpha))
     deriv = amari_alpha_deriv_log(batch.log_q - batch.log_p, alpha)
-    deriv /= batch.total
-    values = matrix @ deriv
-    values /= count
-    return MixtureGradient(values, alpha)
+    return MixtureGradient(batch.ratio_mean(deriv), alpha)

@@ -315,19 +315,11 @@ def read_trace_csv(path):
             raise ValueError(f"{path}, line 1: header {header!r} is not {CSV_HEADER!r}")
         rows = []
         for row in reader:
-            if len(row) != len(CSV_HEADER):
-                raise ValueError(
-                    f"{path}, line {reader.line_num}: {len(row)} fields, "
-                    f"not {len(CSV_HEADER)}"
-                )
-            rows.append(
-                {
-                    "t": int(row[0]),
-                    "n": int(row[1]),
-                    "vr_bound": float(row[2]),
-                    "psi_exact": float(row[3]),
-                    "guard_min": float(row[4]),
-                    "elapsed_ms": float(row[5]),
-                }
-            )
+            try:  # every fault of a row is named with its file and line
+                if len(row) != len(CSV_HEADER):
+                    raise ValueError(f"{len(row)} fields, not {len(CSV_HEADER)}")
+                values = [int(x) for x in row[:2]] + [float(x) for x in row[2:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {reader.line_num}: {exc}") from None
+            rows.append(dict(zip(CSV_HEADER, values)))
     return rows

@@ -102,7 +102,8 @@ def logsumexp(a, axis=-1, b=None):
     nor turns into ``0 * inf``.  The sum is a matrix-vector product with
     ``b`` over a C-ordered copy of ``a - peak``.  A slice whose entries are
     all ``-inf`` gives ``-inf``, and so does an empty sum: an empty axis, or
-    a ``b`` with no positive entry.  A NaN or negative ``b`` is refused.
+    a ``b`` with no positive entry.  A NaN or negative ``b`` is refused, and
+    so is a ``b`` that is not one entry per entry along ``axis``.
     """
     a = np.asarray(a, dtype=float)
     if axis not in (0, -a.ndim):
@@ -111,6 +112,8 @@ def logsumexp(a, axis=-1, b=None):
         b = np.ones(a.shape[0])
     else:
         b = np.asarray(b, dtype=float)
+        if b.shape != a.shape[:1]:
+            raise ValueError(f"logsumexp b of shape {b.shape} for an axis of length {len(a)}")
         keep = b > 0
         if not keep.all():
             if not (b[~keep] == 0.0).all():
@@ -251,6 +254,9 @@ class Target:
         out = self._log_density(np.asarray(y, dtype=float))
         return np.asarray(out, dtype=float) if np.ndim(out) else float(out)
 
+    def _check_dim(self, ys):
+        """Refuse points ``(M, d)`` of another dimension; a plain target has none."""
+
 
 class GaussianMixtureTarget(Target):
     """Target ``scale * sum_i weights_i N(y; means_i, I_d)``.
@@ -320,8 +326,8 @@ class SampleBatch:
     peak of its weighted rows instead, and a zero-weight row more than
     about 709 above that peak reads ``inf`` there, as its ratio to ``q``
     would.  ``log_p`` is the target at the samples.  ``log_rows`` maps
-    component indices to their ``log k - log_peak`` at every sample,
-    recomputed in the log domain for a row whose sums underflow.
+    component indices to their rows of ``log E``, formed in the log
+    domain.  Only the methods below read this layout.
     """
 
     ratio: np.ndarray
@@ -332,40 +338,66 @@ class SampleBatch:
     log_peak: float
     log_rows: Callable[[np.ndarray], np.ndarray]
 
-    def tilt(self, alpha):
-        """``(t, log_scale)`` with ``t <= 0``, such that at each sample
+    @property
+    def size(self):
+        """The number of samples ``M``."""
+        return self.ratio.shape[1]
 
-            k_j / q * (q / p)^(alpha - 1) = E_j * exp(t + log_scale).
+    def ratio_mean(self, values):
+        """The literal mean ``mean_m (k_j / q)(y_m) values_m`` of each row ``j``."""
+        out = self.ratio @ (values / self.total)
+        out /= self.size
+        return out
 
-        ``t`` is ``c - max c`` for ``c = shift + (alpha-2) log q - (alpha-1)
-        log p``, so ``exp(t)`` never overflows.
+    def tilted_mean(self, alpha, values=None):
+        """Each row read through its terms ``k_j / q * (q / p)^(alpha - 1)``.
+
+        Without ``values``, ``log A_j``, the log of the row's mean term; with
+        sample values ``(M, d)``, their mean weighted by the row's terms,
+        refused for a row whose terms all vanish.  The terms are ``E_j exp(t
+        + log_peak + top)``, for ``c = shift + (alpha-2) log q - (alpha-1)
+        log p``, ``top = max c`` and ``t = c - top <= 0``: one product ``E @
+        exp(t)`` sums every row but those of :meth:`_fallback_rows`.
         """
-        c = (alpha - 2.0) * self.log_q
-        c -= (alpha - 1.0) * self.log_p
-        c += self.shift
-        top = c.max()
-        c -= top
-        return c, self.log_peak + top
+        t = (alpha - 2.0) * self.log_q
+        t -= (alpha - 1.0) * self.log_p
+        t += self.shift
+        top = t.max()
+        t -= top
+        tilt = np.exp(t)
+        sums = self.ratio @ tilt
+        rows, exps, log_norm = self._fallback_rows(sums, t)
+        if values is None:
+            log_a = np.log(sums, out=sums)
+            log_a[rows] = log_norm
+            log_a += (self.log_peak + top) - np.log(self.size)
+            return log_a
+        out = self.ratio @ (tilt[:, None] * values)
+        out /= sums[:, None]
+        if not np.isfinite(log_norm).all():
+            bad = np.flatnonzero(~np.isfinite(log_norm))[0]
+            raise ValueError(
+                f"importance weights for particle {rows[bad]} degenerated "
+                f"(log normaliser {float(log_norm[bad])!r})"
+            )
+        exps -= log_norm[:, None]
+        out[rows] = np.exp(exps, out=exps) @ values
+        return out
 
-    def tilted_sums(self, t):
-        """``(sums, rows, exps)``: the row sums ``E @ exp(t)`` of a tilt.
+    def _fallback_rows(self, sums, t):
+        """``(rows, exps, log_norm)`` of the rows whose ``sums`` left the normal range.
 
-        A row whose sum falls outside the normal float range has lost its
-        digits to underflow (or read an ``inf`` of ``E``); its index is in
-        ``rows``, its ``sums`` entry reads 1, and ``exps`` holds its
-        exponents ``log E_j + t``, recomputed from the locations, for the
-        caller to sum in the log domain.  ``rows`` and ``exps`` are None
-        when every row is in range.
+        Such a row lost its digits to underflow (or read an ``inf`` of ``E``).
+        Its sum is set to 1, and ``log_norm`` is the log-sum-exp of its
+        exponents ``exps = log E_j + t``, recomputed from the locations.
         """
-        sums = self.ratio @ np.exp(t)
         if sums.min() >= _TINY and sums.max() < np.inf:
-            return sums, None, None
+            return np.empty(0, dtype=int), np.empty((0, t.size)), np.empty(0)
         rows = np.flatnonzero(~((sums >= _TINY) & (sums < np.inf)))
         sums[rows] = 1.0
         exps = self.log_rows(rows)
-        exps -= self.shift
         exps += t
-        return sums, rows, exps
+        return rows, exps, logsumexp(exps, axis=1)
 
 
 def sample_logs(weights, points, kernel, target, samples):
@@ -421,7 +453,7 @@ def sample_logs(weights, points, kernel, target, samples):
     log_q += log_peak
     return SampleBatch(
         ratio, total, shift, log_q, log_p, log_peak,
-        lambda rows: squared_distances(points[rows], samples, scale=scale),
+        lambda rows: squared_distances(points[rows], samples, scale=scale) - shift,
     )
 
 

@@ -188,6 +188,25 @@ class TestKlStep:
             kl_step([0.5, 0.5], np.zeros(2), 0.0)
 
 
+class TestStepsCheckTheGradientOrder:
+    """Every step refuses a MixtureGradient of another order than its own."""
+
+    def test_values_of_another_order_refused(self):
+        problem = random_problem(np.random.default_rng(71), num_components=3)
+        w = np.full(3, 1.0 / 3.0)
+        grad = gradient_exact(problem, w, 0.5)
+        for step in (renyi_step, emd_step, power_step):
+            with pytest.raises(ValueError, match="wants an alpha=2.0 gradient, got alpha=0.5"):
+                step(w, grad, DescentParams(2.0, 0.5))
+            step(w, grad.values, DescentParams(2.0, 0.5))  # a raw array carries no order
+
+    def test_log_base_of_another_order_refused(self):
+        grad = MixtureGradient(None, 0.5, log_base=np.log([0.5, 1.0, 2.0]))
+        for step in (power_step, renyi_step):
+            with pytest.raises(ValueError, match="wants an alpha=2.0 gradient, got alpha=0.5"):
+                step(np.full(3, 1.0 / 3.0), grad, DescentParams(2.0, 0.5))
+
+
 class TestRenyiStep:
     def test_hand_case(self):
         # mu_b = -0.5, D = 1.75, factors (1, e^(4/7))
@@ -1203,14 +1222,14 @@ class TestSharedKernelMatrix:
         # linear domain alone would read 0 and fire the power guard.  Those
         # rows are summed in the log domain, so both arms complete.
         fallbacks = []
-        tilted_sums = SampleBatch.tilted_sums
+        fallback_rows = SampleBatch._fallback_rows
 
-        def counted(batch, t):
-            out = tilted_sums(batch, t)
-            fallbacks.append(out[1] is not None)
+        def counted(batch, sums, t):
+            out = fallback_rows(batch, sums, t)
+            fallbacks.append(out[0].tolist())
             return out
 
-        monkeypatch.setattr(SampleBatch, "tilted_sums", counted)
+        monkeypatch.setattr(SampleBatch, "_fallback_rows", counted)
         (trace,), _ = self._fig1_as_recorded(f"fig1/{algorithm} alpha=0.5 init_cov_scale=50.0")
         assert trace.status == "completed" and len(trace.records) == 41
         assert len(fallbacks) == 40 and any(fallbacks)
@@ -1340,6 +1359,15 @@ class TestRunDescentBoundary:
         )
         # emd has no such limit
         run_descent(np.full(3, 1.0 / 3.0), params, "emd", 3, problem=problem)
+
+    def test_target_of_another_dimension_refused(self):
+        # sample_logs refuses it too, but only once a batch has been drawn
+        state, _ = self._mc_setup()
+        target = GaussianMixtureTarget([[0.0, 0.0, 0.0]])
+        for algorithm, alpha in (("power", 0.5), ("emd", 0.5), ("kl", 1.0)):
+            self._refused_before_any_draw(
+                state, target, DescentParams(alpha, 0.5), algorithm, "dimension mismatch"
+            )
 
     def test_renyi_shift_sign_refused(self):
         state, target = self._mc_setup()

@@ -51,6 +51,16 @@ class TestMeanUpdate:
         with pytest.raises(ValueError, match="sample_count"):
             explore_mean_update(state, self._target(), 0, 0.5, rng)
 
+    def test_target_of_another_dimension_refused_before_a_draw(self):
+        state = _state([0.5, 0.5], [[1.0, 0.0], [-1.0, 0.0]])
+        rng = np.random.default_rng(4)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            explore_mean_update(
+                state, GaussianMixtureTarget([[0.0, 0.0, 0.0]]), 16, 0.5, rng
+            )
+        assert rng.bit_generator.state == before
+
     @pytest.mark.parametrize("sample_count", [2.5, True, "3"])
     def test_sample_count_must_be_an_integer(self, sample_count):
         # these used to die inside the draw with numpy's TypeError
@@ -120,14 +130,14 @@ class TestMeanUpdate:
         )
         target = self._target()
         fallback_rows = []
-        tilted_sums = SampleBatch.tilted_sums
+        real = SampleBatch._fallback_rows
 
-        def spied(batch, t):
-            out = tilted_sums(batch, t)
-            fallback_rows.append(out[1])
+        def spied(batch, sums, t):
+            out = real(batch, sums, t)
+            fallback_rows.append(out[0])
             return out
 
-        monkeypatch.setattr(SampleBatch, "tilted_sums", spied)
+        monkeypatch.setattr(SampleBatch, "_fallback_rows", spied)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             fresh = explore_mean_update(state, target, 64, 0.5, np.random.default_rng(3))

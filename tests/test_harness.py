@@ -562,6 +562,15 @@ class TestSerialisation:
             with pytest.raises(ValueError, match=f"rep_0.csv, line {line}: "):
                 read_trace_csv(str(path))
 
+    @pytest.mark.parametrize("field", [0, 1, 2, 5])
+    def test_non_numeric_field_names_the_file_and_line(self, tmp_path, field):
+        path = tmp_path / "rep_0.csv"
+        row = ["1", "0", "0.5", "nan", "1.0", "2.0"]
+        row[field] = "x"
+        path.write_text(",".join(CSV_HEADER) + "\n1,0,0.5,nan,1.0,2.0\n" + ",".join(row) + "\n")
+        with pytest.raises(ValueError, match="rep_0.csv, line 3: .*'x'"):
+            read_trace_csv(str(path))
+
 
 class TestCli:
     def _smoke_config(self, tmp_path, **overrides):

@@ -467,6 +467,12 @@ class TestLogsumexp:
         with pytest.raises(ValueError, match="nonnegative and not NaN"):
             logsumexp(np.zeros(2), b=np.array(b))
 
+    @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0], [[1.0, 1.0]]])
+    def test_weights_of_another_length_refused(self, b):
+        # numpy's reshape error, or an IndexError from the zero-weight drop
+        with pytest.raises(ValueError, match=r"b of shape \(.*\) for an axis of length 2"):
+            logsumexp(np.zeros((2, 4)), axis=0, b=np.array(b))
+
 
 def _frozen_logsumexp(a, axis=-1, b=None, block=16384):
     """The blocked log-sum-exp as it stood before its single-block path.

@@ -36,6 +36,7 @@ from alpha_descent.harness import ExperimentConfig
 from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
+    SampleBatch,
     Target,
     bandwidth_rule,
     gaussian_kernel_logpdf,
@@ -102,6 +103,9 @@ def test_deleted_fields_and_methods_are_gone():
     assert [f.name for f in fields(MixtureState)] == ["weights", "points", "kernel"]
     assert not hasattr(GaussianKernel, "sample")
     assert not hasattr(GaussianKernel, "logpdf")
+    # the batch answers its readers' questions; its layout stays in model
+    assert not hasattr(SampleBatch, "tilt")
+    assert not hasattr(SampleBatch, "tilted_sums")
     # the batch's kernel comes in the form sample_logs returned it
     assert "exp_kernel" not in inspect.signature(gradient_monte_carlo_from_logs).parameters
     # every arm reads the one batch that sample_logs forms
