@@ -469,7 +469,7 @@ class TestLogsumexp:
 
     @pytest.mark.parametrize("b", [[1.0, 1.0, 1.0], [0.0, 1.0, 0.0], [1.0], [[1.0, 1.0]]])
     def test_weights_of_another_length_refused(self, b):
-        # numpy's reshape error, or an IndexError from the zero-weight drop
+        # longer, with zeros the zero-weight drop would index by, shorter, 2-d
         with pytest.raises(ValueError, match=r"b of shape \(.*\) for an axis of length 2"):
             logsumexp(np.zeros((2, 4)), axis=0, b=np.array(b))
 
