@@ -8,14 +8,16 @@ kernel's peak density are; a sum of them that underflows is recomputed in
 the log domain.
 
 One path turns a sample batch into what every Monte Carlo consumer reads:
-:func:`sample_logs` forms one matrix product of the augmented sample rows
-(:func:`squared_distances`) against the particle rows and, for a
-:class:`GaussianMixtureTarget`, the target's mean rows, and returns a
-:class:`SampleBatch`.  The kernel block is exponentiated in place against
-the kernel's own peak density, so it is bounded by 1 and no row can
-overflow; ``log q`` is the log of its weighted column sums, and ``log p``
-the weighted log-sum-exp of the target block.  The gradient, the
-monitor and exploration all read that one product and that one exp pass.
+:func:`sample_logs` asks the target for the particle rows of the augmented
+sample rows (:func:`squared_distances`) and for ``log p`` at the samples,
+and returns a :class:`SampleBatch`.  A :class:`GaussianMixtureTarget` forms
+both from one matrix product with its mean rows, the product its own
+``log_density`` makes; a plain :class:`Target` forms the particle rows
+alone and reads its ``log_density``.  The kernel block is exponentiated in
+place against the kernel's own peak density, so it is bounded by 1 and no
+row can overflow; ``log q`` is the log of its weighted column sums.  The
+gradient, the monitor and exploration all read that one product and that
+one exp pass.
 """
 
 from __future__ import annotations
@@ -257,6 +259,26 @@ class Target:
     def _check_dim(self, ys):
         """Refuse points ``(M, d)`` of another dimension; a plain target has none."""
 
+    def _rows_and_log_p(self, points, scale, samples):
+        """The particle rows ``squared_distances(points, samples, scale)`` and ``log p``.
+
+        ``log p`` is the target at the samples ``(M, d)``, refused unless it
+        holds one finite value per sample.
+        """
+        log_p = self.log_density(samples)
+        if np.shape(log_p) != (len(samples),):
+            raise ValueError(
+                f"target log_density returned shape {np.shape(log_p)} for "
+                f"{len(samples)} samples; it must return one value per sample"
+            )
+        if not np.isfinite(log_p).all():
+            bad = int(np.flatnonzero(~np.isfinite(log_p))[0])
+            raise ValueError(
+                f"target log_density returned {float(log_p[bad])!r} at sample {bad}; "
+                "it must be finite"
+            )
+        return squared_distances(points, samples, scale=scale), log_p
+
 
 class GaussianMixtureTarget(Target):
     """Target ``scale * sum_i weights_i N(y; means_i, I_d)``.
@@ -267,7 +289,12 @@ class GaussianMixtureTarget(Target):
     """
 
     def __init__(self, means, weights=None, scale=1.0):
-        means = np.atleast_2d(np.asarray(means, dtype=float))
+        means = np.asarray(means, dtype=float)
+        if means.ndim != 2 or 0 in means.shape:
+            raise ValueError(
+                "means must be a 2-d array with at least one row and one column, "
+                f"got shape {means.shape}"
+            )
         if not np.all(np.isfinite(means)):
             raise ValueError("means must be finite")
         n = means.shape[0]
@@ -293,17 +320,30 @@ class GaussianMixtureTarget(Target):
                 f"got points of dimension {ys.shape[1]}"
             )
 
-    def _from_rows(self, comp):
-        """``log p`` from the component rows, the weighted log-sum-exp."""
-        out = logsumexp(comp, axis=0, b=self.weights)
-        out += self._log_scale
-        return out
+    def _rows_and_log_p(self, points, scale, samples):
+        """One product of the particle rows, at ``scale``, and the mean rows.
+
+        The mean rows are at scale -1/2 and their own offset, and ``log p``
+        is their weighted log-sum-exp; the particle rows are returned as a
+        view of the product.  :meth:`log_density` reads the same product.
+        """
+        j = len(points)
+        scales = np.full(j + len(self.means), -0.5)
+        scales[:j] = scale
+        offset = np.zeros(scales.size)
+        offset[j:] = self._row_offset
+        rows = np.concatenate((points, self.means))
+        block = squared_distances(rows, samples, scales, offset)
+        log_p = logsumexp(block[j:], axis=0, b=self.weights)
+        log_p += self._log_scale
+        return block[:j], log_p
 
     def _eval(self, y):
         ys = np.atleast_2d(y)
         self._check_dim(ys)
-        comp = squared_distances(self.means, ys, scale=-0.5, offset=self._row_offset)
-        out = self._from_rows(comp)
+        # one unread particle row: numpy sends a one-row product to gemv, which
+        # rounds a one-mean target's log p apart from the batch's matrix product
+        _, out = self._rows_and_log_p(ys[:1], 0.0, ys)
         return out[0] if np.ndim(y) == 1 else out
 
 
@@ -403,36 +443,24 @@ class SampleBatch:
 def sample_logs(weights, points, kernel, target, samples):
     """The :class:`SampleBatch` of a sample batch ``(M, d)`` under ``weights``.
 
-    One call to :func:`squared_distances` gives the particle rows, at scale
-    ``-1/(2 h^2)`` and no offset, and, for a :class:`GaussianMixtureTarget`,
-    the target's mean rows, at their own scale and offset; ``log p`` is then
-    the weighted log-sum-exp of that block.  A plain :class:`Target` is read
-    through its ``log_density``.  The kernel block is exponentiated in
-    place, and ``weights @ E`` gives ``log q``, which no zero-weight
-    component enters.  A column whose weighted sum falls below the normal
-    float range (a sample far from every weighted particle) is recomputed
-    from the samples against the peak of its weighted rows, so ``log q``
-    stays exact.
+    The target gives the particle rows of :func:`squared_distances`, at
+    scale ``-1/(2 h^2)`` and no offset, and ``log p`` at the samples: a
+    :class:`GaussianMixtureTarget` takes both from one product with its mean
+    rows, and a plain :class:`Target` reads its ``log_density``, refused
+    unless it holds one finite value per sample.  The kernel block is
+    exponentiated in place, and ``weights @ E`` gives ``log q``, which no
+    zero-weight component enters.  A column whose weighted sum falls below
+    the normal float range (a sample far from every weighted particle) is
+    recomputed from the samples against the peak of its weighted rows, so
+    ``log q`` stays exact.
 
-    No validation: callers check their inputs.
+    Callers check their own inputs; only a plain target's ``log p`` is
+    checked here.
     """
-    j = len(points)
     scale = -0.5 / kernel.bandwidth**2
-    if isinstance(target, GaussianMixtureTarget):
-        target._check_dim(samples)
-        scales = np.full(j + len(target.means), -0.5)
-        scales[:j] = scale
-        offset = np.zeros(scales.size)
-        offset[j:] = target._row_offset
-        block = squared_distances(
-            np.concatenate((points, target.means)), samples, scales, offset
-        )
-        log_p = target._from_rows(block[j:])
-    else:
-        block = squared_distances(points, samples, scale=scale)
-        log_p = target.log_density(samples)
+    block, log_p = target._rows_and_log_p(points, scale, samples)
     log_peak = kernel.log_peak
-    ratio = np.exp(block[:j], out=block[:j])
+    ratio = np.exp(block, out=block)
     total = weights @ ratio
     shift = np.zeros(total.size)
     if not total.min() >= _TINY:
@@ -486,8 +514,10 @@ class FiniteSupportProblem:
         kernel = np.asarray(self.kernel_matrix, dtype=float)
         nu = np.asarray(self.nu_weights, dtype=float)
         p = np.asarray(self.p_values, dtype=float)
-        if kernel.ndim != 2:
-            raise ValueError(f"kernel_matrix must be 2-d, got shape {kernel.shape}")
+        if kernel.ndim != 2 or not len(kernel):
+            raise ValueError(
+                f"kernel_matrix must hold a row and be 2-d, got shape {kernel.shape}"
+            )
         n_comp, n_atoms = kernel.shape
         if nu.shape != (n_atoms,) or p.shape != (n_atoms,):
             raise ValueError(

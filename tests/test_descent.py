@@ -1361,7 +1361,7 @@ class TestRunDescentBoundary:
         run_descent(np.full(3, 1.0 / 3.0), params, "emd", 3, problem=problem)
 
     def test_target_of_another_dimension_refused(self):
-        # sample_logs refuses it too, but only once a batch has been drawn
+        # the entry check is the only one: sample_logs does not look again
         state, _ = self._mc_setup()
         target = GaussianMixtureTarget([[0.0, 0.0, 0.0]])
         for algorithm, alpha in (("power", 0.5), ("emd", 0.5), ("kl", 1.0)):

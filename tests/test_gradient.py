@@ -403,16 +403,8 @@ class TestMonteCarloGradient:
         assert (batch.ratio[:, 5:] <= 1.0).all()
 
     def test_exp_kernel_pair_refusals(self):
-        # sample_logs refuses a target of another dimension before any
-        # product; the gradient refuses a batch whose vectors and block
-        # disagree
+        # the gradient refuses a batch whose vectors and block disagree
         rng = np.random.default_rng(55)
-        kernel = GaussianKernel(0.7, 2)
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            sample_logs(
-                np.array([1.0]), np.zeros((1, 2)), kernel,
-                GaussianMixtureTarget([[0.0, 0.0, 0.0]]), rng.normal(size=(4, 2)),
-            )
         batch, _, _, _ = _gaussian_batch(rng, 4, 2, 32)
         with pytest.raises(ValueError, match="one value per sample"):
             gradient_monte_carlo_from_logs(replace(batch, ratio=batch.ratio[:, :-1]), 0.5)

@@ -12,6 +12,7 @@ from scipy.spatial.distance import cdist
 from scipy.special import logsumexp as scipy_logsumexp
 from scipy.stats import multivariate_normal, norm
 
+from alpha_descent.descent import run_descent
 from alpha_descent.divergence import (
     DescentParams,
     divergence_exact,
@@ -258,6 +259,20 @@ class TestTargets:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError, match="means must be finite"):
                 GaussianMixtureTarget([[0.0, 0.0], [1.0, bad]])
+
+    @pytest.mark.parametrize(
+        "means",
+        [np.zeros((0, 2)), [], np.zeros((2, 2, 2)), np.zeros(2)],
+        ids=["no-rows", "empty-list", "3-d", "1-d"],
+    )
+    def test_mixture_target_means_must_be_a_nonempty_matrix(self, means):
+        # no rows divided by zero, [] built a 0-dimensional target of log
+        # density 0, and a 3-d array failed only at evaluation
+        with pytest.raises(ValueError, match=re.escape(
+            f"means must be a 2-d array with at least one row and one column, "
+            f"got shape {np.shape(means)}"
+        )):
+            GaussianMixtureTarget(means)
 
 
 def _log_q(weights, points, kernel, ys):
@@ -581,9 +596,7 @@ class TestSampleLogs:
             np.log(batch.ratio) + batch.log_peak, kernel.logpdf_matrix(points, ys),
             rtol=PARITY_RTOL, atol=0.0,
         )
-        np.testing.assert_allclose(
-            batch.log_p, target.log_density(ys), rtol=PARITY_RTOL, atol=0.0
-        )
+        assert np.array_equal(batch.log_p, target.log_density(ys))
         assert batch.log_peak == kernel.log_peak
         # pointwise reference over the weighted components only
         keep = w > 0
@@ -595,6 +608,47 @@ class TestSampleLogs:
             for y in ys
         ]
         np.testing.assert_allclose(batch.log_q, want, rtol=PARITY_RTOL, atol=0.0)
+
+    @pytest.mark.parametrize("num_means", [1, 2, 5])
+    @pytest.mark.parametrize("size", [1, 2, 100])
+    def test_mixture_log_p_is_its_log_density(self, num_means, size):
+        # the batch and log_density read one product, bit for bit, at any
+        # number of mean rows and samples
+        rng = np.random.default_rng(24)
+        kernel = GaussianKernel(0.5, 16)
+        target = GaussianMixtureTarget(2.0 * rng.normal(size=(num_means, 16)), scale=2.0)
+        ys = 3.0 * rng.normal(size=(size, 16))
+        batch = sample_logs(np.full(20, 0.05), rng.normal(size=(20, 16)), kernel, target, ys)
+        assert np.array_equal(batch.log_p, target.log_density(ys))
+
+    @pytest.mark.parametrize(
+        "log_density, algorithm, alpha, match",
+        [
+            (lambda ys: np.full(len(ys), np.nan), "power", 0.5, "returned nan at sample 0"),
+            (lambda ys: np.full(len(ys), np.inf), "power", 0.5, "returned inf at sample 0"),
+            (lambda ys: np.full(len(ys), -np.inf), "emd", 0.5, "returned -inf at sample 0"),
+            (lambda ys: 0.0, "kl", 1.0, r"returned shape \(\) for 4 samples"),
+            (lambda ys: np.zeros((len(ys), 1)), "emd", 0.5, r"returned shape \(4, 1\) for 4"),
+        ],
+        ids=["nan", "plus-inf", "minus-inf-everywhere", "scalar", "column"],
+    )
+    def test_plain_target_density_refused_where_it_enters(
+        self, log_density, algorithm, alpha, match
+    ):
+        # NaN and +inf were blamed on the gradient, a scalar raised an
+        # AttributeError, a column a batch-shape error, and -inf everywhere
+        # ran to the end with a bound of -inf at every record
+        kernel = GaussianKernel(1.0, 2)
+        points = np.array([[1.0, 0.0], [-1.0, 0.0]])
+        target = Target(log_density)
+        ys = np.random.default_rng(25).normal(size=(4, 2))
+        with pytest.raises(ValueError, match="target log_density " + match):
+            sample_logs(np.full(2, 0.5), points, kernel, target, ys)
+        with pytest.raises(ValueError, match="target log_density " + match):
+            run_descent(
+                MixtureState(np.full(2, 0.5), points, kernel), DescentParams(alpha, 0.5),
+                algorithm, 3, target=target, sample_count=4, rng=np.random.default_rng(0),
+            )
 
     def test_plain_target_is_read_through_its_log_density(self):
         rng = np.random.default_rng(23)
@@ -633,6 +687,12 @@ class TestFiniteSupportProblem:
             FiniteSupportProblem(kernel, nu, np.array([0.4, 0.0]))
         with pytest.raises(ValueError, match="nu_weights"):
             FiniteSupportProblem(kernel, np.array([-1.0, 2.0]), p)
+
+    def test_rejects_a_kernel_matrix_with_no_rows(self):
+        # numpy's "argmax of an empty sequence" once surfaced here
+        _, nu, p = self._valid()
+        with pytest.raises(ValueError, match=r"kernel_matrix must hold a row .*\(0, 2\)"):
+            FiniteSupportProblem(np.zeros((0, 2)), nu, p)
 
     def test_rejects_a_kernel_vector(self):
         kernel, nu, p = self._valid()

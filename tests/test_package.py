@@ -110,6 +110,8 @@ def test_deleted_fields_and_methods_are_gone():
     assert "exp_kernel" not in inspect.signature(gradient_monte_carlo_from_logs).parameters
     # every arm reads the one batch that sample_logs forms
     assert "exp_kernel" not in inspect.signature(sample_logs).parameters
+    # a mixture target's log p comes from the one product its batch rows share
+    assert not hasattr(GaussianMixtureTarget, "_from_rows")
     assert "num_components" not in inspect.signature(rate_bound).parameters
     # the algorithm name alone picks the update
     assert "unweighted_denominator" not in inspect.signature(run_descent).parameters
@@ -128,6 +130,27 @@ def test_every_errstate_in_src_says_why():
         if "np.errstate(" in line and not re.search(r"np\.errstate\(.*#\s*\S", line)
     ]
     assert bare == []
+
+
+def test_no_target_type_switch_in_src():
+    # A target gives the batch its rows and log p through one method, so no
+    # code outside it asks which kind of target it holds.
+    src = Path(alpha_descent.__file__).resolve().parent
+    switches = [
+        f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(src.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id == "isinstance"
+        and len(node.args) == 2
+        and "GaussianMixtureTarget" in {
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node.args[1])
+            if isinstance(n, (ast.Name, ast.Attribute))
+        }
+    ]
+    assert switches == []
 
 
 def test_perfbench_patch_points_resolve():
