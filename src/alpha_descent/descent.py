@@ -119,8 +119,8 @@ def _gradient_values(grad, num_components, weights=None):
         raise ValueError(
             f"gradient has {values.size} entries for {num_components} weights"
         )
-    if not np.isfinite(values).all() and (
-        weights is None or not np.isfinite(values[weights > 0]).all()
+    if not np.logical_and.reduce(np.isfinite(values)) and (
+        weights is None or not np.logical_and.reduce(np.isfinite(values[weights > 0]))
     ):
         raise ValueError("gradient values must be finite")
     return values
@@ -139,23 +139,34 @@ def _log_base(grad, num_components):
     return log_a
 
 
-def _renormalise(weights, log_factors):
+def _weighted(weights):
+    """The ``where=`` mask of the weighted components of ``weights``.
+
+    ``True`` when no weight is zero, so that every pass runs unmasked.
+    """
+    return True if np.minimum.reduce(weights) > 0.0 else weights > 0
+
+
+def _renormalise(weights, log_factors, active):
     """Multiply and renormalise in the log domain.
 
-    Zero weights stay exactly zero, and their factors are never read.
-    Returns the new simplex vector.
+    ``active`` is ``_weighted(weights)``.  Zero weights stay exactly zero,
+    and their factors are never read.  Returns the new simplex vector.
     """
-    active = weights > 0
-    log_w = np.empty(weights.shape)
-    log_w.fill(-np.inf)
-    np.log(weights, out=log_w, where=active)
-    np.add(log_w, log_factors, out=log_w, where=active)
-    peak = log_w.max()
+    if active is True:
+        log_w = np.log(weights)
+        log_w += log_factors
+    else:
+        log_w = np.empty(weights.shape)
+        log_w.fill(-np.inf)
+        np.log(weights, out=log_w, where=active)
+        np.add(log_w, log_factors, out=log_w, where=active)
+    peak = np.maximum.reduce(log_w)
     if not math.isfinite(peak):
         raise GuardViolation("all mixture mass was annihilated by the update")
     log_w -= peak
     w = np.exp(log_w, out=log_w)
-    w /= w.sum()
+    w /= np.add.reduce(w)
     return w
 
 
@@ -215,7 +226,7 @@ def power_step(weights, grad, params):
     _check_order("power", grad, params.alpha)
     weights = as_simplex(weights)
     alpha = params.alpha
-    active = weights > 0
+    active = _weighted(weights)
     # each pass below reads the weighted components only, through ``active``
     log_a = _log_base(grad, weights.size)
     if log_a is None:
@@ -248,14 +259,15 @@ def power_step(weights, grad, params):
         log_base, params.step_size / (1.0 - alpha), out=np.empty(weights.shape),
         where=active,
     )
-    return _renormalise(weights, log_factors), StepDiagnostics(guard_min)
+    return _renormalise(weights, log_factors, active), StepDiagnostics(guard_min)
 
 
 def _mirror_step(weights, grad, step_size):
     """Entropic mirror descent, factors ``exp(-step b)``; no guard."""
     weights = as_simplex(weights)
     values = _gradient_values(grad, weights.size, weights)
-    return _renormalise(weights, -step_size * values), StepDiagnostics(np.inf)
+    new = _renormalise(weights, -step_size * values, _weighted(weights))
+    return new, StepDiagnostics(np.inf)
 
 
 def emd_step(weights, grad, params):
@@ -297,7 +309,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     _check_order("renyi", grad, params.alpha)
     alpha = params.alpha
     weights = as_simplex(weights)
-    active = weights > 0
+    active = _weighted(weights)
     log_a = None if unweighted_denominator else _log_base(grad, weights.size)
     if log_a is None:
         values = _gradient_values(grad, weights.size)
@@ -324,7 +336,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
         scaled = raw_check = np.exp(
             log_a - log_denom, out=np.zeros(weights.shape), where=active
         ) / (alpha - 1.0)
-    new = _renormalise(weights, -params.step_size * scaled)
+    new = _renormalise(weights, -params.step_size * scaled, active)
     margin = 1.0 - params.step_size * (alpha - 1.0) * raw_check
     guard_min = np.minimum.reduce(margin, where=active, initial=np.inf)
     return new, StepDiagnostics(float(guard_min))
@@ -407,16 +419,18 @@ def run_descent(
     drawn.  Like every count and positive real of the package, the two
     counts are checked by one call to ``model._check_integer``
     (``model._check_float`` for a real), which carries the range.  Each
-    step then calls public functions, and each checks what it reads: the
-    step runs ``as_simplex`` on the weights and checks the gradient's
-    order and size and that the values it reads are finite (or, for
-    ``log A_j``, no NaN or ``+inf``);
-    ``problem.log_mixture`` checks the weights' shape, sign and
-    finiteness; the exact objective checks that each density ratio is
-    positive and finite; the Monte Carlo gradient checks the shapes of
-    its batch, which carries the weights it was drawn under.  On valid
-    input each check is a minimum, a maximum, a sum or a shape; the
-    conditions are told apart only when one fails.
+    step then calls the public step, which runs ``as_simplex`` on the
+    weights and checks the gradient's order and size and that the values
+    it reads are finite (or, for ``log A_j``, no NaN or ``+inf``).  The
+    exact objective checks that each density ratio is positive and
+    finite; the Monte Carlo gradient checks the shapes of its batch,
+    which carries the weights it was drawn under.  The exact mode skips
+    the checks that its own iterates make redundant: each iterate is the
+    entry-checked start or a step's output, so its log-mixture is read
+    through ``problem._log_mixture``, unchecked, and the objective reads
+    the generator unchecked after its ratio check.  On valid input each
+    check is a minimum, a maximum, a sum or a shape; the conditions are
+    told apart only when one fails.
     The Monte Carlo mode reads the state's points and kernel once, at
     entry, and draws every batch from them under the current iterate; it
     builds no state per step.
@@ -424,7 +438,7 @@ def run_descent(
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
     scoring an iterate keeps what its gradient reads.  In exact mode that
-    is the iterate's one ``problem.log_mixture``, read by the objective and
+    is the iterate's one log-mixture, read by the objective and
     the gradient through their ``log_mixture=`` keyword.  In Monte Carlo
     mode it is the iterate's one batch, which gives the sampled bound and
     then the next step's gradient, so N steps draw N+1 batches (N when the
@@ -460,14 +474,16 @@ def run_descent(
                 f"{problem.num_components} components"
             )
         log_mix = None  # the scored iterate's log-mixture
+        # the loop's own iterates, checked at entry or made by a step, so
+        # their log-mixture is read unchecked
 
         def gradient(w):
-            mix = log_mix if log_mix is not None else problem.log_mixture(w)
+            mix = log_mix if log_mix is not None else problem._log_mixture(w)
             return gradient_exact(problem, w, params.alpha, log_mixture=mix)
 
         def score(w):
             nonlocal log_mix
-            log_mix = problem.log_mixture(w)
+            log_mix = problem._log_mixture(w)
             objective = divergence_exact(problem, w, params.alpha, log_mixture=log_mix)
             return np.nan, objective
 

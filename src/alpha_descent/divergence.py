@@ -64,7 +64,7 @@ class DescentParams:
 def _check_positive(u):
     u = np.asarray(u, dtype=float)
     # an empty u has no minimum and nothing to check; a NaN fails the test
-    if u.size and not (u.min() > 0.0 and u.max() < np.inf):
+    if u.size and not (np.minimum.reduce(u) > 0.0 and np.maximum.reduce(u) < np.inf):
         raise ValueError("generator argument must be strictly positive and finite")
     return u
 
@@ -72,14 +72,17 @@ def _check_positive(u):
 def amari_alpha(u, alpha):
     """Generator ``f_alpha`` evaluated elementwise at ``u > 0``."""
     scalar = np.ndim(u) == 0
-    u = _check_positive(u)
-    if alpha == 0.0:
-        out = u - 1.0 - np.log(u)
-    elif alpha == 1.0:
-        out = 1.0 - u + u * np.log(u)
-    else:
-        out = (u**alpha - 1.0 - alpha * (u - 1.0)) / (alpha * (alpha - 1.0))
+    out = _amari_alpha(_check_positive(u), alpha)
     return float(out) if scalar else out
+
+
+def _amari_alpha(u, alpha):
+    """:func:`amari_alpha` of a float array already checked positive and finite."""
+    if alpha == 0.0:
+        return u - 1.0 - np.log(u)
+    if alpha == 1.0:
+        return 1.0 - u + u * np.log(u)
+    return (u**alpha - 1.0 - alpha * (u - 1.0)) / (alpha * (alpha - 1.0))
 
 
 def amari_alpha_deriv(u, alpha):
@@ -129,11 +132,12 @@ def divergence_exact(problem, weights, alpha, *, log_mixture=None):
     Zero when the mixture matches ``p_values`` exactly; nonnegative whenever
     the target values are nu-normalised.  ``log_mixture`` is
     ``problem.log_mixture(weights)`` when the caller already has it; the
-    weights are then not read again.
+    weights are then not read again.  A density ratio that is not strictly
+    positive and finite is refused, as :func:`amari_alpha` refuses it.
     """
     log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
-    values = amari_alpha(np.exp(log_u), alpha)
-    return float((problem.nu_weights * problem.p_values * values).sum())
+    values = _amari_alpha(_check_positive(np.exp(log_u)), alpha)
+    return float(np.add.reduce(problem.nu_weights * problem.p_values * values))
 
 
 def renyi_objective_exact(problem, weights, params):

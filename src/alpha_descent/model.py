@@ -84,7 +84,11 @@ def as_simplex(weights, *, name="weights"):
     if w.ndim != 1 or w.size == 0:
         raise ValueError(f"{name} must be a nonempty 1-d array, got shape {w.shape}")
     tol = _SIMPLEX_TOL
-    if w.min() >= 0.0 and w.max() <= 1.0 + tol and abs(w.sum() - 1.0) <= tol:
+    if (
+        np.minimum.reduce(w) >= 0.0
+        and np.maximum.reduce(w) <= 1.0 + tol
+        and abs(np.add.reduce(w) - 1.0) <= tol
+    ):
         return w
     if not np.isfinite(w).all():
         raise ValueError(f"{name} must be finite")
@@ -561,10 +565,17 @@ class FiniteSupportProblem:
             )
         # one test passes valid weights; the conditions are told apart only
         # when it fails (a NaN fails it too)
-        if not (weights.min() >= 0.0 and 0.0 < weights.max() < np.inf):
+        if not (
+            np.minimum.reduce(weights) >= 0.0
+            and 0.0 < np.maximum.reduce(weights) < np.inf
+        ):
             if (weights < 0).any() or not np.isfinite(weights).all():
                 raise ValueError("mixture weights must be finite and nonnegative")
             raise ValueError("mixture weights are all zero")
+        return self._log_mixture(weights)
+
+    def _log_mixture(self, weights):
+        """:meth:`log_mixture` of weights already known valid, unchecked."""
         # Entries are O(1) by row normalisation, so the linear sum is safe.
         return np.log(weights @ self.kernel_matrix)
 

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import alpha_descent.descent as descent_module
+import alpha_descent.divergence as divergence_module
 import alpha_descent.gradient as gradient_module
 from alpha_descent.descent import (
     ALGORITHMS,
@@ -435,6 +436,13 @@ def test_every_step_returns_a_simplex(seed):
         assert np.all(new[w == 0] == 0)
 
 
+def _renormalise(weights, log_factors):
+    """``descent._renormalise`` under the mask its callers pass."""
+    return descent_module._renormalise(
+        weights, log_factors, descent_module._weighted(weights)
+    )
+
+
 def _frozen_renormalise(weights, log_factors):
     """``_renormalise`` as it stood, with boolean gathers and a scatter.
 
@@ -527,15 +535,15 @@ class TestMaskedStepBits:
         for _ in range(20):
             w = _weights_with_zeros(rng, 6, zeros)
             factors = rng.normal(scale=5.0, size=6)
-            self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+            self._same(_renormalise, _frozen_renormalise, w, factors)
             dead = np.flatnonzero(w == 0)
             factors[dead] = np.where(np.arange(dead.size) % 2, np.inf, -np.inf)
-            self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+            self._same(_renormalise, _frozen_renormalise, w, factors)
 
     def test_renormalise_refusal(self):
         w = np.array([0.5, 0.0, 0.5])
         factors = np.array([-np.inf, 0.0, -np.inf])
-        self._same(descent_module._renormalise, _frozen_renormalise, w, factors)
+        self._same(_renormalise, _frozen_renormalise, w, factors)
 
     @pytest.mark.parametrize("zeros", [0, 1, 3])
     @pytest.mark.parametrize("alpha, shift", [(0.5, 0.0), (0.5, -0.3), (-1.0, -0.2), (2.0, 0.4)])
@@ -714,15 +722,16 @@ class TestRunDescentExact:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_one_log_mixture_per_iterate(self, monkeypatch, algorithm, record_initial):
         # N steps visit N+1 iterates; the gradient of step 1 reads the
-        # starting one even when its record is skipped
+        # starting one even when its record is skipped.  The loop reads its
+        # own iterates through the unchecked kernel
         calls = []
-        log_mixture = FiniteSupportProblem.log_mixture
+        log_mixture = FiniteSupportProblem._log_mixture
 
         def counted(problem, weights):
             calls.append(1)
             return log_mixture(problem, weights)
 
-        monkeypatch.setattr(FiniteSupportProblem, "log_mixture", counted)
+        monkeypatch.setattr(FiniteSupportProblem, "_log_mixture", counted)
         trace = run_descent(
             np.full(3, 1.0 / 3.0),
             DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
@@ -839,8 +848,10 @@ class TestRunDescentExact:
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_calls_per_step_and_per_iterate(self, monkeypatch, algorithm):
         # the counts the benchmark's tracer relies on: one step and one
-        # as_simplex per step (plus the entry check), one gradient per
-        # step, one log-mixture and one objective per iterate
+        # as_simplex per step (plus the entry check), one gradient per step
+        # and one objective per iterate.  The tracer patches no log-mixture.
+        # The loop reads one per iterate through the unchecked kernel, and
+        # calls neither the checked log_mixture nor amari_alpha
         counts = collections.Counter()
 
         def counting(name, fn):
@@ -857,7 +868,9 @@ class TestRunDescentExact:
             (gradient_module, "as_simplex"),
             (descent_module, "gradient_exact"),
             (descent_module, "divergence_exact"),
+            (FiniteSupportProblem, "_log_mixture"),
             (FiniteSupportProblem, "log_mixture"),
+            (divergence_module, "amari_alpha"),
         ):
             monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
         trace = run_descent(
@@ -873,8 +886,9 @@ class TestRunDescentExact:
             "as_simplex": 13,
             "gradient_exact": 12,
             "divergence_exact": 13,
-            "log_mixture": 13,
+            "_log_mixture": 13,
         }
+        assert counts["log_mixture"] == counts["amari_alpha"] == 0
 
 
 class TestRunDescentMonteCarlo:

@@ -228,6 +228,19 @@ class TestExactDivergence:
             with pytest.raises(ValueError, match="log_mixture must have shape"):
                 divergence_exact(problem, w, 0.5, log_mixture=bad)
 
+    def test_ratio_that_underflows_to_zero_refused(self):
+        # exp(-800) is 0.0, outside (0, inf): the objective refuses the
+        # ratio before the generator reads it, and nothing warns on the way
+        rng = np.random.default_rng(17)
+        problem = random_problem(rng)
+        w = random_weights(rng, problem.num_components)
+        low = problem.log_mixture(w) - 800.0
+        for alpha in ALPHAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="strictly positive and finite"):
+                    divergence_exact(problem, w, alpha, log_mixture=low)
+
 
 class TestRenyiObjective:
     def test_rejects_degenerate_orders(self):
