@@ -438,8 +438,9 @@ def run_descent(
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
     scoring an iterate keeps what its gradient reads.  In exact mode that
-    is the iterate's one log-mixture, read by the objective and
-    the gradient through their ``log_mixture=`` keyword.  In Monte Carlo
+    is the iterate's one log-mixture, which the loop hands to the objective
+    and the gradient through a private keyword; neither checks it again.
+    Called on their own, both check their weights.  In Monte Carlo
     mode it is the iterate's one batch, which gives the sampled bound and
     then the next step's gradient, so N steps draw N+1 batches (N when the
     bound is not monitored and each gradient draws its own).  The power
@@ -479,12 +480,12 @@ def run_descent(
 
         def gradient(w):
             mix = log_mix if log_mix is not None else problem._log_mixture(w)
-            return gradient_exact(problem, w, params.alpha, log_mixture=mix)
+            return gradient_exact(problem, w, params.alpha, _log_mix=mix)
 
         def score(w):
             nonlocal log_mix
             log_mix = problem._log_mixture(w)
-            objective = divergence_exact(problem, w, params.alpha, log_mixture=log_mix)
+            objective = divergence_exact(problem, w, params.alpha, _log_mix=log_mix)
             return np.nan, objective
 
     else:

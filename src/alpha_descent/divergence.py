@@ -113,29 +113,17 @@ def amari_alpha_deriv_log(log_u, alpha):
     return np.expm1((alpha - 1.0) * log_u) / (alpha - 1.0)
 
 
-def _exact_log_mixture(problem, weights, log_mixture):
-    """``problem.log_mixture(weights)``, or the caller's copy of it."""
-    if log_mixture is None:
-        return problem.log_mixture(weights)
-    log_mix = np.asarray(log_mixture, dtype=float)
-    if log_mix.shape != (problem.support_size,):
-        raise ValueError(
-            f"log_mixture must have shape ({problem.support_size},), "
-            f"got {log_mix.shape}"
-        )
-    return log_mix
-
-
-def divergence_exact(problem, weights, alpha, *, log_mixture=None):
+def divergence_exact(problem, weights, alpha, *, _log_mix=None):
     """Exact objective ``sum_s nu_s p_s f_alpha(mix_s / p_s)``.
 
     Zero when the mixture matches ``p_values`` exactly; nonnegative whenever
-    the target values are nu-normalised.  ``log_mixture`` is
-    ``problem.log_mixture(weights)`` when the caller already has it; the
-    weights are then not read again.  A density ratio that is not strictly
-    positive and finite is refused, as :func:`amari_alpha` refuses it.
+    the target values are nu-normalised.  The weights are checked by
+    ``problem.log_mixture``.  A density ratio that is not strictly positive
+    and finite is refused, as :func:`amari_alpha` refuses it.
     """
-    log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
+    # the descent loop hands over its iterate's log-mixture, unchecked
+    log_mix = problem.log_mixture(weights) if _log_mix is None else _log_mix
+    log_u = log_mix - problem.log_p_values
     values = _amari_alpha(_check_positive(np.exp(log_u)), alpha)
     return float(np.add.reduce(problem.nu_weights * problem.p_values * values))
 

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import _exact_log_mixture, amari_alpha_deriv_log
+from .divergence import amari_alpha_deriv_log
 from .model import GaussianKernel, _check_integer, as_simplex
 
 __all__ = [
@@ -106,15 +106,16 @@ class MixtureGradient:
         object.__setattr__(self, name, array)
 
 
-def gradient_exact(problem, weights, alpha, *, log_mixture=None):
+def gradient_exact(problem, weights, alpha, *, _log_mix=None):
     """Exact gradient on a finite-support problem.
 
     Every component gets a value, including those with zero weight; the
-    mixture in the ratio only sees the weighted ones.  ``log_mixture`` is
-    ``problem.log_mixture(weights)`` when the caller already has it; the
-    weights are then not read again.
+    mixture in the ratio only sees the weighted ones.  The weights are
+    checked by ``problem.log_mixture``.
     """
-    log_u = _exact_log_mixture(problem, weights, log_mixture) - problem.log_p_values
+    # the descent loop hands over its iterate's log-mixture, unchecked
+    log_mix = problem.log_mixture(weights) if _log_mix is None else _log_mix
+    log_u = log_mix - problem.log_p_values
     deriv = amari_alpha_deriv_log(log_u, alpha)
     values = problem.kernel_matrix @ (problem.nu_weights * deriv)
     return MixtureGradient(values, alpha)

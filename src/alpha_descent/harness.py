@@ -218,7 +218,7 @@ def run_replicate(config, index):
             )
         except GuardViolation as exc:
             trace.records.extend(exc.partial.records)
-            trace.status = f"guard_violation: {exc}"
+            trace.status = exc.partial.status
             return trace
         trace.records.extend(part.records)
         if phase < config.num_phases:

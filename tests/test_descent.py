@@ -743,6 +743,31 @@ class TestRunDescentExact:
         assert trace.status == "completed"
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_loop_never_calls_the_checked_forms(self, monkeypatch, algorithm):
+        # the loop's iterates are checked at entry or made by a step, so it
+        # reads their log-mixture and the generator through the unchecked
+        # kernels only, with the same arithmetic
+        def run():
+            return run_descent(
+                np.full(3, 1.0 / 3.0),
+                DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
+                algorithm,
+                7,
+                problem=self._problem(95),
+            )
+
+        want = run()
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the exact loop called a checked form")
+
+        monkeypatch.setattr(FiniteSupportProblem, "log_mixture", refuse)
+        monkeypatch.setattr(divergence_module, "amari_alpha", refuse)
+        trace = run()
+        assert trace.status == "completed" and len(trace.records) == 8
+        assert _record_keys(trace) == _record_keys(want)
+
     def test_fixed_point_stop(self):
         problem = self._problem(86)
         trace = run_descent(

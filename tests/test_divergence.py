@@ -22,7 +22,12 @@ from alpha_descent.divergence import (
 )
 from alpha_descent.fixtures import perfect_fit_problem, random_problem, random_weights
 from alpha_descent.gradient import sample_mixture
-from alpha_descent.model import GaussianKernel, GaussianMixtureTarget, sample_logs
+from alpha_descent.model import (
+    FiniteSupportProblem,
+    GaussianKernel,
+    GaussianMixtureTarget,
+    sample_logs,
+)
 
 ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
@@ -209,37 +214,44 @@ class TestExactDivergence:
 
 
     def test_log_mixture_keyword_is_bit_identical(self):
+        # the descent loop hands over its own iterate's log-mixture
         rng = np.random.default_rng(15)
         for _ in range(10):
             problem = random_problem(rng)
             w = random_weights(rng, problem.num_components)
-            log_mix = problem.log_mixture(w)
+            log_mix = problem._log_mixture(w)
             for alpha in ALPHAS:
                 want = divergence_exact(problem, w, alpha)
-                got = divergence_exact(problem, w, alpha, log_mixture=log_mix)
+                got = divergence_exact(problem, w, alpha, _log_mix=log_mix)
                 assert repr(got) == repr(want)
-
-    def test_log_mixture_of_wrong_shape_refused(self):
-        rng = np.random.default_rng(16)
-        problem = random_problem(rng)
-        w = random_weights(rng, problem.num_components)
-        log_mix = problem.log_mixture(w)
-        for bad in (np.append(log_mix, 0.0), log_mix[:, None]):
-            with pytest.raises(ValueError, match="log_mixture must have shape"):
-                divergence_exact(problem, w, 0.5, log_mixture=bad)
 
     def test_ratio_that_underflows_to_zero_refused(self):
         # exp(-800) is 0.0, outside (0, inf): the objective refuses the
-        # ratio before the generator reads it, and nothing warns on the way
+        # ratio before the generator reads it, and nothing warns on the way.
+        # The log-mixture comes through the descent loop's private hand-off
         rng = np.random.default_rng(17)
         problem = random_problem(rng)
         w = random_weights(rng, problem.num_components)
-        low = problem.log_mixture(w) - 800.0
+        low = problem._log_mixture(w) - 800.0
         for alpha in ALPHAS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="strictly positive and finite"):
-                    divergence_exact(problem, w, alpha, log_mixture=low)
+                    divergence_exact(problem, w, alpha, _log_mix=low)
+
+    def test_ratio_below_float_range_refused_on_a_public_call(self):
+        # a valid problem can put a ratio below e^-745 too: a kernel entry of
+        # 1e-300 under a target value of 1e300 gives log u of about -1381
+        problem = FiniteSupportProblem(
+            np.array([[1e-300, 1.0 - 1e-300], [1e-300, 1.0 - 1e-300]]),
+            np.ones(2),
+            np.array([1e300, 1.0]),
+        )
+        for alpha in ALPHAS:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="strictly positive and finite"):
+                    divergence_exact(problem, np.array([0.5, 0.5]), alpha)
 
 
 class TestRenyiObjective:

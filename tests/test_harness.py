@@ -13,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import alpha_descent.harness as harness_module
 from alpha_descent import check, cli
 from alpha_descent.cli import main
-from alpha_descent.descent import ALGORITHMS, run_descent
+from alpha_descent.descent import ALGORITHMS, GuardViolation, run_descent
 from alpha_descent.divergence import DescentParams
 from alpha_descent.fixtures import random_problem
 from alpha_descent.harness import (
@@ -352,7 +353,17 @@ class TestRunReplicate:
         trace = run_replicate(config, 0)
         assert trace.status == "completed"
 
-    def test_guard_violation_truncates_single_replicate(self):
+    def test_guard_violation_truncates_single_replicate(self, monkeypatch):
+        partial_statuses = []
+
+        def recording(*args, **kwargs):
+            try:
+                return run_descent(*args, **kwargs)
+            except GuardViolation as exc:
+                partial_statuses.append(exc.partial.status)
+                raise
+
+        monkeypatch.setattr(harness_module, "run_descent", recording)
         config = _config(
             algorithm="renyi_unweighted",
             num_components=10,
@@ -367,6 +378,8 @@ class TestRunReplicate:
         trace = run_replicate(config, 0)
         assert trace.status.startswith("guard_violation: step 1 of phase 1")
         assert len(trace.records) == 1  # the initial record survives
+        # the replicate's status is the one run_descent wrote on the partial trace
+        assert partial_statuses == [trace.status]
 
     def test_power_completes_at_d16(self):
         # the power update reads the positive base A_j, which cannot go

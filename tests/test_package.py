@@ -24,11 +24,12 @@ from alpha_descent.descent import (
     rate_bound,
     run_descent,
 )
-from alpha_descent.divergence import DescentParams
+from alpha_descent.divergence import DescentParams, divergence_exact
 from alpha_descent.explore import explore_mean_update
 from alpha_descent.gradient import (
     MixtureGradient,
     MixtureState,
+    gradient_exact,
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
@@ -116,6 +117,12 @@ def test_deleted_fields_and_methods_are_gone():
     # the algorithm name alone picks the update
     assert "unweighted_denominator" not in inspect.signature(run_descent).parameters
     assert "renyi_unweighted_denominator" not in {f.name for f in fields(ExperimentConfig)}
+    # the exact loop hands its log-mixture over privately; a public call
+    # checks the weights
+    for fn in (gradient_exact, divergence_exact):
+        params = inspect.signature(fn).parameters
+        assert "log_mixture" not in params
+        assert [p for p in params if not p.startswith("_")] == ["problem", "weights", "alpha"]
 
 
 def test_every_errstate_in_src_says_why():
