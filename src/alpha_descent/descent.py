@@ -422,15 +422,14 @@ def run_descent(
     step then calls the public step, which runs ``as_simplex`` on the
     weights and checks the gradient's order and size and that the values
     it reads are finite (or, for ``log A_j``, no NaN or ``+inf``).  The
-    exact objective checks that each density ratio is positive and
-    finite; the Monte Carlo gradient checks the shapes of its batch,
-    which carries the weights it was drawn under.  The exact mode skips
-    the checks that its own iterates make redundant: each iterate is the
-    entry-checked start or a step's output, so its log-mixture is read
-    through ``problem._log_mixture``, unchecked, and the objective reads
-    the generator unchecked after its ratio check.  On valid input each
-    check is a minimum, a maximum, a sum or a shape; the conditions are
-    told apart only when one fails.
+    exact objective reads each density ratio as its log and refuses only a
+    total outside the float range; the Monte Carlo gradient checks the
+    shapes of its batch, which carries the weights it was drawn under.
+    The exact mode skips the checks that its own iterates make redundant:
+    each iterate is the entry-checked start or a step's output, so its
+    log-mixture is read through ``problem._log_mixture``, unchecked.  On
+    valid input each check is a minimum, a maximum, a sum or a shape; the
+    conditions are told apart only when one fails.
     The Monte Carlo mode reads the state's points and kernel once, at
     entry, and draws every batch from them under the current iterate; it
     builds no state per step.

@@ -9,11 +9,15 @@ f-divergence,
 
 which is continuous in ``alpha`` across the two special points.  Branch
 dispatch is on exact float equality: nearby alphas approach the limits on
-their own, so snapping would only hide the continuity.
+their own, so snapping would only hide the continuity.  ``f`` and ``f'``
+are each written once, on ``log u``, so the exact objective and gradient
+read a ratio below the float range; the public forms check ``u`` and take
+its log.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,31 +75,24 @@ def _check_positive(u):
 
 def amari_alpha(u, alpha):
     """Generator ``f_alpha`` evaluated elementwise at ``u > 0``."""
-    scalar = np.ndim(u) == 0
-    out = _amari_alpha(_check_positive(u), alpha)
-    return float(out) if scalar else out
+    out = _amari_alpha_log(np.log(_check_positive(u)), alpha)
+    return float(out) if np.ndim(u) == 0 else out
 
 
-def _amari_alpha(u, alpha):
-    """:func:`amari_alpha` of a float array already checked positive and finite."""
+def _amari_alpha_log(log_u, alpha):
+    """``f_alpha(exp(log_u))`` computed without forming ``u``."""
     if alpha == 0.0:
-        return u - 1.0 - np.log(u)
+        return np.expm1(log_u) - log_u
     if alpha == 1.0:
-        return 1.0 - u + u * np.log(u)
-    return (u**alpha - 1.0 - alpha * (u - 1.0)) / (alpha * (alpha - 1.0))
+        # u (log u - 1) + 1, written so that no inf - inf can occur
+        return np.expm1(log_u) * (log_u - 1.0) + log_u
+    return (np.expm1(alpha * log_u) - alpha * np.expm1(log_u)) / (alpha * (alpha - 1.0))
 
 
 def amari_alpha_deriv(u, alpha):
     """Derivative ``f_alpha'`` evaluated elementwise at ``u > 0``."""
-    scalar = np.ndim(u) == 0
-    u = _check_positive(u)
-    if alpha == 0.0:
-        out = 1.0 - 1.0 / u
-    elif alpha == 1.0:
-        out = np.log(u)
-    else:
-        out = (u ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
-    return float(out) if scalar else out
+    out = amari_alpha_deriv_log(np.log(_check_positive(u)), alpha)
+    return float(out) if np.ndim(u) == 0 else out
 
 
 def amari_alpha_deriv_log(log_u, alpha):
@@ -118,14 +115,25 @@ def divergence_exact(problem, weights, alpha, *, _log_mix=None):
 
     Zero when the mixture matches ``p_values`` exactly; nonnegative whenever
     the target values are nu-normalised.  The weights are checked by
-    ``problem.log_mixture``.  A density ratio that is not strictly positive
-    and finite is refused, as :func:`amari_alpha` refuses it.
+    ``problem.log_mixture``.  Each density ratio is read as its log; only a
+    total outside the float range is refused.
     """
     # the descent loop hands over its iterate's log-mixture, unchecked
     log_mix = problem.log_mixture(weights) if _log_mix is None else _log_mix
-    log_u = log_mix - problem.log_p_values
-    values = _amari_alpha(_check_positive(np.exp(log_u)), alpha)
-    return float(np.add.reduce(problem.nu_weights * problem.p_values * values))
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term fails the total test
+        values = _amari_alpha_log(log_mix - problem.log_p_values, alpha)
+        total = float(np.add.reduce(problem.nu_weights * problem.p_values * values))
+    if not math.isfinite(total):
+        raise ValueError(f"exact objective at alpha={alpha} is outside the float range")
+    return total
+
+
+def _log_power_sum(problem, weights, alpha):
+    """``log sum_s nu_s mix_s^alpha p_s^(1-alpha)``, in the log domain."""
+    return logsumexp(
+        np.log(problem.nu_weights) + alpha * problem.log_mixture(weights)
+        + (1.0 - alpha) * problem.log_p_values
+    )
 
 
 def renyi_objective_exact(problem, weights, params):
@@ -137,19 +145,16 @@ def renyi_objective_exact(problem, weights, params):
     alpha = params.alpha
     if alpha == 0.0 or alpha == 1.0:
         raise ValueError(f"renyi objective is undefined at alpha={alpha}")
-    log_mix = problem.log_mixture(weights)
-    log_terms = (
-        np.log(problem.nu_weights)
-        + alpha * log_mix
-        + (1.0 - alpha) * problem.log_p_values
-    )
-    total = float(np.exp(logsumexp(log_terms))) + (alpha - 1.0) * params.shift
-    if total <= 0:
-        raise ValueError(
-            f"log argument of the renyi objective is nonpositive ({total!r}); "
-            f"the shift {params.shift} is too aggressive for this problem"
-        )
-    return float(np.log(total) / (alpha * (alpha - 1.0)))
+    log_total = _log_power_sum(problem, weights, alpha)
+    if params.shift != 0.0:
+        total = float(np.exp(log_total)) + (alpha - 1.0) * params.shift
+        if total <= 0:
+            raise ValueError(
+                f"log argument of the renyi objective is nonpositive ({total!r}); "
+                f"the shift {params.shift} is too aggressive for this problem"
+            )
+        log_total = np.log(total)
+    return float(log_total / (alpha * (alpha - 1.0)))
 
 
 def vr_bound_exact(problem, weights, alpha):
@@ -160,13 +165,7 @@ def vr_bound_exact(problem, weights, alpha):
     """
     if alpha == 1.0:
         raise ValueError("vr bound is undefined at alpha=1")
-    log_mix = problem.log_mixture(weights)
-    log_terms = (
-        np.log(problem.nu_weights)
-        + alpha * log_mix
-        + (1.0 - alpha) * problem.log_p_values
-    )
-    return float(logsumexp(log_terms) / (1.0 - alpha))
+    return float(_log_power_sum(problem, weights, alpha) / (1.0 - alpha))
 
 
 def vr_bound_from_logs(log_target, log_proposal, alpha):

@@ -257,7 +257,7 @@ def _json_float(value):
     return float(value) if math.isfinite(value) else None
 
 
-def write_trace(traces, out_dir, config=None):
+def write_trace(traces, out_dir, config):
     """Write one CSV per replicate plus a cross-replicate summary.
 
     ``rep_<r>.csv`` columns are exactly ``t,n,vr_bound,psi_exact,guard_min,
@@ -296,7 +296,7 @@ def write_trace(traces, out_dir, config=None):
         for (t, n), vals in sorted(grouped.items())
     ]
     summary = {
-        "config": config_dict(config) if config is not None else None,
+        "config": config_dict(config),
         "series": series,
         "statuses": [trace.status for trace in traces],
     }

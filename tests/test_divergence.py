@@ -32,6 +32,24 @@ from alpha_descent.model import (
 ALPHAS = [-1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
 
 
+def _linear_generator(u, alpha):
+    """``f_alpha`` in its closed linear form, with the two limit forms."""
+    if alpha == 0.0:
+        return u - 1.0 - np.log(u)
+    if alpha == 1.0:
+        return 1.0 - u + u * np.log(u)
+    return (u**alpha - 1.0 - alpha * (u - 1.0)) / (alpha * (alpha - 1.0))
+
+
+def _linear_generator_deriv(u, alpha):
+    """``f_alpha'`` in its closed linear form, with the two limit forms."""
+    if alpha == 0.0:
+        return 1.0 - 1.0 / u
+    if alpha == 1.0:
+        return np.log(u)
+    return (u ** (alpha - 1.0) - 1.0) / (alpha - 1.0)
+
+
 class TestGenerator:
     def test_hand_values(self):
         assert math.isclose(amari_alpha(2.0, 0.0), 1.0 - math.log(2.0))
@@ -87,6 +105,18 @@ class TestGenerator:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="strictly positive and finite"):
                 fn(u, 0.5)
+
+    @pytest.mark.parametrize("alpha", ALPHAS)
+    def test_matches_linear_closed_forms(self, alpha):
+        # both are computed on log u; an even count keeps the grid off u = 1,
+        # where the linear forms cancel
+        u = np.geomspace(1e-3, 1e3, 60)
+        np.testing.assert_allclose(
+            amari_alpha(u, alpha), _linear_generator(u, alpha), rtol=1e-12, atol=0.0
+        )
+        np.testing.assert_allclose(
+            amari_alpha_deriv(u, alpha), _linear_generator_deriv(u, alpha), rtol=1e-12, atol=0.0
+        )
 
     @pytest.mark.parametrize("fn", [amari_alpha, amari_alpha_deriv])
     def test_empty_argument_gives_empty(self, fn):
@@ -206,7 +236,7 @@ class TestExactDivergence:
             want = sum(
                 problem.nu_weights[s]
                 * problem.p_values[s]
-                * amari_alpha(mix[s] / problem.p_values[s], alpha)
+                * _linear_generator(mix[s] / problem.p_values[s], alpha)
                 for s in range(5)
             )
             got = divergence_exact(problem, w, alpha)
@@ -225,33 +255,76 @@ class TestExactDivergence:
                 got = divergence_exact(problem, w, alpha, _log_mix=log_mix)
                 assert repr(got) == repr(want)
 
-    def test_ratio_that_underflows_to_zero_refused(self):
-        # exp(-800) is 0.0, outside (0, inf): the objective refuses the
-        # ratio before the generator reads it, and nothing warns on the way.
+    def test_ratio_that_underflows_to_zero_scores(self):
+        # exp(-800) is 0.0, yet the generator reads log u and scores the
+        # ratio by the u -> 0 limit forms below; only alpha = -1, whose
+        # u^alpha = e^800 leaves the float range, is refused.  Nothing warns.
         # The log-mixture comes through the descent loop's private hand-off
         rng = np.random.default_rng(17)
         problem = random_problem(rng)
         w = random_weights(rng, problem.num_components)
         low = problem._log_mixture(w) - 800.0
+        log_u = low - problem.log_p_values
+        mass = problem.nu_weights * problem.p_values
+        refused = []
+        for alpha in ALPHAS:
+            if alpha == 0.0:
+                want = float(mass @ (-1.0 - log_u))
+            elif alpha == 1.0:
+                want = float(mass.sum())
+            else:
+                with np.errstate(over="ignore"):  # e^800 reads inf: a refusal
+                    limit = (np.exp(alpha * log_u) - 1.0 + alpha) / (alpha * (alpha - 1.0))
+                want = float(mass @ limit)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if math.isfinite(want):
+                    got = divergence_exact(problem, w, alpha, _log_mix=low)
+                    assert math.isclose(got, want, rel_tol=1e-12)
+                else:
+                    refused.append(alpha)
+                    with pytest.raises(ValueError, match="outside the float range"):
+                        divergence_exact(problem, w, alpha, _log_mix=low)
+        assert refused == [-1.0]
+
+    def test_ratio_above_float_range_refused(self):
+        # e^800 overflows every f_alpha, and for alpha > 1 both parts of the
+        # generator overflow and meet as inf - inf; each total is refused
+        # without a warning
+        rng = np.random.default_rng(18)
+        problem = random_problem(rng)
+        w = random_weights(rng, problem.num_components)
+        high = problem._log_mixture(w) + 800.0
         for alpha in ALPHAS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="strictly positive and finite"):
-                    divergence_exact(problem, w, alpha, _log_mix=low)
+                with pytest.raises(ValueError, match="outside the float range"):
+                    divergence_exact(problem, w, alpha, _log_mix=high)
 
-    def test_ratio_below_float_range_refused_on_a_public_call(self):
+    def test_ratio_below_float_range_scores_on_a_public_call(self):
         # a valid problem can put a ratio below e^-745 too: a kernel entry of
-        # 1e-300 under a target value of 1e300 gives log u of about -1381
+        # 1e-300 under a target value of 1e300 gives log u of about -1381 at
+        # the first atom, and u = 1 at the second.  At u -> 0, f_0 grows as
+        # -1 - log u and f_alpha tends to 1/alpha for alpha > 0; for alpha < 0
+        # the first term overflows and the objective is refused
         problem = FiniteSupportProblem(
             np.array([[1e-300, 1.0 - 1e-300], [1e-300, 1.0 - 1e-300]]),
             np.ones(2),
             np.array([1e300, 1.0]),
         )
+        w = np.array([0.5, 0.5])
+        log_u = math.log(1e-300) - math.log(1e300)
+        wants = {0.0: 1e300 * (-1.0 - log_u), 0.5: 2e300, 1.0: 1e300, 1.5: 1e300 / 1.5,
+                 2.0: 5e299, 3.0: 1e300 / 3.0}
         for alpha in ALPHAS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                with pytest.raises(ValueError, match="strictly positive and finite"):
-                    divergence_exact(problem, np.array([0.5, 0.5]), alpha)
+                if alpha in wants:
+                    got = divergence_exact(problem, w, alpha)
+                    assert math.isclose(got, wants[alpha], rel_tol=1e-12)
+                else:
+                    with pytest.raises(ValueError, match="outside the float range"):
+                        divergence_exact(problem, w, alpha)
 
 
 class TestRenyiObjective:
@@ -291,6 +364,19 @@ class TestRenyiObjective:
             lhs = renyi_objective_exact(problem, w, DescentParams(alpha, 0.5))
             rhs = -vr_bound_exact(problem, w, alpha) / alpha
             assert math.isclose(lhs, rhs, rel_tol=1e-12, abs_tol=1e-12)
+
+    def test_zero_shift_power_sum_below_float_range(self):
+        # sum_s nu_s mix_s^3 p_s^-2 = 2.5e-601 is below the float range; the
+        # zero-shift objective reads its log, as the bound does
+        problem = FiniteSupportProblem(
+            np.array([[0.5, 0.5]]), np.ones(2), np.array([1e300, 1e300])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = renyi_objective_exact(problem, [1.0], DescentParams(3.0, 0.5))
+            want = -vr_bound_exact(problem, [1.0], 3.0) / 3.0
+        assert math.isclose(got, want, rel_tol=1e-12)
+        assert math.isclose(got, (math.log(0.25) - 600.0 * math.log(10.0)) / 6.0, rel_tol=1e-12)
 
     def test_reports_nonpositive_argument(self):
         rng = np.random.default_rng(17)

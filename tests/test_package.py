@@ -33,7 +33,7 @@ from alpha_descent.gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from alpha_descent.harness import ExperimentConfig
+from alpha_descent.harness import ExperimentConfig, write_trace
 from alpha_descent.model import (
     GaussianKernel,
     GaussianMixtureTarget,
@@ -123,6 +123,10 @@ def test_deleted_fields_and_methods_are_gone():
         params = inspect.signature(fn).parameters
         assert "log_mixture" not in params
         assert [p for p in params if not p.startswith("_")] == ["problem", "weights", "alpha"]
+    # one formula per generator, on log u
+    assert not hasattr(alpha_descent.divergence, "_amari_alpha")
+    # every caller of write_trace passes its config
+    assert inspect.signature(write_trace).parameters["config"].default is inspect.Parameter.empty
 
 
 def test_every_errstate_in_src_says_why():
