@@ -211,19 +211,17 @@ CHECKS = [
 ]
 
 
-def run_checks(verbose=True):
-    """Run the battery; returns the number of failed checks."""
+def run_checks():
+    """Run the battery, printing a line per check; returns the failure count."""
     failures = 0
     for name, fn in CHECKS:
         try:
             fn()
         except Exception as exc:  # report and keep going
             failures += 1
-            if verbose:
-                print(f"FAIL  {name}: {exc}")
+            print(f"FAIL  {name}: {exc}")
         else:
-            if verbose:
-                print(f"ok    {name}")
-    if verbose and failures:
+            print(f"ok    {name}")
+    if failures:
         print(f"{failures} of {len(CHECKS)} checks failed")
     return failures

@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import divergence_exact, vr_bound_from_logs
+from .divergence import _check_params, divergence_exact, vr_bound_from_logs
 from .gradient import (
     MixtureGradient,
     MixtureState,
@@ -168,40 +168,6 @@ def _renormalise(weights, log_factors, active):
     w = np.exp(log_w, out=log_w)
     w /= np.add.reduce(w)
     return w
-
-
-def _check_params(algorithm, params):
-    """Refuse the alpha, shift and step size that ``algorithm`` does not accept.
-
-    The one place that decides them, so that every accepted setting changes
-    the run.  kl needs alpha = 1 and every other update alpha != 1 (emd at
-    alpha = 1 is kl).  emd and kl take no shift, which renormalisation would
-    cancel; power and renyi need ``(alpha-1)*shift >= 0``, and power
-    ``step_size <= 1``.
-    """
-    alpha, shift = params.alpha, params.shift
-    if algorithm == "kl":
-        if alpha != 1.0:
-            raise ValueError(f"kl step is the alpha=1 update, got alpha={alpha}")
-    elif alpha == 1.0:
-        if algorithm == "emd":
-            raise ValueError("emd at alpha=1 is the kl update; use the kl algorithm")
-        raise ValueError(f"{algorithm} step is undefined at alpha=1")
-    if algorithm in ("emd", "kl"):
-        if shift != 0.0:
-            raise ValueError(
-                f"{algorithm} step takes no shift, which renormalisation cancels; "
-                f"got shift={shift}"
-            )
-    elif (alpha - 1.0) * shift < 0:
-        raise ValueError(
-            f"{algorithm} step needs (alpha-1)*shift >= 0, got alpha={alpha}, "
-            f"shift={shift}"
-        )
-    if algorithm == "power" and params.step_size > 1.0:
-        raise ValueError(
-            f"power step needs step_size in (0, 1], got {params.step_size}"
-        )
 
 
 def _check_order(algorithm, grad, alpha):

@@ -65,6 +65,40 @@ class DescentParams:
         return self.alpha != 1.0 and (self.alpha - 1.0) * self.shift > 0.0
 
 
+def _check_params(algorithm, params):
+    """Refuse the alpha, shift and step size that ``algorithm`` does not accept.
+
+    The one place that decides them, so that every accepted setting changes
+    the run; the renyi objective reads the renyi rule.  kl needs alpha = 1
+    and every other update alpha != 1 (emd at alpha = 1 is kl).  emd and kl
+    take no shift, which renormalisation would cancel; power and renyi need
+    ``(alpha-1)*shift >= 0``, and power ``step_size <= 1``.
+    """
+    alpha, shift = params.alpha, params.shift
+    if algorithm == "kl":
+        if alpha != 1.0:
+            raise ValueError(f"kl step is the alpha=1 update, got alpha={alpha}")
+    elif alpha == 1.0:
+        if algorithm == "emd":
+            raise ValueError("emd at alpha=1 is the kl update; use the kl algorithm")
+        raise ValueError(f"{algorithm} step is undefined at alpha=1")
+    if algorithm in ("emd", "kl"):
+        if shift != 0.0:
+            raise ValueError(
+                f"{algorithm} step takes no shift, which renormalisation cancels; "
+                f"got shift={shift}"
+            )
+    elif (alpha - 1.0) * shift < 0:
+        raise ValueError(
+            f"{algorithm} step needs (alpha-1)*shift >= 0, got alpha={alpha}, "
+            f"shift={shift}"
+        )
+    if algorithm == "power" and params.step_size > 1.0:
+        raise ValueError(
+            f"power step needs step_size in (0, 1], got {params.step_size}"
+        )
+
+
 def _check_positive(u):
     u = np.asarray(u, dtype=float)
     # an empty u has no minimum and nothing to check; a NaN fails the test
@@ -140,20 +174,18 @@ def renyi_objective_exact(problem, weights, params):
     """Exact value of the log-transformed objective behind the renyi update.
 
     ``[alpha (alpha - 1)]^-1 log( sum_s nu_s mix_s^alpha p_s^(1-alpha)
-    + (alpha - 1) shift )``; undefined at ``alpha`` 0 or 1.
+    + (alpha - 1) shift )``; undefined at ``alpha`` 0 or 1.  It accepts the
+    ``(alpha, shift)`` the renyi update accepts, so ``(alpha - 1) shift >= 0``
+    and the shift enters the log power sum by ``logaddexp``.
     """
     alpha = params.alpha
     if alpha == 0.0 or alpha == 1.0:
         raise ValueError(f"renyi objective is undefined at alpha={alpha}")
+    _check_params("renyi", params)
     log_total = _log_power_sum(problem, weights, alpha)
-    if params.shift != 0.0:
-        total = float(np.exp(log_total)) + (alpha - 1.0) * params.shift
-        if total <= 0:
-            raise ValueError(
-                f"log argument of the renyi objective is nonpositive ({total!r}); "
-                f"the shift {params.shift} is too aggressive for this problem"
-            )
-        log_total = np.log(total)
+    lift = (alpha - 1.0) * params.shift
+    if lift > 0.0:  # a product that underflows to zero adds nothing
+        log_total = np.logaddexp(log_total, np.log(lift))
     return float(log_total / (alpha * (alpha - 1.0)))
 
 

@@ -9,19 +9,12 @@ from .model import FiniteSupportProblem
 __all__ = ["perfect_fit_problem", "random_problem", "random_weights"]
 
 
-def random_problem(
-    rng,
-    num_components=None,
-    support_size=None,
-    *,
-    target_scale=1.0,
-    ratio_spread=0.8,
-):
+def random_problem(rng, num_components=None, support_size=None):
     """A well-conditioned random finite-support problem.
 
     Kernel rows are lognormal draws renormalised against random base
-    weights; the target sits within ``ratio_spread`` log units of the
-    uniform mixture, so density ratios stay O(1) and every divergence order
+    weights; the target is the uniform mixture times a lognormal factor of
+    log-scale 0.8, so density ratios stay O(1) and every divergence order
     in common use is comfortable on the result.
     """
     j = int(num_components if num_components is not None else rng.integers(2, 9))
@@ -30,7 +23,7 @@ def random_problem(
     nu = rng.uniform(0.5, 1.5, s)
     kernel /= (kernel * nu).sum(axis=1, keepdims=True)
     mix = np.full(j, 1.0 / j) @ kernel
-    p = target_scale * mix * rng.lognormal(0.0, ratio_spread, s)
+    p = mix * rng.lognormal(0.0, 0.8, s)
     return FiniteSupportProblem(kernel, nu, p)
 
 

@@ -20,10 +20,8 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 import numpy as np
 
-from .descent import (
-    ALGORITHMS, DescentTrace, GuardViolation, _check_params, run_descent
-)
-from .divergence import DescentParams
+from .descent import ALGORITHMS, DescentTrace, GuardViolation, run_descent
+from .divergence import DescentParams, _check_params
 from .explore import explore_mean_update, explore_resample
 from .gradient import MixtureState
 from .model import (

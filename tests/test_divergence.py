@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import logsumexp
 
-from alpha_descent.descent import run_descent
+from alpha_descent.descent import renyi_step, run_descent
 from alpha_descent.divergence import (
     DescentParams,
     amari_alpha,
@@ -21,7 +21,7 @@ from alpha_descent.divergence import (
     vr_bound_from_logs,
 )
 from alpha_descent.fixtures import perfect_fit_problem, random_problem, random_weights
-from alpha_descent.gradient import sample_mixture
+from alpha_descent.gradient import gradient_exact, sample_mixture
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
@@ -378,13 +378,51 @@ class TestRenyiObjective:
         assert math.isclose(got, want, rel_tol=1e-12)
         assert math.isclose(got, (math.log(0.25) - 600.0 * math.log(10.0)) / 6.0, rel_tol=1e-12)
 
-    def test_reports_nonpositive_argument(self):
+    def test_negative_shift_product_refused_by_the_renyi_rule(self):
+        # (alpha - 1) * shift = -5e5 < 0: the renyi step's rule refuses it,
+        # with the step's message, before any power sum is formed
         rng = np.random.default_rng(17)
         problem = random_problem(rng, num_components=2)
         w = np.array([0.5, 0.5])
-        with pytest.raises(ValueError, match="nonpositive"):
-            # (alpha - 1) * shift = -5e5 swamps the integral
+        with pytest.raises(ValueError, match=r"renyi step needs \(alpha-1\)\*shift >= 0"):
             renyi_objective_exact(problem, w, DescentParams(0.5, 0.5, shift=1e6))
+
+    def test_shifted_power_sum_above_float_range(self):
+        # sum_s nu_s mix_s^3 p_s^-2 = 2.5e599 overflows; the shift enters its
+        # log by logaddexp, so the objective stays finite and warning-free
+        problem = FiniteSupportProblem(
+            np.array([[0.5, 0.5]]), np.ones(2), np.array([1e-300, 1e-300])
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = renyi_objective_exact(problem, [1.0], DescentParams(3.0, 0.5, shift=1.0))
+            # (alpha - 1) * shift underflows to zero and adds nothing
+            tiny = renyi_objective_exact(problem, [1.0], DescentParams(1.5, 0.5, shift=5e-324))
+            zero = renyi_objective_exact(problem, [1.0], DescentParams(1.5, 0.5))
+        assert math.isclose(got, 230.0274602392179, rel_tol=0.0, abs_tol=1e-12)
+        assert tiny == zero
+
+    def test_accepts_exactly_what_the_renyi_step_accepts(self):
+        rng = np.random.default_rng(19)
+        problem = random_problem(rng, num_components=3)
+        w = random_weights(rng, 3)
+        for alpha in (-0.5, 0.5, 2.0):
+            grad = gradient_exact(problem, w, alpha)
+            for shift in (-1.0, 0.0, 1.0):
+                params = DescentParams(alpha, 0.5, shift=shift)
+                refusals = []
+                for call in (
+                    lambda: renyi_step(w, grad, params),
+                    lambda: renyi_objective_exact(problem, w, params),
+                ):
+                    try:
+                        call()
+                    except ValueError as exc:
+                        refusals.append(str(exc))
+                    else:
+                        refusals.append(None)
+                assert refusals[0] == refusals[1], (alpha, shift)
+                assert (refusals[0] is None) == ((alpha - 1.0) * shift >= 0), (alpha, shift)
 
 
 class TestVrBound:

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import alpha_descent
+from alpha_descent.check import run_checks
 from alpha_descent.descent import (
     RateConstants,
     StepDiagnostics,
@@ -26,6 +27,7 @@ from alpha_descent.descent import (
 )
 from alpha_descent.divergence import DescentParams, divergence_exact
 from alpha_descent.explore import explore_mean_update
+from alpha_descent.fixtures import random_problem
 from alpha_descent.gradient import (
     MixtureGradient,
     MixtureState,
@@ -162,6 +164,26 @@ def test_no_target_type_switch_in_src():
         }
     ]
     assert switches == []
+
+
+def test_one_params_rule_and_no_unset_knobs():
+    # divergence decides the alpha, shift and step size every caller accepts,
+    # so the harness borrows no private name from descent
+    assert alpha_descent.divergence._check_params.__module__ == "alpha_descent.divergence"
+    src = Path(alpha_descent.__file__).resolve().parent
+    borrowed = [
+        alias.name
+        for node in ast.walk(ast.parse((src / "harness.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and node.module == "descent" and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert borrowed == []
+    # no caller sets the fixture's spread or the battery's verbosity
+    assert list(inspect.signature(random_problem).parameters) == [
+        "rng", "num_components", "support_size"
+    ]
+    assert list(inspect.signature(run_checks).parameters) == []
 
 
 def test_perfbench_patch_points_resolve():
