@@ -42,7 +42,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .divergence import _check_params, divergence_exact, vr_bound_from_logs
+from .divergence import (
+    DescentParams,
+    _check_params,
+    _lift,
+    divergence_exact,
+    vr_bound_from_logs,
+)
 from .gradient import (
     MixtureGradient,
     MixtureState,
@@ -68,6 +74,7 @@ __all__ = [
 ]
 
 ALGORITHMS = ("power", "renyi", "emd", "kl", "renyi_unweighted")
+_READS_LOG_BASE = ("power", "renyi")  # the arms that read log A_j when given it
 
 
 class GuardViolation(RuntimeError):
@@ -102,56 +109,55 @@ class StepDiagnostics:
     guard_min: float
 
 
-def _gradient_values(grad, num_components, weights=None):
-    """The values of ``grad``, checked finite on every row.
+def _enter(algorithm, weights, grad, params):
+    """The one entry of every step: ``(weights, active, values, log_a)``.
 
-    Given ``weights``, only the weighted rows, the ones the step reads,
-    must be finite.
+    Runs ``_check_params``, refuses a :class:`MixtureGradient` of another
+    order (a raw array has none), runs ``as_simplex`` and masks the weighted
+    components (``active`` is ``True`` when no weight is zero, so that every
+    pass runs unmasked).  As in ``run_descent``, the name alone says what is
+    read: power and renyi read ``log A_j`` when the gradient carries it (no
+    NaN or ``+inf``; ``-inf`` is the guard's), and ``values`` is None;
+    otherwise the values, finite on every weighted row, and on every row
+    for the renyi family, whose denominators read them all.
     """
+    _check_params(algorithm, params)
+    log_a = None
     if isinstance(grad, MixtureGradient):
-        if grad.values is None:
-            raise ValueError("a log_base gradient has no values for this step to read")
+        if grad.alpha != params.alpha:
+            raise ValueError(
+                f"{algorithm} step wants an alpha={params.alpha} gradient, "
+                f"got alpha={grad.alpha}"
+            )
+        if algorithm in _READS_LOG_BASE:
+            log_a = grad.log_base
         grad = grad.values
+    weights = as_simplex(weights)
+    active = True if np.minimum.reduce(weights) > 0.0 else weights > 0
+    if log_a is not None:
+        if log_a.size != weights.size or not (log_a < np.inf).all():
+            raise ValueError(
+                f"gradient log_base must hold {weights.size} entries, none NaN or +inf"
+            )
+        return weights, active, None, log_a
+    if grad is None:
+        raise ValueError("a log_base gradient has no values for this step to read")
     values = np.asarray(grad, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"gradient must be a vector, got shape {values.shape}")
-    if values.size != num_components:
-        raise ValueError(
-            f"gradient has {values.size} entries for {num_components} weights"
-        )
-    if not np.logical_and.reduce(np.isfinite(values)) and (
-        weights is None or not np.logical_and.reduce(np.isfinite(values[weights > 0]))
-    ):
+    if values.size != weights.size:
+        raise ValueError(f"gradient has {values.size} entries for {weights.size} weights")
+    rows = True if algorithm.startswith("renyi") else active
+    if not np.logical_and.reduce(np.isfinite(values), where=rows):
         raise ValueError("gradient values must be finite")
-    return values
-
-
-def _log_base(grad, num_components):
-    """Checked ``log A_j`` of a gradient that carries it, else None.
-
-    ``-inf`` is the guard's.
-    """
-    log_a = grad.log_base if isinstance(grad, MixtureGradient) else None
-    if log_a is not None and (log_a.size != num_components or not (log_a < np.inf).all()):
-        raise ValueError(
-            f"gradient log_base must hold {num_components} entries, none NaN or +inf"
-        )
-    return log_a
-
-
-def _weighted(weights):
-    """The ``where=`` mask of the weighted components of ``weights``.
-
-    ``True`` when no weight is zero, so that every pass runs unmasked.
-    """
-    return True if np.minimum.reduce(weights) > 0.0 else weights > 0
+    return weights, active, values, None
 
 
 def _renormalise(weights, log_factors, active):
     """Multiply and renormalise in the log domain.
 
-    ``active`` is ``_weighted(weights)``.  Zero weights stay exactly zero,
-    and their factors are never read.  Returns the new simplex vector.
+    ``active`` is the mask from ``_enter``.  Zero weights stay exactly
+    zero, and their factors are never read.  Returns the new simplex vector.
     """
     if active is True:
         log_w = np.log(weights)
@@ -170,14 +176,6 @@ def _renormalise(weights, log_factors, active):
     return w
 
 
-def _check_order(algorithm, grad, alpha):
-    """Refuse a :class:`MixtureGradient` of another order; a raw array has none."""
-    if isinstance(grad, MixtureGradient) and grad.alpha != alpha:
-        raise ValueError(
-            f"{algorithm} step wants an alpha={alpha} gradient, got alpha={grad.alpha}"
-        )
-
-
 def power_step(weights, grad, params):
     """One power update.  Returns ``(new_weights, diagnostics)``.
 
@@ -188,15 +186,10 @@ def power_step(weights, grad, params):
     have no NaN or ``+inf`` in it; the guard refuses a base whose log is
     ``-inf``.
     """
-    _check_params("power", params)
-    _check_order("power", grad, params.alpha)
-    weights = as_simplex(weights)
+    weights, active, values, log_a = _enter("power", weights, grad, params)
     alpha = params.alpha
-    active = _weighted(weights)
     # each pass below reads the weighted components only, through ``active``
-    log_a = _log_base(grad, weights.size)
     if log_a is None:
-        values = _gradient_values(grad, weights.size, weights)
         base = (alpha - 1.0) * (values + params.shift) + 1.0
         guard_min = float(np.minimum.reduce(base, where=active, initial=np.inf))
         if guard_min <= 0.0:
@@ -208,8 +201,7 @@ def power_step(weights, grad, params):
             )
         log_base = np.log(base, out=base, where=active)
     else:
-        if params.shift != 0.0:
-            log_a = np.logaddexp(log_a, np.log((alpha - 1.0) * params.shift))
+        log_a = _lift(log_a, params)
         low = np.minimum.reduce(log_a, where=active, initial=np.inf)
         if low == -np.inf:
             bad = np.flatnonzero(active & ~(log_a > -np.inf))
@@ -228,28 +220,25 @@ def power_step(weights, grad, params):
     return _renormalise(weights, log_factors, active), StepDiagnostics(guard_min)
 
 
-def _mirror_step(weights, grad, step_size):
+def _mirror_step(algorithm, weights, grad, params):
     """Entropic mirror descent, factors ``exp(-step b)``; no guard."""
-    weights = as_simplex(weights)
-    values = _gradient_values(grad, weights.size, weights)
-    new = _renormalise(weights, -step_size * values, _weighted(weights))
+    weights, active, values, _ = _enter(algorithm, weights, grad, params)
+    new = _renormalise(weights, -params.step_size * values, active)
     return new, StepDiagnostics(np.inf)
 
 
 def emd_step(weights, grad, params):
     """One entropic mirror descent update; it reads only ``params.step_size``.
 
-    ``run_descent`` refuses a nonzero shift, and ``alpha = 1``, which is kl.
+    Requires the parameters ``_check_params`` accepts for emd: no shift,
+    and ``alpha != 1``, which is kl.
     """
-    _check_order("emd", grad, params.alpha)
-    return _mirror_step(weights, grad, params.step_size)
+    return _mirror_step("emd", weights, grad, params)
 
 
 def kl_step(weights, grad, step_size):
     """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one."""
-    _check_float("step_size", step_size, positive=True)
-    _check_order("kl", grad, 1.0)
-    return _mirror_step(weights, grad, step_size)
+    return _mirror_step("kl", weights, grad, DescentParams(1.0, step_size))
 
 
 def renyi_step(weights, grad, params, unweighted_denominator=False):
@@ -271,14 +260,10 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     form, reads the gradient values, which must be finite, and refuses a
     gradient that carries ``log_base``.
     """
-    _check_params("renyi", params)
-    _check_order("renyi", grad, params.alpha)
+    algorithm = "renyi_unweighted" if unweighted_denominator else "renyi"
+    weights, active, values, log_a = _enter(algorithm, weights, grad, params)
     alpha = params.alpha
-    weights = as_simplex(weights)
-    active = _weighted(weights)
-    log_a = None if unweighted_denominator else _log_base(grad, weights.size)
     if log_a is None:
-        values = _gradient_values(grad, weights.size)
         mu_b = float(values.sum() if unweighted_denominator else weights @ values)
         denom = (alpha - 1.0) * (mu_b + params.shift) + 1.0
         if denom <= 0:
@@ -288,9 +273,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
         scaled = values / denom
         raw_check = (values + 1.0 / (alpha - 1.0)) / denom
     else:
-        log_denom = logsumexp(log_a, b=weights)
-        if params.shift != 0.0:
-            log_denom = np.logaddexp(log_denom, np.log((alpha - 1.0) * params.shift))
+        log_denom = _lift(logsumexp(log_a, b=weights), params)
         if not log_denom > -np.inf:
             raise GuardViolation(
                 f"renyi normaliser nonpositive: log(sum lambda A + (alpha-1)shift) "
@@ -385,9 +368,10 @@ def run_descent(
     drawn.  Like every count and positive real of the package, the two
     counts are checked by one call to ``model._check_integer``
     (``model._check_float`` for a real), which carries the range.  Each
-    step then calls the public step, which runs ``as_simplex`` on the
-    weights and checks the gradient's order and size and that the values
-    it reads are finite (or, for ``log A_j``, no NaN or ``+inf``).  The
+    step then calls the public step, whose one entry ``_enter`` runs the
+    same ``_check_params``, runs ``as_simplex`` on the weights and checks the
+    gradient's order and size and that the values it reads are finite (or,
+    for ``log A_j``, no NaN or ``+inf``).  The
     exact objective reads each density ratio as its log and refuses only a
     total outside the float range; the Monte Carlo gradient checks the
     shapes of its batch, which carries the weights it was drawn under.
@@ -463,7 +447,7 @@ def run_descent(
         weights = as_simplex(initial.weights)
         points, kernel = initial.points, initial.kernel
         target._check_dim(points)
-        log_base = algorithm in ("power", "renyi")
+        log_base = algorithm in _READS_LOG_BASE
         batch = None  # the scored iterate's monitor batch
 
         def draw(w):

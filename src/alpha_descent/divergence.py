@@ -99,6 +99,15 @@ def _check_params(algorithm, params):
         )
 
 
+def _lift(log_x, params):
+    """``log(x + (alpha-1) shift)`` from ``log x``, the shift's one log.
+
+    A product that underflows to zero adds nothing.
+    """
+    lift = (params.alpha - 1.0) * params.shift
+    return np.logaddexp(log_x, np.log(lift)) if lift > 0.0 else log_x
+
+
 def _check_positive(u):
     u = np.asarray(u, dtype=float)
     # an empty u has no minimum and nothing to check; a NaN fails the test
@@ -182,10 +191,7 @@ def renyi_objective_exact(problem, weights, params):
     if alpha == 0.0 or alpha == 1.0:
         raise ValueError(f"renyi objective is undefined at alpha={alpha}")
     _check_params("renyi", params)
-    log_total = _log_power_sum(problem, weights, alpha)
-    lift = (alpha - 1.0) * params.shift
-    if lift > 0.0:  # a product that underflows to zero adds nothing
-        log_total = np.logaddexp(log_total, np.log(lift))
+    log_total = _lift(_log_power_sum(problem, weights, alpha), params)
     return float(log_total / (alpha * (alpha - 1.0)))
 
 

@@ -19,6 +19,12 @@ def explore_resample(state, rng):
     )
 
 
+def _check_mean_update_alpha(alpha):
+    """Refuse an ``alpha`` outside [0, 1), where the mean update is not sensible."""
+    if not 0.0 <= alpha < 1.0:
+        raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
+
+
 def explore_mean_update(state, target, sample_count, alpha, rng):
     """New ``(J, d)`` points, each an importance-weighted mean of mixture samples.
 
@@ -33,8 +39,7 @@ def explore_mean_update(state, target, sample_count, alpha, rng):
     (:meth:`~alpha_descent.model.SampleBatch.tilted_mean`).  ``alpha``,
     ``sample_count`` and the target's dimension are checked before any draw.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise ValueError(f"mean update needs alpha in [0, 1), got {alpha}")
+    _check_mean_update_alpha(alpha)
     _check_integer("sample_count", sample_count, 1)
     target._check_dim(state.points)
     mixture = state.weights, state.points, state.kernel

@@ -34,9 +34,9 @@ def random_weights(rng, num_components, floor=1e-3):
     return w / w.sum()
 
 
-def perfect_fit_problem(rng, weights, support_size=None):
+def perfect_fit_problem(rng, weights):
     """A problem whose target is exactly the mixture at ``weights``."""
     weights = np.asarray(weights, dtype=float)
-    base = random_problem(rng, weights.size, support_size)
+    base = random_problem(rng, weights.size)
     p = weights @ base.kernel_matrix
     return base.with_target(p)

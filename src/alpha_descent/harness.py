@@ -22,7 +22,7 @@ import numpy as np
 
 from .descent import ALGORITHMS, DescentTrace, GuardViolation, run_descent
 from .divergence import DescentParams, _check_params
-from .explore import explore_mean_update, explore_resample
+from .explore import _check_mean_update_alpha, explore_mean_update, explore_resample
 from .gradient import MixtureState
 from .model import (
     GaussianKernel,
@@ -124,10 +124,11 @@ class ExperimentConfig:
                 f"num_steps={self.num_steps} do not suit the "
                 f"{self.algorithm} update: {exc}"
             ) from None
-        if self.exploration == "mean_update" and not 0.0 <= self.alpha < 1.0:
-            raise ValueError(
-                f"mean_update exploration needs alpha in [0, 1), got {self.alpha}"
-            )
+        if self.exploration == "mean_update":
+            try:
+                _check_mean_update_alpha(self.alpha)
+            except ValueError as exc:
+                raise ValueError(f"exploration=mean_update: {exc}") from None
 
     def descent_params(self):
         """Per-run parameters; the step size is ``step_size_base / sqrt(N)``."""

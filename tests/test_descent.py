@@ -44,7 +44,6 @@ from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
     GaussianMixtureTarget,
-    as_simplex,
     SampleBatch,
     bandwidth_rule,
     sample_logs,
@@ -154,14 +153,15 @@ class TestEmdStep:
         assert np.allclose(new, [e / (1 + e), 1 / (1 + e)], atol=1e-15)
         assert diag.guard_min == np.inf
 
-    def test_shift_is_cosmetic(self):
-        # a constant shift cancels in the normalisation, so the step does
-        # not read it
-        a, _ = emd_step([0.3, 0.7], np.array([0.2, -0.4]), DescentParams(0.5, 0.8))
-        b, _ = emd_step(
-            [0.3, 0.7], np.array([0.2, -0.4]), DescentParams(0.5, 0.8, shift=-3.0)
-        )
-        assert np.array_equal(a, b)
+    def test_shift_and_alpha_one_refused(self):
+        # a constant shift cancels in the normalisation, so the emd rule
+        # refuses one, as run_descent does; emd at alpha=1 is kl
+        with pytest.raises(ValueError, match="emd step takes no shift"):
+            emd_step(
+                [0.3, 0.7], np.array([0.2, -0.4]), DescentParams(0.5, 0.8, shift=-3.0)
+            )
+        with pytest.raises(ValueError, match="use the kl algorithm"):
+            emd_step([0.3, 0.7], np.array([0.2, -0.4]), DescentParams(1.0, 0.8))
 
     def test_zero_weights_preserved(self):
         new, _ = emd_step([0.0, 1.0], np.array([-50.0, 0.0]), DescentParams(0.5, 1.0))
@@ -170,11 +170,13 @@ class TestEmdStep:
 
 class TestKlStep:
     def test_matches_emd_bitwise_at_zero_shift(self):
+        # a raw array carries no order, so the one mirror step gives the
+        # same bits under either name
         rng = np.random.default_rng(61)
         w = random_weights(rng, 5)
         b = rng.normal(size=5)
         kl_new, _ = kl_step(w, b, 0.7)
-        emd_new, _ = emd_step(w, b, DescentParams(1.0, 0.7))
+        emd_new, _ = emd_step(w, b, DescentParams(0.5, 0.7))
         assert np.array_equal(kl_new, emd_new)
 
     def test_rejects_wrong_gradient_order(self):
@@ -206,6 +208,55 @@ class TestStepsCheckTheGradientOrder:
         for step in (power_step, renyi_step):
             with pytest.raises(ValueError, match="wants an alpha=2.0 gradient, got alpha=0.5"):
                 step(np.full(3, 1.0 / 3.0), grad, DescentParams(2.0, 0.5))
+
+
+def _refusal(call):
+    """The message of the ValueError ``call`` raises, or None."""
+    try:
+        call()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_every_step_refuses_what_run_descent_refuses(algorithm):
+    # run_descent checks its settings at entry; a step called on its own
+    # must refuse the same ones with the same message.  _step_once calls the
+    # public step as the loop does; kl_step takes a step size alone, so it
+    # is given alpha=1 and no shift by its signature, and run_descent
+    # refuses every other setting of kl.
+    problem = random_problem(np.random.default_rng(75), num_components=3)
+    w = np.full(3, 1.0 / 3.0)
+    b = np.zeros(3)
+    for alpha in (-0.5, 0.5, 1.0, 2.0):
+        for shift in (-1.0, 0.0, 1.0):
+            for step_size in (0.5, 1.5):
+                params = DescentParams(alpha, step_size, shift=shift)
+                want = _refusal(
+                    lambda: run_descent(w, params, algorithm, 0, problem=problem)
+                )
+                if algorithm == "kl" and (alpha, shift) != (1.0, 0.0):
+                    assert want is not None
+                    continue
+                got = _refusal(
+                    lambda: descent_module._step_once(algorithm, w, b, params)
+                )
+                assert got == want, (alpha, shift, step_size)
+
+
+@pytest.mark.parametrize("step", [power_step, renyi_step], ids=["power", "renyi"])
+def test_shift_product_underflowing_to_zero_adds_nothing(step):
+    # (alpha-1) * 5e-324 rounds to 0 at alpha=1.5; its log would be -inf
+    # and raise a divide-by-zero warning, yet the shift adds nothing
+    grad = MixtureGradient(None, 1.5, log_base=np.log([0.5, 1.0, 2.0]))
+    w = np.full(3, 1.0 / 3.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got, got_diag = step(w, grad, DescentParams(1.5, 0.5, shift=5e-324))
+    want, want_diag = step(w, grad, DescentParams(1.5, 0.5))
+    assert np.array_equal(got, want)
+    assert got_diag.guard_min == want_diag.guard_min
 
 
 class TestRenyiStep:
@@ -404,7 +455,7 @@ class TestLogBaseSteps:
         w = [0.2, 0.3, 0.5]
         params = DescentParams(0.5, 0.5, shift=-0.2)
         for step, match in (
-            (lambda: emd_step(w, grad, params), "log_base"),
+            (lambda: emd_step(w, grad, DescentParams(0.5, 0.5)), "log_base"),
             (lambda: renyi_step(w, grad, params, unweighted_denominator=True), "log_base"),
             (lambda: kl_step(w, grad, 0.5), "alpha=1"),
         ):
@@ -425,7 +476,7 @@ def test_every_step_returns_a_simplex(seed):
     params = DescentParams(0.5, 0.8, shift=-0.5)
     outputs = [
         power_step(w, b, params)[0],
-        emd_step(w, b, params)[0],
+        emd_step(w, b, DescentParams(0.5, 0.8))[0],
         kl_step(w, b, 0.8)[0],
         renyi_step(w, b, params)[0],
     ]
@@ -437,10 +488,11 @@ def test_every_step_returns_a_simplex(seed):
 
 
 def _renormalise(weights, log_factors):
-    """``descent._renormalise`` under the mask its callers pass."""
-    return descent_module._renormalise(
-        weights, log_factors, descent_module._weighted(weights)
+    """``descent._renormalise`` under the mask its callers pass, ``_enter``'s."""
+    weights, active, _, _ = descent_module._enter(
+        "emd", weights, np.zeros(weights.size), DescentParams(0.5, 1.0)
     )
+    return descent_module._renormalise(weights, log_factors, active)
 
 
 def _frozen_renormalise(weights, log_factors):
@@ -460,15 +512,12 @@ def _frozen_renormalise(weights, log_factors):
 def _frozen_power_step(weights, grad, params):
     """``power_step`` as it stood, gathering ``base[active]`` for each use
     and scattering the log factors into a zeroed array.  Its checks are the
-    module's own, and its messages print the failing base as a plain
-    float."""
-    descent_module._check_params("power", params)
-    weights = as_simplex(weights)
+    module's own, ``descent._enter``; its mask is the plain ``weights > 0``,
+    and its messages print the failing base as a plain float."""
+    weights, _, values, log_a = descent_module._enter("power", weights, grad, params)
     alpha = params.alpha
     active = weights > 0
-    log_a = descent_module._log_base(grad, weights.size)
     if log_a is None:
-        values = descent_module._gradient_values(grad, weights.size)
         base = (alpha - 1.0) * (values + params.shift) + 1.0
         if (base[active] <= 0).any():
             bad = np.flatnonzero(active & (base <= 0))

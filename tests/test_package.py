@@ -27,7 +27,7 @@ from alpha_descent.descent import (
 )
 from alpha_descent.divergence import DescentParams, divergence_exact
 from alpha_descent.explore import explore_mean_update
-from alpha_descent.fixtures import random_problem
+from alpha_descent.fixtures import perfect_fit_problem, random_problem
 from alpha_descent.gradient import (
     MixtureGradient,
     MixtureState,
@@ -70,6 +70,10 @@ DELETED = (
     "FIXED_POINT_TOL",
     "ParticleSet",
     "_LSE_BLOCK",
+    "_check_order",
+    "_gradient_values",
+    "_log_base",
+    "_weighted",
     "gradient_monte_carlo",
     "kernel_exp",
     "mixture_logpdf",
@@ -184,6 +188,49 @@ def test_one_params_rule_and_no_unset_knobs():
         "rng", "num_components", "support_size"
     ]
     assert list(inspect.signature(run_checks).parameters) == []
+    assert list(inspect.signature(perfect_fit_problem).parameters) == ["rng", "weights"]
+
+
+def _shift_product(node):
+    """Whether ``node`` is an ``(alpha - 1) * shift`` product, either way round."""
+    if not (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult)):
+        return False
+    sides = [ast.unparse(node.left), ast.unparse(node.right)]
+    return any("alpha" in side for side in sides) and any(
+        re.fullmatch(r"(\w+\.)?shift", side) for side in sides
+    )
+
+
+def test_shift_enters_the_log_domain_in_one_place():
+    # log((alpha-1) shift) is written once, in divergence._lift, which tests
+    # the product and not the shift; a name bound to the product counts
+    src = Path(alpha_descent.__file__).resolve().parent
+    copies = []
+    for path in sorted(src.rglob("*.py")):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(fn, ast.FunctionDef) or fn.name == "_lift":
+                continue
+            products = {
+                target.id
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Assign) and _shift_product(node.value)
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            copies += [
+                f"{path.relative_to(src)}:{node.lineno}: {ast.unparse(node)}"
+                for node in ast.walk(fn)
+                if isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("np.log", "math.log")
+                and node.args
+                and (
+                    _shift_product(node.args[0])
+                    or isinstance(node.args[0], ast.Name) and node.args[0].id in products
+                )
+            ]
+    assert copies == []
+    lift = ast.parse(inspect.getsource(alpha_descent.divergence._lift))
+    assert any(_shift_product(node) for node in ast.walk(lift))
 
 
 def test_perfbench_patch_points_resolve():
