@@ -109,30 +109,51 @@ class StepDiagnostics:
     guard_min: float
 
 
-def _enter(algorithm, weights, grad, params):
+def _enter(algorithm, weights, grad, params, checked=False):
     """The one entry of every step: ``(weights, active, values, log_a)``.
 
     Runs ``_check_params``, refuses a :class:`MixtureGradient` of another
-    order (a raw array has none), runs ``as_simplex`` and masks the weighted
-    components (``active`` is ``True`` when no weight is zero, so that every
-    pass runs unmasked).  As in ``run_descent``, the name alone says what is
-    read: power and renyi read ``log A_j`` when the gradient carries it (no
-    NaN or ``+inf``; ``-inf`` is the guard's), and ``values`` is None;
-    otherwise the values, finite on every weighted row, and on every row
-    for the renyi family, whose denominators read them all.
+    order (a raw array has none), runs ``as_simplex`` and checks the
+    gradient's shape.  With ``checked`` set, as ``run_descent`` sets it, it
+    skips those: the loop checked the settings and the weights at entry,
+    its iterates are that start or a step's output, and its gradients are
+    ``MixtureGradient`` vectors of its own order and size.  Either way it
+    masks the weighted components (``active`` is ``True`` when no weight
+    is zero, so that every pass runs unmasked) and checks this step's
+    data.  As in ``run_descent``, the name alone says what is read: power
+    and renyi read ``log A_j`` when the gradient carries it (no NaN or
+    ``+inf``; ``-inf`` is the guard's), and ``values`` is None; otherwise
+    the values, finite on every weighted row, and on every row for the
+    renyi family, whose denominators read them all.
     """
-    _check_params(algorithm, params)
-    log_a = None
-    if isinstance(grad, MixtureGradient):
-        if grad.alpha != params.alpha:
-            raise ValueError(
-                f"{algorithm} step wants an alpha={params.alpha} gradient, "
-                f"got alpha={grad.alpha}"
-            )
-        if algorithm in _READS_LOG_BASE:
-            log_a = grad.log_base
-        grad = grad.values
-    weights = as_simplex(weights)
+    if checked:
+        log_a = grad.log_base if algorithm in _READS_LOG_BASE else None
+        values = grad.values
+    else:
+        _check_params(algorithm, params)
+        log_a = None
+        if isinstance(grad, MixtureGradient):
+            if grad.alpha != params.alpha:
+                raise ValueError(
+                    f"{algorithm} step wants an alpha={params.alpha} gradient, "
+                    f"got alpha={grad.alpha}"
+                )
+            if algorithm in _READS_LOG_BASE:
+                log_a = grad.log_base
+            grad = grad.values
+        weights = as_simplex(weights)
+        if log_a is None:
+            if grad is None:
+                raise ValueError(
+                    "a log_base gradient has no values for this step to read"
+                )
+            values = np.asarray(grad, dtype=float)
+            if values.ndim != 1:
+                raise ValueError(f"gradient must be a vector, got shape {values.shape}")
+            if values.size != weights.size:
+                raise ValueError(
+                    f"gradient has {values.size} entries for {weights.size} weights"
+                )
     active = True if np.minimum.reduce(weights) > 0.0 else weights > 0
     if log_a is not None:
         if log_a.size != weights.size or not (log_a < np.inf).all():
@@ -140,13 +161,6 @@ def _enter(algorithm, weights, grad, params):
                 f"gradient log_base must hold {weights.size} entries, none NaN or +inf"
             )
         return weights, active, None, log_a
-    if grad is None:
-        raise ValueError("a log_base gradient has no values for this step to read")
-    values = np.asarray(grad, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"gradient must be a vector, got shape {values.shape}")
-    if values.size != weights.size:
-        raise ValueError(f"gradient has {values.size} entries for {weights.size} weights")
     rows = True if algorithm.startswith("renyi") else active
     if not np.logical_and.reduce(np.isfinite(values), where=rows):
         raise ValueError("gradient values must be finite")
@@ -176,7 +190,7 @@ def _renormalise(weights, log_factors, active):
     return w
 
 
-def power_step(weights, grad, params):
+def power_step(weights, grad, params, *, _checked=False):
     """One power update.  Returns ``(new_weights, diagnostics)``.
 
     Requires the parameters ``_check_params`` accepts for power.  The
@@ -186,7 +200,7 @@ def power_step(weights, grad, params):
     have no NaN or ``+inf`` in it; the guard refuses a base whose log is
     ``-inf``.
     """
-    weights, active, values, log_a = _enter("power", weights, grad, params)
+    weights, active, values, log_a = _enter("power", weights, grad, params, _checked)
     alpha = params.alpha
     # each pass below reads the weighted components only, through ``active``
     if log_a is None:
@@ -220,28 +234,28 @@ def power_step(weights, grad, params):
     return _renormalise(weights, log_factors, active), StepDiagnostics(guard_min)
 
 
-def _mirror_step(algorithm, weights, grad, params):
+def _mirror_step(algorithm, weights, grad, params, checked):
     """Entropic mirror descent, factors ``exp(-step b)``; no guard."""
-    weights, active, values, _ = _enter(algorithm, weights, grad, params)
+    weights, active, values, _ = _enter(algorithm, weights, grad, params, checked)
     new = _renormalise(weights, -params.step_size * values, active)
     return new, StepDiagnostics(np.inf)
 
 
-def emd_step(weights, grad, params):
+def emd_step(weights, grad, params, *, _checked=False):
     """One entropic mirror descent update; it reads only ``params.step_size``.
 
     Requires the parameters ``_check_params`` accepts for emd: no shift,
     and ``alpha != 1``, which is kl.
     """
-    return _mirror_step("emd", weights, grad, params)
+    return _mirror_step("emd", weights, grad, params, _checked)
 
 
-def kl_step(weights, grad, step_size):
+def kl_step(weights, grad, step_size, *, _checked=False):
     """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one."""
-    return _mirror_step("kl", weights, grad, DescentParams(1.0, step_size))
+    return _mirror_step("kl", weights, grad, DescentParams(1.0, step_size), _checked)
 
 
-def renyi_step(weights, grad, params, unweighted_denominator=False):
+def renyi_step(weights, grad, params, unweighted_denominator=False, *, _checked=False):
     """One renyi update, factors ``exp(-step b_j / D)``.
 
     ``D = (alpha-1)(mu_b + shift) + 1`` with ``mu_b`` the weighted mean of
@@ -261,7 +275,7 @@ def renyi_step(weights, grad, params, unweighted_denominator=False):
     gradient that carries ``log_base``.
     """
     algorithm = "renyi_unweighted" if unweighted_denominator else "renyi"
-    weights, active, values, log_a = _enter(algorithm, weights, grad, params)
+    weights, active, values, log_a = _enter(algorithm, weights, grad, params, _checked)
     alpha = params.alpha
     if log_a is None:
         mu_b = float(values.sum() if unweighted_denominator else weights @ values)
@@ -324,15 +338,20 @@ class DescentTrace:
         return self.records[-1].weights
 
 
-def _step_once(algorithm, weights, grad, params):
+def _step_once(algorithm, weights, grad, params, checked=False):
+    """The public step of ``algorithm``; ``checked`` skips its entry checks."""
     if algorithm == "power":
-        return power_step(weights, grad, params)
+        return power_step(weights, grad, params, _checked=checked)
     if algorithm == "emd":
-        return emd_step(weights, grad, params)
+        return emd_step(weights, grad, params, _checked=checked)
     if algorithm == "kl":
-        return kl_step(weights, grad, params.step_size)
+        return kl_step(weights, grad, params.step_size, _checked=checked)
     return renyi_step(
-        weights, grad, params, unweighted_denominator=algorithm == "renyi_unweighted"
+        weights,
+        grad,
+        params,
+        unweighted_denominator=algorithm == "renyi_unweighted",
+        _checked=checked,
     )
 
 
@@ -368,10 +387,13 @@ def run_descent(
     drawn.  Like every count and positive real of the package, the two
     counts are checked by one call to ``model._check_integer``
     (``model._check_float`` for a real), which carries the range.  Each
-    step then calls the public step, whose one entry ``_enter`` runs the
-    same ``_check_params``, runs ``as_simplex`` on the weights and checks the
-    gradient's order and size and that the values it reads are finite (or,
-    for ``log A_j``, no NaN or ``+inf``).  The
+    step then calls the public step with its private ``_checked`` keyword
+    set, so that its entry ``_enter`` skips what entry decided
+    (``_check_params``, ``as_simplex`` and the gradient's order and shape)
+    and checks only this step's data: that the values it reads are finite
+    (or, for ``log A_j``, no NaN or ``+inf``), and every guard.  It calls
+    the steps by their module-level names, so that a wrapper of a public
+    step, such as the benchmark's tracer, sees every step.  The
     exact objective reads each density ratio as its log and refuses only a
     total outside the float range; the Monte Carlo gradient checks the
     shapes of its batch, which carries the weights it was drawn under.
@@ -482,7 +504,9 @@ def run_descent(
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:
-            new, diag = _step_once(algorithm, weights, gradient(weights), params)
+            new, diag = _step_once(
+                algorithm, weights, gradient(weights), params, checked=True
+            )
         except GuardViolation as exc:
             err = GuardViolation(
                 f"step {n} of phase {phase}: {exc}",

@@ -348,7 +348,7 @@ class GaussianMixtureTarget(Target):
         # one unread particle row: numpy sends a one-row product to gemv, which
         # rounds a one-mean target's log p apart from the batch's matrix product
         _, out = self._rows_and_log_p(ys[:1], 0.0, ys)
-        return out[0] if np.ndim(y) == 1 else out
+        return out[0] if np.ndim(y) <= 1 else out
 
 
 # The smallest normal float.  A column or row sum of the kernel block below

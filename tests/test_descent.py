@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import alpha_descent.descent as descent_module
 import alpha_descent.divergence as divergence_module
 import alpha_descent.gradient as gradient_module
+import alpha_descent.harness as harness_module
 from alpha_descent.descent import (
     ALGORITHMS,
     DescentTrace,
@@ -40,6 +41,7 @@ from alpha_descent.gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
+from alpha_descent.harness import ExperimentConfig
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
@@ -711,6 +713,16 @@ class TestTraceContainers:
         assert trace.status == "completed"
 
 
+def _counting(counts, name, fn):
+    """``fn``, adding one to ``counts[name]`` per call."""
+
+    def wrapper(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
 class TestRunDescentExact:
     def _problem(self, seed=81, num_components=3):
         return random_problem(np.random.default_rng(seed), num_components=num_components)
@@ -921,20 +933,14 @@ class TestRunDescentExact:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_calls_per_step_and_per_iterate(self, monkeypatch, algorithm):
-        # the counts the benchmark's tracer relies on: one step and one
-        # as_simplex per step (plus the entry check), one gradient per step
-        # and one objective per iterate.  The tracer patches no log-mixture.
-        # The loop reads one per iterate through the unchecked kernel, and
-        # calls neither the checked log_mixture nor amari_alpha
+        # one public step and one gradient per step, one objective per
+        # iterate, and one as_simplex in all: the entry check, which the
+        # steps skip inside the loop.  The benchmark's tracer checks count
+        # descent.update and harness.replicate only (TracedCalls.run,
+        # test_traced_replicates_match_untraced).  The loop reads one
+        # log-mixture per iterate through the unchecked kernel, and calls
+        # neither the checked log_mixture nor amari_alpha
         counts = collections.Counter()
-
-        def counting(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
         step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
         for owner, name in (
             (descent_module, step),
@@ -946,7 +952,7 @@ class TestRunDescentExact:
             (FiniteSupportProblem, "log_mixture"),
             (divergence_module, "amari_alpha"),
         ):
-            monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+            monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
         trace = run_descent(
             np.full(3, 1.0 / 3.0),
             DescentParams(0.5 if algorithm != "kl" else 1.0, 0.5),
@@ -957,7 +963,7 @@ class TestRunDescentExact:
         assert trace.status == "completed" and len(trace.records) == 13
         assert counts == {
             step: 12,
-            "as_simplex": 13,
+            "as_simplex": 1,
             "gradient_exact": 12,
             "divergence_exact": 13,
             "_log_mixture": 13,
@@ -1062,6 +1068,39 @@ class TestRunDescentMonteCarlo:
         assert trace.status == "completed"
         assert len(trace.records) == 6
         assert builds == []
+
+    @pytest.mark.parametrize(
+        "algorithm, alpha",
+        [
+            ("power", 0.5),
+            ("renyi", 0.5),
+            ("emd", 0.5),
+            ("kl", 1.0),
+            ("renyi_unweighted", -1.0),
+        ],
+    )
+    def test_calls_per_step_and_per_run(self, monkeypatch, algorithm, alpha):
+        # one as_simplex per run_descent call, the entry check, and one
+        # public step per attempted step; the renyi_unweighted arm's second
+        # replicate is refused at step 1, and that step is counted too
+        counts = collections.Counter()
+        step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
+        for owner, name in (
+            (descent_module, step),
+            (descent_module, "as_simplex"),
+            (harness_module, "run_descent"),
+        ):
+            monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+        config = ExperimentConfig(
+            algorithm=algorithm, alpha=alpha, step_size_base=0.3, num_components=5,
+            sample_count=(50,), num_steps=3, num_phases=2, dim=2, replicates=2, seed=11,
+        )
+        traces = harness_module.run_experiment(config)
+        refused = sum(t.status.startswith("guard_violation") for t in traces)
+        assert refused == (algorithm == "renyi_unweighted")
+        attempted = sum(r.step >= 1 for t in traces for r in t.records) + refused
+        runs = 4 - refused  # a refused replicate stops in its first phase
+        assert counts == {step: attempted, "as_simplex": runs, "run_descent": runs}
 
     def test_recorded_bound_has_the_law_of_a_fresh_batch(self):
         # The step-1 bound must read like one scored on a new batch from
@@ -1251,6 +1290,54 @@ class TestRunDescentParity:
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+@pytest.mark.parametrize("algorithm", ALGORITHMS)
+def test_loop_keeps_the_checks_of_the_steps_data(monkeypatch, algorithm, mode, bad):
+    # inside the loop a step skips only what entry checked; a bad gradient
+    # at step 3 is refused with the message a public step gives it: power
+    # and renyi read log A_j, the others read values
+    alpha = {"kl": 1.0, "renyi_unweighted": 2.0}.get(algorithm, 0.5)
+    params = DescentParams(alpha, 0.3)
+    size = 3 if mode == "exact" else 4
+    if algorithm in ("power", "renyi"):
+        log_a = np.zeros(size)
+        log_a[1] = bad
+        grad = MixtureGradient(None, alpha, log_base=log_a)
+    else:
+        values = np.zeros(size)
+        values[1] = bad
+        grad = MixtureGradient(values, alpha)
+    want = _refusal(lambda: _public_step(algorithm, np.full(size, 1.0 / size), grad, params))
+    assert want is not None
+
+    name = "gradient_exact" if mode == "exact" else "gradient_monte_carlo_from_logs"
+    calls = []
+    original = getattr(descent_module, name)
+
+    def bad_at_step_3(*args, **kwargs):
+        calls.append(1)
+        return grad if len(calls) == 3 else original(*args, **kwargs)
+
+    monkeypatch.setattr(descent_module, name, bad_at_step_3)
+    if mode == "exact":
+        problem = random_problem(np.random.default_rng(77), num_components=3)
+        kwargs = dict(problem=problem)
+        initial = np.full(3, 1.0 / 3.0)
+    else:
+        rng = np.random.default_rng(105)
+        initial = MixtureState(
+            np.full(4, 0.25), rng.normal(size=(4, 2)), GaussianKernel(1.0, 2)
+        )
+        target = GaussianMixtureTarget([[0.0, 0.0]])
+        kwargs = dict(target=target, sample_count=32, rng=np.random.default_rng(8))
+    with pytest.raises(ValueError) as info:
+        run_descent(initial, params, algorithm, 5, **kwargs)
+    assert not isinstance(info.value, GuardViolation)
+    assert str(info.value) == want
+    assert len(calls) == 3
+
+
 class TestSharedKernelMatrix:
     """Every arm reads the kernel block that ``sample_logs`` exponentiated
     once: the values arms through ``E / total``, power and weighted renyi

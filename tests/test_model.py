@@ -242,6 +242,15 @@ class TestTargets:
         for row, y in zip(batch, ys):
             assert math.isclose(row, target.log_density(y), rel_tol=1e-12)
 
+    def test_mixture_target_scalar_point(self):
+        # a scalar is one point of a 1-dimensional target, as [y] is
+        target = GaussianMixtureTarget([[0.0], [3.0]])
+        got = target.log_density(0.3)
+        assert isinstance(got, float)
+        assert got == target.log_density([0.3])
+        with pytest.raises(ValueError, match="target is 2-dimensional"):
+            GaussianMixtureTarget([[0.0, 0.0]]).log_density(0.3)
+
     def test_mixture_target_far_tail_no_underflow(self):
         # log densities stay finite far beyond linear-domain range
         target = GaussianMixtureTarget([np.zeros(16)])
