@@ -56,7 +56,7 @@ from .gradient import (
     gradient_monte_carlo_from_logs,
     sample_mixture,
 )
-from .model import _check_float, _check_integer, as_simplex, logsumexp, sample_logs
+from .model import _DistancePlan, _check_float, _check_integer, as_simplex, logsumexp
 
 __all__ = [
     "ALGORITHMS",
@@ -234,10 +234,10 @@ def power_step(weights, grad, params, *, _checked=False):
     return _renormalise(weights, log_factors, active), StepDiagnostics(guard_min)
 
 
-def _mirror_step(algorithm, weights, grad, params, checked):
+def _mirror_step(algorithm, weights, grad, params, step_size, checked):
     """Entropic mirror descent, factors ``exp(-step b)``; no guard."""
     weights, active, values, _ = _enter(algorithm, weights, grad, params, checked)
-    new = _renormalise(weights, -params.step_size * values, active)
+    new = _renormalise(weights, -step_size * values, active)
     return new, StepDiagnostics(np.inf)
 
 
@@ -247,12 +247,17 @@ def emd_step(weights, grad, params, *, _checked=False):
     Requires the parameters ``_check_params`` accepts for emd: no shift,
     and ``alpha != 1``, which is kl.
     """
-    return _mirror_step("emd", weights, grad, params, _checked)
+    return _mirror_step("emd", weights, grad, params, params.step_size, _checked)
 
 
 def kl_step(weights, grad, step_size, *, _checked=False):
-    """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one."""
-    return _mirror_step("kl", weights, grad, DescentParams(1.0, step_size), _checked)
+    """The emd step at alpha=1 (forward KL); the gradient must be the alpha=1 one.
+
+    With ``_checked`` set, as ``run_descent`` sets it, the step size was
+    checked at entry, so no :class:`DescentParams` is built to check it.
+    """
+    params = None if _checked else DescentParams(1.0, step_size)
+    return _mirror_step("kl", weights, grad, params, step_size, _checked)
 
 
 def renyi_step(weights, grad, params, unweighted_denominator=False, *, _checked=False):
@@ -404,7 +409,10 @@ def run_descent(
     conditions are told apart only when one fails.
     The Monte Carlo mode reads the state's points and kernel once, at
     entry, and draws every batch from them under the current iterate; it
-    builds no state per step.
+    builds no state per step.  At entry it also builds the particle side
+    of the batches' distance product, about the median of the particles,
+    so that each batch forms only its samples' rows; its batches are those
+    of ``sample_mixture`` and ``model.sample_logs``, bit for bit.
 
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
@@ -469,13 +477,13 @@ def run_descent(
         weights = as_simplex(initial.weights)
         points, kernel = initial.points, initial.kernel
         target._check_dim(points)
+        plan = _DistancePlan(points, kernel, target)
         log_base = algorithm in _READS_LOG_BASE
         batch = None  # the scored iterate's monitor batch
 
         def draw(w):
             """The :class:`SampleBatch` of a new batch drawn under ``w``."""
-            samples = sample_mixture(w, points, kernel, sample_count, rng)
-            return sample_logs(w, points, kernel, target, samples)
+            return plan.batch(w, sample_mixture(w, points, kernel, sample_count, rng))
 
         def gradient(w):
             nonlocal batch

@@ -8,16 +8,18 @@ kernel's peak density are; a sum of them that underflows is recomputed in
 the log domain.
 
 One path turns a sample batch into what every Monte Carlo consumer reads:
-:func:`sample_logs` asks the target for the particle rows of the augmented
-sample rows (:func:`squared_distances`) and for ``log p`` at the samples,
-and returns a :class:`SampleBatch`.  A :class:`GaussianMixtureTarget` forms
-both from one matrix product with its mean rows, the product its own
-``log_density`` makes; a plain :class:`Target` forms the particle rows
-alone and reads its ``log_density``.  The kernel block is exponentiated in
-place against the kernel's own peak density, so it is bounded by 1 and no
-row can overflow; ``log q`` is the log of its weighted column sums.  The
-gradient, the monitor and exploration all read that one product and that
-one exp pass.
+a private distance plan holds the particle side of one product of
+augmented rows (:func:`squared_distances`), and each batch adds its
+samples' side.  The plan is built once per ``run_descent`` call (and once
+per :func:`sample_logs` call) from the particles, the kernel and the
+target: the particle rows and the rows the target adds, about the
+coordinate-wise median of the particles.  A :class:`GaussianMixtureTarget`
+adds its mean rows and takes ``log p`` from their block; a plain
+:class:`Target` adds none and reads its ``log_density``.  The kernel block
+is exponentiated in place against the kernel's own peak density, so it is
+bounded by 1 and no row can overflow; ``log q`` is the log of its weighted
+column sums.  The gradient, the monitor and exploration all read that one
+product and that one exp pass, as a :class:`SampleBatch`.
 """
 
 from __future__ import annotations
@@ -142,35 +144,52 @@ def logsumexp(a, axis=-1, b=None):
     return out.reshape(rest)[()]
 
 
+def _left_block(x, centre, scale, offset):
+    """The augmented rows ``[-2 s_i (x_i - c), s_i ||x_i - c||^2 + offset_i, s_i]``.
+
+    ``s`` is ``scale``, a scalar or one entry per row, as is ``offset``.
+    """
+    d = x.shape[1]
+    scale = np.asarray(scale, dtype=float)
+    left = np.empty((x.shape[0], d + 2))
+    np.subtract(x, centre, out=left[:, :d])
+    left[:, d] = scale * np.einsum("ij,ij->i", left[:, :d], left[:, :d]) + offset
+    left[:, d + 1] = scale
+    left[:, :d] *= -2.0 * scale[..., None]
+    return left
+
+
+def _right_block(y, centre):
+    """The augmented rows ``[y_m - c, 1, ||y_m - c||^2]``; ``_left_block @ _right_block.T``
+    is ``scale_i ||x_i - y_m||^2 + offset_i``."""
+    d = y.shape[1]
+    right = np.empty((y.shape[0], d + 2))
+    np.subtract(y, centre, out=right[:, :d])
+    right[:, d] = 1.0
+    right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d])
+    return right
+
+
 def squared_distances(x, y, scale=1.0, offset=0.0):
     """``scale * ||x_i - y_m||^2 + offset`` for the rows of two 2-d arrays.
 
     Returns shape ``(len(x), len(y))``.  ``scale`` and ``offset`` are scalars
     or hold one entry per row of ``x``, so that one product serves rows of
-    different kinds.  Both sets are first shifted by the mean of ``y``, so
+    different kinds.  Both sets are first shifted by a centre ``c``, so
     that rounding scales with the spread of the points rather than with
-    their distance from the origin; the centre comes from ``y`` alone, so
-    one row of ``x`` never moves the values of another.  The expansion
-    ``||x||^2 + ||y||^2 - 2 x.y`` is then a single matrix product of the
-    augmented rows ``[-2 scale_i x_i, scale_i ||x_i||^2 + offset_i,
-    scale_i]`` and ``[y_m, 1, ||y_m||^2]``, which also applies ``scale``
-    and ``offset``.  Its rounding error is relative to ``||x_i - c||^2 +
-    ||y_m - c||^2``, not to the distance itself.
+    their distance from the origin.  Here ``c`` is the mean of ``y``, so one
+    row of ``x`` never moves the values of another; the batches of
+    :func:`sample_logs` take it from the particles instead, once per run
+    rather than once per batch.  The expansion ``||x||^2 + ||y||^2 - 2
+    x.y`` is then a single matrix product of the augmented rows ``[-2
+    scale_i x_i, scale_i ||x_i||^2 + offset_i, scale_i]`` and ``[y_m, 1,
+    ||y_m||^2]``, which also applies ``scale`` and ``offset``.  Its
+    rounding error is relative to ``||x_i - c||^2 + ||y_m - c||^2``, not
+    to the distance itself.
     """
     centre = np.add.reduce(y, axis=0)
     centre /= len(y)
-    d = x.shape[1]
-    scale = np.asarray(scale, dtype=float)
-    left = np.empty((x.shape[0], d + 2))
-    right = np.empty((y.shape[0], d + 2))
-    np.subtract(x, centre, out=left[:, :d])
-    np.subtract(y, centre, out=right[:, :d])
-    left[:, d] = scale * np.einsum("ij,ij->i", left[:, :d], left[:, :d]) + offset
-    left[:, d + 1] = scale
-    left[:, :d] *= -2.0 * scale[..., None]
-    right[:, d] = 1.0
-    right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d])
-    return left @ right.T
+    return _left_block(x, centre, scale, offset) @ _right_block(y, centre).T
 
 
 def gaussian_kernel_logpdf(theta, y, bandwidth):
@@ -263,11 +282,15 @@ class Target:
     def _check_dim(self, ys):
         """Refuse points ``(M, d)`` of another dimension; a plain target has none."""
 
-    def _rows_and_log_p(self, points, scale, samples):
-        """The particle rows ``squared_distances(points, samples, scale)`` and ``log p``.
+    def _plan_rows(self, centre):
+        """The rows this target adds to a :class:`_DistancePlan` about ``centre``: none."""
+        return np.empty((0, len(centre) + 2))
 
-        ``log p`` is the target at the samples ``(M, d)``, refused unless it
-        holds one finite value per sample.
+    def _log_p(self, rows, samples):
+        """``log p`` at the samples ``(M, d)``, given the product of its plan rows.
+
+        A plain target reads its ``log_density``, refused unless it holds
+        one finite value per sample.
         """
         log_p = self.log_density(samples)
         if np.shape(log_p) != (len(samples),):
@@ -281,7 +304,7 @@ class Target:
                 f"target log_density returned {float(log_p[bad])!r} at sample {bad}; "
                 "it must be finite"
             )
-        return squared_distances(points, samples, scale=scale), log_p
+        return log_p
 
 
 class GaussianMixtureTarget(Target):
@@ -324,30 +347,25 @@ class GaussianMixtureTarget(Target):
                 f"got points of dimension {ys.shape[1]}"
             )
 
-    def _rows_and_log_p(self, points, scale, samples):
-        """One product of the particle rows, at ``scale``, and the mean rows.
+    def _plan_rows(self, centre):
+        """The mean rows about ``centre``, at scale -1/2 and their own offset.
 
-        The mean rows are at scale -1/2 and their own offset, and ``log p``
-        is their weighted log-sum-exp; the particle rows are returned as a
-        view of the product.  :meth:`log_density` reads the same product.
+        Each row of their product with the samples is the log density of
+        one unit-covariance component.
         """
-        j = len(points)
-        scales = np.full(j + len(self.means), -0.5)
-        scales[:j] = scale
-        offset = np.zeros(scales.size)
-        offset[j:] = self._row_offset
-        rows = np.concatenate((points, self.means))
-        block = squared_distances(rows, samples, scales, offset)
-        log_p = logsumexp(block[j:], axis=0, b=self.weights)
+        return _left_block(self.means, centre, -0.5, self._row_offset)
+
+    def _log_p(self, rows, samples):
+        """``log p``: the weighted log-sum-exp of the product of the mean rows."""
+        log_p = logsumexp(rows, axis=0, b=self.weights)
         log_p += self._log_scale
-        return block[:j], log_p
+        return log_p
 
     def _eval(self, y):
         ys = np.atleast_2d(y)
         self._check_dim(ys)
-        # one unread particle row: numpy sends a one-row product to gemv, which
-        # rounds a one-mean target's log p apart from the batch's matrix product
-        _, out = self._rows_and_log_p(ys[:1], 0.0, ys)
+        # the mean rows about the mean of the points, not a plan's centre
+        out = self._log_p(squared_distances(self.means, ys, -0.5, self._row_offset), ys)
         return out[0] if np.ndim(y) <= 1 else out
 
 
@@ -444,49 +462,89 @@ class SampleBatch:
         return rows, exps, logsumexp(exps, axis=1)
 
 
+class _DistancePlan:
+    """The particle side of the distance product, built once per run.
+
+    Within a run the particles, the kernel and the target are fixed, so the
+    left block of :func:`squared_distances` is too: the particle rows at
+    scale ``-1/(2 h^2)`` and no offset, then the rows the target adds
+    (``Target._plan_rows``), all about one centre, the coordinate-wise
+    median of the particles (the upper one, for an even count), which a
+    minority of remote particles does not move.  :meth:`batch` then pays
+    only for the samples' rows, one product and one exp pass.
+    """
+
+    __slots__ = ("points", "scale", "centre", "left", "target", "log_peak")
+
+    def __init__(self, points, kernel, target):
+        self.points = np.asarray(points, dtype=float)
+        self.scale = -0.5 / kernel.bandwidth**2
+        # the middle value of each coordinate, a median that np.partition
+        # finds without the masked-array module np.median imports
+        middle = len(self.points) // 2
+        self.centre = centre = np.partition(self.points, middle, axis=0)[middle]
+        particles = _left_block(self.points, centre, self.scale, 0.0)
+        self.left = np.concatenate((particles, target._plan_rows(centre)))
+        self.target = target
+        self.log_peak = kernel.log_peak
+
+    def batch(self, weights, samples):
+        """The :class:`SampleBatch` of a sample batch ``(M, d)`` under ``weights``."""
+        j = len(self.points)
+        right = _right_block(samples, self.centre)
+        block = self.left @ right.T
+        log_p = self.target._log_p(block[j:], samples)
+        ratio = np.exp(block[:j], out=block[:j])
+        total = weights @ ratio
+        shift = np.zeros(total.size)
+        if total.min() >= _TINY:
+            log_q = np.log(total)
+        else:
+            cols = np.flatnonzero(~(total >= _TINY))
+            keep = weights > 0
+            # about these samples' own mean, which may lie far from the particles
+            part = squared_distances(self.points, samples[cols], scale=self.scale)
+            peak = np.maximum.reduce(part, axis=0, where=keep[:, None], initial=-np.inf)
+            peak[~np.isfinite(peak)] = 0.0
+            part -= peak
+            with np.errstate(over="ignore"):  # a zero-weight row far above the peak reads inf
+                np.exp(part, out=part)
+            ratio[:, cols] = part
+            shift[cols] = peak
+            total[cols] = weights[keep] @ part[keep]
+            log_q = np.full(total.size, -np.inf)
+            np.log(total, out=log_q, where=total > 0)
+            log_q += shift
+        log_q += self.log_peak
+        return SampleBatch(
+            ratio, total, shift, log_q, log_p, self.log_peak,
+            lambda rows: self.left[rows] @ right.T - shift,
+        )
+
+
 def sample_logs(weights, points, kernel, target, samples):
     """The :class:`SampleBatch` of a sample batch ``(M, d)`` under ``weights``.
 
-    The target gives the particle rows of :func:`squared_distances`, at
-    scale ``-1/(2 h^2)`` and no offset, and ``log p`` at the samples: a
-    :class:`GaussianMixtureTarget` takes both from one product with its mean
-    rows, and a plain :class:`Target` reads its ``log_density``, refused
-    unless it holds one finite value per sample.  The kernel block is
-    exponentiated in place, and ``weights @ E`` gives ``log q``, which no
-    zero-weight component enters.  A column whose weighted sum falls below
+    One product of augmented rows (:func:`squared_distances`) gives the
+    kernel block and the target's rows: the particle rows at scale ``-1/(2
+    h^2)`` and no offset, and the rows the target adds, about the
+    coordinate-wise median of the particles, not the mean of the samples.
+    A :class:`GaussianMixtureTarget` adds its mean rows and takes ``log p``
+    from their block; a plain :class:`Target` adds none and reads its
+    ``log_density``, refused unless it holds one finite value per sample.
+    The kernel block is exponentiated in place, and ``weights @ E`` gives
+    ``log q``, which no zero-weight component enters.  A column whose weighted sum falls below
     the normal float range (a sample far from every weighted particle) is
-    recomputed from the samples against the peak of its weighted rows, so
-    ``log q`` stays exact.
+    recomputed from the locations against the peak of its weighted rows,
+    so ``log q`` stays exact.  ``run_descent`` builds the particle side of
+    that product once per run and each batch reuses it, so its batches
+    equal this function's, bit for bit.  ``log p`` agrees with the target's
+    ``log_density``, which centres on the samples, to rounding.
 
     Callers check their own inputs; only a plain target's ``log p`` is
     checked here.
     """
-    scale = -0.5 / kernel.bandwidth**2
-    block, log_p = target._rows_and_log_p(points, scale, samples)
-    log_peak = kernel.log_peak
-    ratio = np.exp(block, out=block)
-    total = weights @ ratio
-    shift = np.zeros(total.size)
-    if not total.min() >= _TINY:
-        cols = np.flatnonzero(~(total >= _TINY))
-        keep = weights > 0
-        part = squared_distances(points, samples[cols], scale=scale)
-        peak = np.maximum.reduce(part, axis=0, where=keep[:, None], initial=-np.inf)
-        peak[~np.isfinite(peak)] = 0.0
-        part -= peak
-        with np.errstate(over="ignore"):  # a zero-weight row far above the peak reads inf
-            np.exp(part, out=part)
-        ratio[:, cols] = part
-        shift[cols] = peak
-        total[cols] = weights[keep] @ part[keep]
-    log_q = np.full(total.size, -np.inf)
-    np.log(total, out=log_q, where=total > 0)
-    log_q += shift
-    log_q += log_peak
-    return SampleBatch(
-        ratio, total, shift, log_q, log_p, log_peak,
-        lambda rows: squared_distances(points[rows], samples, scale=scale) - shift,
-    )
+    return _DistancePlan(points, kernel, target).batch(weights, samples)
 
 
 @dataclass(frozen=True)

@@ -4,10 +4,12 @@ Loads ``src/alpha_descent`` of each checkout under its own module name, so
 both copies share one interpreter, one numpy and one BLAS.  It then runs
 alternating rounds of one shape on the two copies, A then B, then B then A,
 so that a drift of the host's speed falls on both sides alike.  The first
-round's records must be equal on both sides, bit for bit; the script stops
-if they are not.  It prints each side's median and quartiles of the round
-time and the ratio of the medians, A over B, so a ratio above 1 means that
-B is faster.
+round's records of the two sides are compared as ``record_grid.py``
+compares them (``record_grid.difference``), so that a change that moves
+them at rounding level by design can be timed too: the script prints the
+largest gap and stops only if a relative gap exceeds 1e-12.  It prints each
+side's median and quartiles of the round time and the ratio of the
+medians, A over B, so a ratio above 1 means that B is faster.
 
 Shapes:
 
@@ -20,10 +22,10 @@ Shapes:
   arm, as the benchmark's fig1 workload runs it.
 
 Run it from the root of a checkout, for example against a copy of the
-parent commit:
+parent commit (``record_grid`` imports the package from ``src``):
 
     mkdir ../parent && git archive HEAD~1 | tar -x -C ../parent
-    OPENBLAS_NUM_THREADS=1 python tests/ab_inprocess.py ../parent . --shape exact
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python tests/ab_inprocess.py ../parent . --shape exact
 
 Pytest does not collect this file.
 """
@@ -39,6 +41,8 @@ import time
 from pathlib import Path
 
 import numpy as np
+
+import record_grid
 
 ROOT = Path(__file__).resolve().parent.parent
 EXACT_ALPHAS = (-0.5, 0.0, 0.5, 0.99)
@@ -64,13 +68,9 @@ def load(checkout, name):
     return package
 
 
-def record_key(records):
-    """Everything a record holds except its wall time."""
-    return [
-        (r.phase, r.step, r.weights.tobytes(), repr(r.vr_bound), repr(r.objective),
-         repr(r.guard_min))
-        for r in records
-    ]
+# the largest relative gap between the two sides' records that still counts
+# as rounding
+MAX_RELATIVE_GAP = 1e-12
 
 
 def exact_round(package):
@@ -131,15 +131,20 @@ def main(argv=None):
     times = {"A": [], "B": []}
     for i in range(args.rounds):
         order = ("A", "B") if i % 2 == 0 else ("B", "A")
-        keys = {}
+        runs = {}
         for side in order:
             seconds, traces = timed(sides[side], args.shape)
             times[side].append(seconds)
             if i == 0:
-                keys[side] = [(t.status, record_key(t.records)) for t in traces]
-        if i == 0 and keys["A"] != keys["B"]:
-            sys.exit("the first round's records differ between A and B")
-    print(f"shape {args.shape}, {args.rounds} alternating rounds, records equal")
+                runs[side] = record_grid.records(traces, 1)
+        if i == 0:
+            gaps = record_grid.difference(runs["B"], runs["A"])
+            print(f"first round's records, B against A: weights {gaps[0, 0]:.2e} abs / "
+                  f"{gaps[0, 1]:.2e} rel, the rest {gaps[1, 0]:.2e} abs / {gaps[1, 1]:.2e} rel")
+            if gaps[:, 1].max() > MAX_RELATIVE_GAP:
+                sys.exit(f"the first round's records differ by more than {MAX_RELATIVE_GAP} "
+                         "relative between A and B")
+    print(f"shape {args.shape}, {args.rounds} alternating rounds")
     for side, checkout in (("A", args.a), ("B", args.b)):
         median, q1, q3 = summary(times[side])
         print(f"{side} {checkout}: median {median * 1e3:.2f} ms, "

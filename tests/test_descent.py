@@ -14,6 +14,7 @@ import alpha_descent.descent as descent_module
 import alpha_descent.divergence as divergence_module
 import alpha_descent.gradient as gradient_module
 import alpha_descent.harness as harness_module
+import alpha_descent.model as model_module
 from alpha_descent.descent import (
     ALGORITHMS,
     DescentTrace,
@@ -33,6 +34,7 @@ from alpha_descent.divergence import (
     divergence_exact,
     vr_bound_from_logs,
 )
+from alpha_descent.explore import explore_mean_update
 from alpha_descent.fixtures import random_problem, random_weights
 from alpha_descent.gradient import (
     MixtureGradient,
@@ -1068,6 +1070,56 @@ class TestRunDescentMonteCarlo:
         assert trace.status == "completed"
         assert len(trace.records) == 6
         assert builds == []
+
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_kl_builds_no_params_after_entry(self, monkeypatch, mode):
+        # the step size is checked once, at entry; a kl step inside the loop
+        # builds no DescentParams to check it again, and a public one does
+        params = DescentParams(1.0, 0.3)
+        if mode == "exact":
+            initial = np.full(3, 1.0 / 3.0)
+            kwargs = dict(problem=random_problem(np.random.default_rng(105), num_components=3))
+        else:
+            initial, target = self._setup(105)
+            kwargs = dict(target=target, sample_count=32, rng=np.random.default_rng(9))
+        builds = []
+        check = DescentParams.__post_init__
+
+        def counted(self):
+            builds.append(1)
+            check(self)
+
+        monkeypatch.setattr(DescentParams, "__post_init__", counted)
+        trace = run_descent(initial, params, "kl", 5, **kwargs)
+        assert trace.status == "completed"
+        assert len(trace.records) == 6
+        assert builds == []
+        size = trace.final_weights.size
+        kl_step(trace.final_weights, MixtureGradient(np.zeros(size), 1.0), 0.3)
+        assert builds == [1]
+
+    def test_one_distance_plan_per_run(self, monkeypatch):
+        # the particle side of the batches' product is built once per
+        # run_descent call and once per mean update, and no batch builds one
+        counts = collections.Counter()
+        plan = model_module._DistancePlan
+        monkeypatch.setattr(plan, "__init__", _counting(counts, "plans", plan.__init__))
+        monkeypatch.setattr(plan, "batch", _counting(counts, "batches", plan.batch))
+        state, target = self._setup(106)
+        for runs in (1, 2):
+            trace = run_descent(
+                state,
+                DescentParams(0.5, 0.3),
+                "power",
+                7,
+                target=target,
+                sample_count=32,
+                rng=np.random.default_rng(runs),
+            )
+            assert trace.status == "completed"
+            assert counts == {"plans": runs, "batches": 8 * runs}
+        explore_mean_update(state, target, 32, 0.5, np.random.default_rng(3))
+        assert counts == {"plans": 3, "batches": 17}
 
     @pytest.mark.parametrize(
         "algorithm, alpha",

@@ -20,7 +20,7 @@ from alpha_descent.divergence import (
     vr_bound_exact,
 )
 from alpha_descent.fixtures import random_problem
-from alpha_descent.gradient import MixtureState
+from alpha_descent.gradient import MixtureState, sample_mixture
 from alpha_descent.model import (
     FiniteSupportProblem,
     GaussianKernel,
@@ -48,6 +48,22 @@ def _fig1_batch(rng, dim=FIG1_D, shift=0.0):
     points = math.sqrt(5.0) * rng.standard_normal((FIG1_J, dim)) + shift
     ys = points[rng.integers(FIG1_J, size=FIG1_M)] + rng.standard_normal((FIG1_M, dim))
     return points, ys
+
+
+def _spread(x, y, centre):
+    """``||x_j - c||^2 + ||y_m - c||^2``, the scale that the product's rounding
+    takes about the centre ``c`` (``TestSquaredDistances``)."""
+    return ((x - centre) ** 2).sum(axis=1)[:, None] + ((y - centre) ** 2).sum(axis=1)
+
+
+def _both_spreads(x, y, particles):
+    """The spread about the particles' coordinate-wise (upper) median, where a batch
+    centres its product, plus that about the samples' mean, where the public
+    evaluations centre theirs: at a row scale ``s``, the two products agree within
+    PARITY_RTOL times ``|s|`` times this, and a log-sum-exp over rows within its
+    worst row."""
+    median = np.sort(particles, axis=0)[len(particles) // 2]
+    return _spread(x, y, median) + _spread(x, y, y.mean(axis=0))
 
 
 class TestAsSimplex:
@@ -605,7 +621,8 @@ class TestSampleLogs:
             np.log(batch.ratio) + batch.log_peak, kernel.logpdf_matrix(points, ys),
             rtol=PARITY_RTOL, atol=0.0,
         )
-        assert np.array_equal(batch.log_p, target.log_density(ys))
+        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, points).max(axis=0)
+        assert np.all(np.abs(batch.log_p - target.log_density(ys)) <= bound)
         assert batch.log_peak == kernel.log_peak
         # pointwise reference over the weighted components only
         keep = w > 0
@@ -621,14 +638,17 @@ class TestSampleLogs:
     @pytest.mark.parametrize("num_means", [1, 2, 5])
     @pytest.mark.parametrize("size", [1, 2, 100])
     def test_mixture_log_p_is_its_log_density(self, num_means, size):
-        # the batch and log_density read one product, bit for bit, at any
-        # number of mean rows and samples
+        # the batch centres its product on the particles, log_density on
+        # the samples, so they agree within the spread about both centres,
+        # at any number of mean rows and samples
         rng = np.random.default_rng(24)
         kernel = GaussianKernel(0.5, 16)
         target = GaussianMixtureTarget(2.0 * rng.normal(size=(num_means, 16)), scale=2.0)
         ys = 3.0 * rng.normal(size=(size, 16))
-        batch = sample_logs(np.full(20, 0.05), rng.normal(size=(20, 16)), kernel, target, ys)
-        assert np.array_equal(batch.log_p, target.log_density(ys))
+        points = rng.normal(size=(20, 16))
+        batch = sample_logs(np.full(20, 0.05), points, kernel, target, ys)
+        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, points).max(axis=0)
+        assert np.all(np.abs(batch.log_p - target.log_density(ys)) <= bound)
 
     @pytest.mark.parametrize(
         "log_density, algorithm, alpha, match",
@@ -667,6 +687,55 @@ class TestSampleLogs:
         target = Target(lambda y: -0.5 * np.sum(y * y, axis=-1))
         batch = sample_logs(np.full(4, 0.25), points, kernel, target, ys)
         assert np.array_equal(batch.log_p, target.log_density(ys))
+
+
+class TestDistancePlan:
+    """The batch's product about the particles' median, against the public
+    evaluations about the samples' mean, at the figure 1 shape."""
+
+    def _batch(self, case, rng):
+        kernel = GaussianKernel(bandwidth_rule(FIG1_J, FIG1_D), FIG1_D)
+        cov_scale = 50.0 if case == "init_cov_scale=50" else 5.0
+        points = math.sqrt(cov_scale) * rng.standard_normal((FIG1_J, FIG1_D))
+        weights = np.full(FIG1_J, 1.0 / FIG1_J)
+        if case == "far zero weight":
+            points[7] += 60.0
+            weights[7] = 0.0
+            weights /= weights.sum()
+        offset = 2.0 * np.ones(FIG1_D)
+        target = GaussianMixtureTarget([-offset, offset], scale=2.0)
+        ys = sample_mixture(weights, points, kernel, FIG1_M, rng)
+        return weights, points, kernel, target, ys
+
+    @pytest.mark.parametrize("case", ["fig1", "init_cov_scale=50", "far zero weight"])
+    def test_block_and_log_p_match_the_public_evaluations(self, case):
+        weights, points, kernel, target, ys = self._batch(case, np.random.default_rng(27))
+        batch = sample_logs(weights, points, kernel, target, ys)
+        assert (batch.shift == 0.0).all()
+        # the kernel block in the log domain, as the batch's rows give it
+        log_e = batch.log_rows(np.arange(FIG1_J))
+        np.testing.assert_allclose(batch.ratio, np.exp(log_e), rtol=PARITY_RTOL, atol=0.0)
+        gap = np.abs(log_e + batch.log_peak - kernel.logpdf_matrix(points, ys))
+        scale = 0.5 / kernel.bandwidth**2
+        assert np.all(gap <= PARITY_RTOL * scale * _both_spreads(points, ys, points))
+        gap = np.abs(batch.log_p - target.log_density(ys))
+        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, points).max(axis=0)
+        assert np.all(gap <= bound)
+
+    def test_a_remote_zero_weight_particle_moves_no_other_row(self):
+        # the centre is the particles' median, which one remote particle
+        # does not move, so every other row and log q keep their bits
+        weights, points, kernel, target, ys = self._batch(
+            "far zero weight", np.random.default_rng(28)
+        )
+        near = sample_logs(weights, points, kernel, target, ys)
+        points[7] += 1e3
+        far = sample_logs(weights, points, kernel, target, ys)
+        rest = np.arange(FIG1_J) != 7
+        assert np.array_equal(near.ratio[rest], far.ratio[rest])
+        assert np.array_equal(near.log_q, far.log_q)
+        assert np.array_equal(near.log_p, far.log_p)
+        assert (far.ratio[7] == 0.0).all()
 
 
 class TestFiniteSupportProblem:

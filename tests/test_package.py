@@ -63,6 +63,28 @@ def test_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_monte_carlo_run_loads_no_module():
+    # a Monte Carlo run and a mean update import nothing that the package's
+    # import did not: np.median, for one, loads numpy's masked arrays,
+    # which cost the workload process 1.3 MB of peak memory at figure 1
+    src = str(Path(alpha_descent.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, numpy as np, alpha_descent as a; rng = np.random.default_rng(0); "
+        "before = set(sys.modules); "
+        "s = a.MixtureState(np.full(4, 0.25), np.eye(4)[:, :2], a.GaussianKernel(0.8, 2)); "
+        "t = a.GaussianMixtureTarget([[0.0, 0.0]]); "
+        "a.run_descent(s, a.DescentParams(0.5, 0.3), 'power', 3, target=t, "
+        "sample_count=16, rng=rng); a.explore_mean_update(s, t, 16, 0.5, rng); "
+        "print(sorted(set(sys.modules) - before))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
+
+
 MODULES = sorted(m.name for m in pkgutil.iter_modules(alpha_descent.__path__))
 
 # Names deleted from the package; none may come back through an import.
