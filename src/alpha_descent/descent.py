@@ -204,7 +204,7 @@ def power_step(weights, grad, params, *, _checked=False):
     alpha = params.alpha
     # each pass below reads the weighted components only, through ``active``
     if log_a is None:
-        base = (alpha - 1.0) * (values + params.shift) + 1.0
+        base = (alpha - 1.0) * (values + params.shift if params.shift else values) + 1.0
         guard_min = float(np.minimum.reduce(base, where=active, initial=np.inf))
         if guard_min <= 0.0:
             bad = np.flatnonzero(active & (base <= 0))
@@ -227,9 +227,10 @@ def power_step(weights, grad, params, *, _checked=False):
         with np.errstate(over="ignore"):  # a base above e^709 reads inf
             guard_min = float(np.exp(low))
         log_base = log_a
+    # the values branch's base is fresh; ``log_a`` may be the gradient's own
     log_factors = np.multiply(
-        log_base, params.step_size / (1.0 - alpha), out=np.empty(weights.shape),
-        where=active,
+        log_base, params.step_size / (1.0 - alpha),
+        out=log_base if log_a is None else np.empty(weights.shape), where=active,
     )
     return _renormalise(weights, log_factors, active), StepDiagnostics(guard_min)
 
@@ -417,9 +418,10 @@ def run_descent(
     Both modes share one loop.  The mode supplies the gradient at an
     iterate and the score (bound, objective) that goes into its record;
     scoring an iterate keeps what its gradient reads.  In exact mode that
-    is the iterate's one log-mixture, which the loop hands to the objective
-    and the gradient through a private keyword; neither checks it again.
-    Called on their own, both check their weights.  In Monte Carlo
+    is the iterate's one ``log u = log mix - log p``, which the loop hands
+    to the objective and the gradient through a private keyword, ``_log_u``;
+    neither checks or forms it again.  Called on their own, both check their
+    weights and form their own.  In Monte Carlo
     mode it is the iterate's one batch, which gives the sampled bound and
     then the next step's gradient, so N steps draw N+1 batches (N when the
     bound is not monitored and each gradient draws its own).  The power
@@ -433,7 +435,10 @@ def run_descent(
     the weights by less than the tolerance in l1 norm; by default the run
     always performs the full ``num_steps``.
 
-    The input state is never mutated.  Guard violations are re-raised with
+    The input state is never mutated.  Each record holds its step's output
+    weights as they are, a fresh array that no later step writes into; the
+    entry record holds a copy, since the start may be the caller's array.
+    Guard violations are re-raised with
     the failing step attached and the partial trace available on the
     exception as ``partial``.
     """
@@ -453,19 +458,21 @@ def run_descent(
                 f"{weights.size} weights for a problem with "
                 f"{problem.num_components} components"
             )
-        log_mix = None  # the scored iterate's log-mixture
+        log_u = None  # the scored iterate's log u = log mix - log p
         # the loop's own iterates, checked at entry or made by a step, so
         # their log-mixture is read unchecked
 
+        def ratio(w):
+            return problem._log_mixture(w) - problem.log_p_values
+
         def gradient(w):
-            mix = log_mix if log_mix is not None else problem._log_mixture(w)
-            return gradient_exact(problem, w, params.alpha, _log_mix=mix)
+            u = log_u if log_u is not None else ratio(w)
+            return gradient_exact(problem, w, params.alpha, _log_u=u)
 
         def score(w):
-            nonlocal log_mix
-            log_mix = problem._log_mixture(w)
-            objective = divergence_exact(problem, w, params.alpha, _log_mix=log_mix)
-            return np.nan, objective
+            nonlocal log_u
+            log_u = ratio(w)
+            return np.nan, divergence_exact(problem, w, params.alpha, _log_u=log_u)
 
     else:
         if not isinstance(initial, MixtureState):
@@ -503,12 +510,12 @@ def run_descent(
     def record(n, w, guard_min, tick):
         vr, objective = score(w)
         elapsed = (time.perf_counter() - tick) * 1000.0
-        trace.records.append(
-            TraceRecord(phase, n, w.copy(), vr, objective, guard_min, elapsed)
-        )
+        trace.records.append(TraceRecord(phase, n, w, vr, objective, guard_min, elapsed))
 
     if record_initial:
-        record(0, weights, np.nan, time.perf_counter())
+        # the one record that may share the caller's array; every step's
+        # output is fresh, and nothing writes into a step's input
+        record(0, weights.copy(), np.nan, time.perf_counter())
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:

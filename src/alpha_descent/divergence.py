@@ -153,7 +153,7 @@ def amari_alpha_deriv_log(log_u, alpha):
     return np.expm1((alpha - 1.0) * log_u) / (alpha - 1.0)
 
 
-def divergence_exact(problem, weights, alpha, *, _log_mix=None):
+def divergence_exact(problem, weights, alpha, *, _log_u=None):
     """Exact objective ``sum_s nu_s p_s f_alpha(mix_s / p_s)``.
 
     Zero when the mixture matches ``p_values`` exactly; nonnegative whenever
@@ -161,11 +161,14 @@ def divergence_exact(problem, weights, alpha, *, _log_mix=None):
     ``problem.log_mixture``.  Each density ratio is read as its log; only a
     total outside the float range is refused.
     """
-    # the descent loop hands over its iterate's log-mixture, unchecked
-    log_mix = problem.log_mixture(weights) if _log_mix is None else _log_mix
+    # the descent loop hands over its iterate's log u = log mix - log p,
+    # formed once from weights it has checked
+    if _log_u is None:
+        _log_u = problem.log_mixture(weights) - problem.log_p_values
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowed term fails the total test
-        values = _amari_alpha_log(log_mix - problem.log_p_values, alpha)
-        total = float(np.add.reduce(problem.nu_weights * problem.p_values * values))
+        values = _amari_alpha_log(_log_u, alpha)
+        values *= problem.nu_p_values  # a fresh array, weighted in place
+        total = float(np.add.reduce(values))
     if not math.isfinite(total):
         raise ValueError(f"exact objective at alpha={alpha} is outside the float range")
     return total

@@ -106,19 +106,20 @@ class MixtureGradient:
         object.__setattr__(self, name, array)
 
 
-def gradient_exact(problem, weights, alpha, *, _log_mix=None):
+def gradient_exact(problem, weights, alpha, *, _log_u=None):
     """Exact gradient on a finite-support problem.
 
     Every component gets a value, including those with zero weight; the
     mixture in the ratio only sees the weighted ones.  The weights are
     checked by ``problem.log_mixture``.
     """
-    # the descent loop hands over its iterate's log-mixture, unchecked
-    log_mix = problem.log_mixture(weights) if _log_mix is None else _log_mix
-    log_u = log_mix - problem.log_p_values
-    deriv = amari_alpha_deriv_log(log_u, alpha)
-    values = problem.kernel_matrix @ (problem.nu_weights * deriv)
-    return MixtureGradient(values, alpha)
+    # the descent loop hands over its iterate's log u = log mix - log p,
+    # formed once from weights it has checked
+    if _log_u is None:
+        _log_u = problem.log_mixture(weights) - problem.log_p_values
+    deriv = amari_alpha_deriv_log(_log_u, alpha)
+    deriv *= problem.nu_weights  # a fresh array, weighted in place
+    return MixtureGradient(problem.kernel_matrix @ deriv, alpha)
 
 
 def sample_mixture(weights, points, kernel, size, rng):

@@ -301,7 +301,7 @@ def write_trace(traces, out_dir, config):
     }
     path = os.path.join(out_dir, "summary.json")
     with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, allow_nan=False)
+        fh.write(json.dumps(summary, indent=2, allow_nan=False))
     return path
 
 

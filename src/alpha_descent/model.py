@@ -166,7 +166,7 @@ def _right_block(y, centre):
     right = np.empty((y.shape[0], d + 2))
     np.subtract(y, centre, out=right[:, :d])
     right[:, d] = 1.0
-    right[:, d + 1] = np.einsum("ij,ij->i", right[:, :d], right[:, :d])
+    np.einsum("ij,ij->i", right[:, :d], right[:, :d], out=right[:, d + 1])
     return right
 
 
@@ -563,12 +563,15 @@ class FiniteSupportProblem:
         nu_weights: strictly positive array ``(S,)``.
         p_values: strictly positive array ``(S,)``.
         log_p_values: ``log(p_values)``, computed once at construction.
+        nu_p_values: ``nu_weights * p_values``, the objective's atom
+            weights, computed once at construction.
     """
 
     kernel_matrix: np.ndarray
     nu_weights: np.ndarray
     p_values: np.ndarray
     log_p_values: np.ndarray = field(init=False, repr=False, compare=False)
+    nu_p_values: np.ndarray = field(init=False, repr=False, compare=False)
 
     _ROW_TOL = 1e-12
 
@@ -600,6 +603,7 @@ class FiniteSupportProblem:
         object.__setattr__(self, "nu_weights", nu)
         object.__setattr__(self, "p_values", p)
         object.__setattr__(self, "log_p_values", np.log(p))
+        object.__setattr__(self, "nu_p_values", nu * p)
 
     @property
     def num_components(self):

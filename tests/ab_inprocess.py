@@ -16,8 +16,10 @@ Shapes:
 - ``exact``: the exact benchmark combos, 50-step ``run_descent`` calls of kl
   at alpha 1 and of power, renyi and emd over four alphas and three step
   sizes, on four ``fixtures.random_problem`` problems;
-- ``desk``: the emd arm of the criterion 9 shape (J=20, d=16, M=100, 4
-  replicates of 10 phases of 20 steps), the arm that always runs every step;
+- ``desk``: one round of the benchmark's desk workload: the power, renyi
+  and emd arms of the criterion 9 shape (J=20, d=16, M=100, 4 replicates of
+  10 phases of 20 steps), each followed by ``write_trace`` into a temporary
+  directory;
 - ``fig1``: one replicate of ``configs/figure1.json`` at M=2000, on the emd
   arm, as the benchmark's fig1 workload runs it.
 
@@ -37,6 +39,7 @@ import dataclasses
 import importlib.util
 import statistics
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -89,12 +92,18 @@ def exact_round(package):
 
 
 def desk_round(package):
-    config = package.harness.ExperimentConfig(
-        algorithm="emd", alpha=0.5, step_size_base=0.3, num_components=20,
-        sample_count=(100,), num_steps=20, num_phases=10, dim=16, replicates=4,
-        seed=20260801,
-    )
-    return package.harness.run_experiment(config)
+    traces = []
+    for algorithm in ("power", "renyi", "emd"):
+        config = package.harness.ExperimentConfig(
+            algorithm=algorithm, alpha=0.5, step_size_base=0.3, num_components=20,
+            sample_count=(100,), num_steps=20, num_phases=10, dim=16, replicates=4,
+            seed=20260801,
+        )
+        arm = package.harness.run_experiment(config)
+        with tempfile.TemporaryDirectory() as out_dir:
+            package.harness.write_trace(arm, out_dir, config)
+        traces.extend(arm)
+    return traces
 
 
 def fig1_round(package):

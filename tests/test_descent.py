@@ -714,6 +714,37 @@ class TestTraceContainers:
         assert np.array_equal(trace.final_weights, [1.0])
         assert trace.status == "completed"
 
+    @pytest.mark.parametrize("algorithm", ["power", "renyi", "emd"])
+    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
+    def test_records_own_their_weights(self, mode, algorithm):
+        # a step's output is recorded as it is, so no two records share an
+        # array; the entry record is a copy, since the loop's start may be
+        # the caller's array
+        rng = np.random.default_rng(141)
+        initial = np.full(4, 0.25)
+        params = DescentParams(0.5, 0.3)
+        if mode == "exact":
+            problem = random_problem(rng, num_components=4)
+            trace = run_descent(initial, params, algorithm, 6, problem=problem)
+        else:
+            state = MixtureState(initial, rng.normal(size=(4, 2)), GaussianKernel(1.0, 2))
+            assert state.weights is initial
+            trace = run_descent(
+                state, params, algorithm, 6, target=GaussianMixtureTarget([[0.0, 0.0]]),
+                sample_count=32, rng=rng,
+            )
+        assert trace.status == "completed" and len(trace.records) == 7
+        weights = [rec.weights for rec in trace.records]
+        assert not any(np.shares_memory(w, initial) for w in weights)
+        for i, w in enumerate(weights):
+            keep = [v.copy() for v in weights]
+            w[:] = -1.0
+            assert all(
+                np.array_equal(v, k) for j, (v, k) in enumerate(zip(weights, keep)) if j != i
+            )
+            w[:] = keep[i]
+        assert np.array_equal(initial, np.full(4, 0.25))
+
 
 def _counting(counts, name, fn):
     """``fn``, adding one to ``counts[name]`` per call."""
@@ -805,6 +836,40 @@ class TestRunDescentExact:
         )
         assert trace.status == "completed"
         assert len(calls) == 8
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_gradient_and_objective_share_one_log_u(self, monkeypatch, algorithm):
+        # each iterate's log u = log mix - log p is formed once, and the
+        # objective and the gradient at that iterate read the same array
+        seen = {"gradient": [], "objective": []}
+
+        def wrap(name, fn):
+            def wrapper(*args, **kwargs):
+                seen[name].append(kwargs.get("_log_u"))
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(descent_module, "gradient_exact", wrap("gradient", gradient_exact))
+        monkeypatch.setattr(
+            descent_module, "divergence_exact", wrap("objective", divergence_exact)
+        )
+        problem = self._problem(96)
+        trace = run_descent(
+            np.full(3, 1.0 / 3.0),
+            DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
+            algorithm,
+            7,
+            problem=problem,
+        )
+        assert trace.status == "completed"
+        assert len(seen["objective"]) == 8 and len(seen["gradient"]) == 7
+        for n, rec in enumerate(trace.records[:-1]):
+            log_u = seen["objective"][n]
+            assert isinstance(log_u, np.ndarray)
+            assert seen["gradient"][n] is log_u
+            want = problem._log_mixture(rec.weights) - problem.log_p_values
+            assert np.array_equal(log_u, want)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_loop_never_calls_the_checked_forms(self, monkeypatch, algorithm):

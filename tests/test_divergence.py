@@ -244,22 +244,22 @@ class TestExactDivergence:
 
 
     def test_log_mixture_keyword_is_bit_identical(self):
-        # the descent loop hands over its own iterate's log-mixture
+        # the descent loop hands over its own iterate's log u = log mix - log p
         rng = np.random.default_rng(15)
         for _ in range(10):
             problem = random_problem(rng)
             w = random_weights(rng, problem.num_components)
-            log_mix = problem._log_mixture(w)
+            log_u = problem._log_mixture(w) - problem.log_p_values
             for alpha in ALPHAS:
                 want = divergence_exact(problem, w, alpha)
-                got = divergence_exact(problem, w, alpha, _log_mix=log_mix)
+                got = divergence_exact(problem, w, alpha, _log_u=log_u)
                 assert repr(got) == repr(want)
 
     def test_ratio_that_underflows_to_zero_scores(self):
         # exp(-800) is 0.0, yet the generator reads log u and scores the
         # ratio by the u -> 0 limit forms below; only alpha = -1, whose
         # u^alpha = e^800 leaves the float range, is refused.  Nothing warns.
-        # The log-mixture comes through the descent loop's private hand-off
+        # log u comes through the descent loop's private hand-off
         rng = np.random.default_rng(17)
         problem = random_problem(rng)
         w = random_weights(rng, problem.num_components)
@@ -279,12 +279,12 @@ class TestExactDivergence:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 if math.isfinite(want):
-                    got = divergence_exact(problem, w, alpha, _log_mix=low)
+                    got = divergence_exact(problem, w, alpha, _log_u=log_u)
                     assert math.isclose(got, want, rel_tol=1e-12)
                 else:
                     refused.append(alpha)
                     with pytest.raises(ValueError, match="outside the float range"):
-                        divergence_exact(problem, w, alpha, _log_mix=low)
+                        divergence_exact(problem, w, alpha, _log_u=log_u)
         assert refused == [-1.0]
 
     def test_ratio_above_float_range_refused(self):
@@ -294,12 +294,12 @@ class TestExactDivergence:
         rng = np.random.default_rng(18)
         problem = random_problem(rng)
         w = random_weights(rng, problem.num_components)
-        high = problem._log_mixture(w) + 800.0
+        high = problem._log_mixture(w) + 800.0 - problem.log_p_values
         for alpha in ALPHAS:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ValueError, match="outside the float range"):
-                    divergence_exact(problem, w, alpha, _log_mix=high)
+                    divergence_exact(problem, w, alpha, _log_u=high)
 
     def test_ratio_below_float_range_scores_on_a_public_call(self):
         # a valid problem can put a ratio below e^-745 too: a kernel entry of

@@ -160,15 +160,15 @@ class TestExactGradient:
                 assert math.isclose(grad[j], fd, rel_tol=1e-5, abs_tol=1e-7)
 
     def test_log_mixture_keyword_is_bit_identical(self):
-        # the descent loop hands over its own iterate's log-mixture
+        # the descent loop hands over its own iterate's log u = log mix - log p
         rng = np.random.default_rng(35)
         for _ in range(10):
             problem = random_problem(rng)
             w = random_weights(rng, problem.num_components)
-            log_mix = problem._log_mixture(w)
+            log_u = problem._log_mixture(w) - problem.log_p_values
             for alpha in (-0.5, 0.0, 0.5, 1.0, 2.0):
                 want = gradient_exact(problem, w, alpha).values
-                got = gradient_exact(problem, w, alpha, _log_mix=log_mix).values
+                got = gradient_exact(problem, w, alpha, _log_u=log_u).values
                 assert np.array_equal(got, want)
 
     def test_zero_weight_components_still_scored(self):

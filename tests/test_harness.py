@@ -562,6 +562,46 @@ class TestSerialisation:
         for entry in summary["series"]:
             assert entry["vr_mean"] is None and entry["vr_std"] is None
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            # replicates stopped by a guard at different steps: groups of
+            # three, two and one replicate
+            _config(
+                algorithm="renyi_unweighted", num_components=6, num_steps=3,
+                dim=4, replicates=3, seed=40,
+            ),
+            # a NaN bound throughout, so every statistic is null
+            _config(algorithm="kl", alpha=1.0, replicates=2),
+        ],
+        ids=["guard_stopped", "kl"],
+    )
+    def test_summary_bytes_match_the_per_group_formula(self, tmp_path, config):
+        traces = run_experiment(config)
+        if config.algorithm != "kl":
+            assert len({len(t.records) for t in traces}) == 3
+        grouped = {}
+        for trace in traces:
+            for rec in trace.records:
+                grouped.setdefault((rec.phase, rec.step), []).append(rec.vr_bound)
+        series = [
+            {
+                "t": t,
+                "n": n,
+                "vr_mean": harness_module._json_float(np.mean(vals)),
+                "vr_std": harness_module._json_float(np.std(vals)),
+            }
+            for (t, n), vals in sorted(grouped.items())
+        ]
+        summary = {
+            "config": config_dict(config),
+            "series": series,
+            "statuses": [trace.status for trace in traces],
+        }
+        want = json.dumps(summary, indent=2, allow_nan=False).encode()
+        path = write_trace(traces, str(tmp_path), config)
+        assert Path(path).read_bytes() == want
+
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "rep_0.csv"
         path.write_text("a,b\n1,2\n")

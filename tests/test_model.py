@@ -3,6 +3,7 @@
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -851,10 +852,19 @@ class TestFiniteSupportProblem:
         kernel, nu, p = self._valid()
         problem = FiniteSupportProblem(kernel, nu, p)
         assert np.array_equal(problem.log_p_values, np.log(p))
+        assert np.array_equal(problem.nu_p_values, nu * p)
         other = problem.with_target(2 * p)
         assert np.array_equal(other.log_p_values, np.log(2 * p))
+        assert np.array_equal(other.nu_p_values, nu * (2 * p))
         with pytest.raises(TypeError):
             FiniteSupportProblem(kernel, nu, p, np.log(p))
+        # both derived fields stay out of repr and ==: a copy that shares
+        # the three inputs compares equal, though its derived arrays are new
+        assert "log_p_values" not in repr(problem)
+        assert "nu_p_values" not in repr(problem)
+        copy = replace(problem)
+        assert copy.nu_p_values is not problem.nu_p_values
+        assert copy == problem
 
 
 @given(st.integers(min_value=0, max_value=2**32 - 1))
