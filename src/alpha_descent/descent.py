@@ -344,20 +344,20 @@ class DescentTrace:
         return self.records[-1].weights
 
 
-def _step_once(algorithm, weights, grad, params, checked=False):
-    """The public step of ``algorithm``; ``checked`` skips its entry checks."""
+def _step_once(algorithm, weights, grad, params):
+    """The public step of ``algorithm``, with its entry checks skipped."""
     if algorithm == "power":
-        return power_step(weights, grad, params, _checked=checked)
+        return power_step(weights, grad, params, _checked=True)
     if algorithm == "emd":
-        return emd_step(weights, grad, params, _checked=checked)
+        return emd_step(weights, grad, params, _checked=True)
     if algorithm == "kl":
-        return kl_step(weights, grad, params.step_size, _checked=checked)
+        return kl_step(weights, grad, params.step_size, _checked=True)
     return renyi_step(
         weights,
         grad,
         params,
         unweighted_denominator=algorithm == "renyi_unweighted",
-        _checked=checked,
+        _checked=True,
     )
 
 
@@ -373,7 +373,6 @@ def run_descent(
     rng=None,
     fixed_point_tol=None,
     phase=1,
-    record_initial=True,
 ):
     """Apply ``num_steps`` updates and record every iteration.
 
@@ -403,33 +402,26 @@ def run_descent(
     exact objective reads each density ratio as its log and refuses only a
     total outside the float range; the Monte Carlo gradient checks the
     shapes of its batch, which carries the weights it was drawn under.
-    The exact mode skips the checks that its own iterates make redundant:
-    each iterate is the entry-checked start or a step's output, so its
-    log-mixture is read through ``problem._log_mixture``, unchecked.  On
-    valid input each check is a minimum, a maximum, a sum or a shape; the
-    conditions are told apart only when one fails.
-    The Monte Carlo mode reads the state's points and kernel once, at
-    entry, and draws every batch from them under the current iterate; it
-    builds no state per step.  At entry it also builds the particle side
-    of the batches' distance product, about the median of the particles,
-    so that each batch forms only its samples' rows; its batches are those
-    of ``sample_mixture`` and ``model.sample_logs``, bit for bit.
+    On valid input each check is a minimum, a maximum, a sum or a shape;
+    the conditions are told apart only when one fails.
 
-    Both modes share one loop.  The mode supplies the gradient at an
-    iterate and the score (bound, objective) that goes into its record;
-    scoring an iterate keeps what its gradient reads.  In exact mode that
-    is the iterate's one ``log u = log mix - log p``, which the loop hands
-    to the objective and the gradient through a private keyword, ``_log_u``;
-    neither checks or forms it again.  Called on their own, both check their
-    weights and form their own.  In Monte Carlo
-    mode it is the iterate's one batch, which gives the sampled bound and
-    then the next step's gradient, so N steps draw N+1 batches (N when the
-    bound is not monitored and each gradient draws its own).  The power
-    and renyi updates read ``log A_j``, the positive estimate of their base
-    (see :mod:`alpha_descent.gradient`); emd, kl, renyi_unweighted and the
-    exact mode read the gradient values.  In Monte Carlo mode both come
-    from one batch, let go once its gradient is read, so a step of any arm
-    holds one kernel matrix.
+    Both modes share one loop, and each supplies one ``visit`` of an
+    iterate: it scores the iterate (bound, objective) for its record and
+    hands back its gradient, formed when the next step asks.  In exact mode
+    the visit forms the iterate's one ``log u = log mix - log p`` through
+    the unchecked ``problem._log_mixture`` (an iterate is the checked start
+    or a step's output) and hands it to the objective and the gradient
+    through their private ``_log_u``; called on their own, both check their
+    weights and form their own.  In Monte Carlo mode it draws the iterate's
+    one batch from the entry's points and kernel, which gives the bound and
+    then the next step's gradient, so N steps draw N+1 batches and build no
+    state; kl, which monitors nothing, draws only for its gradients.  The
+    particle side of the batches' distance product is built once, at entry,
+    and the batches are those of :func:`~alpha_descent.model.sample_logs`,
+    bit for bit.  The power and renyi updates read ``log A_j`` (see
+    :mod:`alpha_descent.gradient`), the other arms and the exact mode the
+    gradient values.  A batch is let go once its gradient is read, so a
+    step of any arm holds one kernel matrix.
 
     ``fixed_point_tol`` (e.g. ``1e-12``) stops the run once a step moves
     the weights by less than the tolerance in l1 norm; by default the run
@@ -448,6 +440,7 @@ def run_descent(
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}, expected one of {ALGORITHMS}")
     _check_params(algorithm, params)
+    alpha = params.alpha
 
     if target is None:
         weights = as_simplex(
@@ -458,21 +451,13 @@ def run_descent(
                 f"{weights.size} weights for a problem with "
                 f"{problem.num_components} components"
             )
-        log_u = None  # the scored iterate's log u = log mix - log p
-        # the loop's own iterates, checked at entry or made by a step, so
-        # their log-mixture is read unchecked
 
-        def ratio(w):
-            return problem._log_mixture(w) - problem.log_p_values
-
-        def gradient(w):
-            u = log_u if log_u is not None else ratio(w)
-            return gradient_exact(problem, w, params.alpha, _log_u=u)
-
-        def score(w):
-            nonlocal log_u
-            log_u = ratio(w)
-            return np.nan, divergence_exact(problem, w, params.alpha, _log_u=log_u)
+        def visit(w):
+            log_u = problem._log_mixture(w) - problem.log_p_values
+            objective = divergence_exact(problem, w, alpha, _log_u=log_u)
+            return np.nan, objective, lambda: gradient_exact(
+                problem, w, alpha, _log_u=log_u
+            )
 
     else:
         if not isinstance(initial, MixtureState):
@@ -484,44 +469,36 @@ def run_descent(
         weights = as_simplex(initial.weights)
         points, kernel = initial.points, initial.kernel
         target._check_dim(points)
-        plan = _DistancePlan(points, kernel, target)
+        plan = _DistancePlan(points, kernel, target, weights)
         log_base = algorithm in _READS_LOG_BASE
-        batch = None  # the scored iterate's monitor batch
 
         def draw(w):
             """The :class:`SampleBatch` of a new batch drawn under ``w``."""
             return plan.batch(w, sample_mixture(w, points, kernel, sample_count, rng))
 
-        def gradient(w):
-            nonlocal batch
-            logs = batch if batch is not None else draw(w)
-            batch = None  # read once; freed before the next draw makes its own
-            return gradient_monte_carlo_from_logs(logs, params.alpha, log_base=log_base)
+        def gradient(batch):
+            return gradient_monte_carlo_from_logs(batch, alpha, log_base=log_base)
 
-        def score(w):
-            nonlocal batch
-            if params.alpha == 1.0:
-                return np.nan, np.nan
+        def visit(w):
+            if alpha == 1.0:
+                return np.nan, np.nan, lambda: gradient(draw(w))
             batch = draw(w)
-            return vr_bound_from_logs(batch.log_p, batch.log_q, params.alpha), np.nan
+            vr = vr_bound_from_logs(batch.log_p, batch.log_q, alpha)
+            return vr, np.nan, lambda: gradient(batch)
 
     trace = DescentTrace(status="completed")
-
-    def record(n, w, guard_min, tick):
-        vr, objective = score(w)
-        elapsed = (time.perf_counter() - tick) * 1000.0
-        trace.records.append(TraceRecord(phase, n, w, vr, objective, guard_min, elapsed))
-
-    if record_initial:
-        # the one record that may share the caller's array; every step's
-        # output is fresh, and nothing writes into a step's input
-        record(0, weights.copy(), np.nan, time.perf_counter())
+    tick = time.perf_counter()
+    vr, objective, grad = visit(weights)
+    elapsed = (time.perf_counter() - tick) * 1000.0
+    # the one record that may share the caller's array; every step's
+    # output is fresh, and nothing writes into a step's input
+    trace.records.append(
+        TraceRecord(phase, 0, weights.copy(), vr, objective, np.nan, elapsed)
+    )
     for n in range(1, num_steps + 1):
         tick = time.perf_counter()
         try:
-            new, diag = _step_once(
-                algorithm, weights, gradient(weights), params, checked=True
-            )
+            new, diag = _step_once(algorithm, weights, grad(), params)
         except GuardViolation as exc:
             err = GuardViolation(
                 f"step {n} of phase {phase}: {exc}",
@@ -531,11 +508,16 @@ def run_descent(
             trace.status = f"guard_violation: {err}"
             err.partial = trace
             raise err from exc
+        del grad  # let its batch go before the next iterate draws one
 
         if fixed_point_tol is not None:
             moved = float(np.abs(new - weights).sum())
         weights = new
-        record(n, weights, diag.guard_min, tick)
+        vr, objective, grad = visit(weights)
+        elapsed = (time.perf_counter() - tick) * 1000.0
+        trace.records.append(
+            TraceRecord(phase, n, weights, vr, objective, diag.guard_min, elapsed)
+        )
         if fixed_point_tol is not None and moved < fixed_point_tol:
             trace.status = f"fixed_point: step {n} moved {moved:.3e}"
             break

@@ -213,16 +213,16 @@ def run_replicate(config, index):
                 sample_count=sample_count,
                 rng=rng,
                 phase=phase,
-                record_initial=(phase == 1),
             )
         except GuardViolation as exc:
-            trace.records.extend(exc.partial.records)
-            trace.status = exc.partial.status
+            part = exc.partial
+        # every phase records its start; the replicate keeps phase 1's alone
+        trace.records.extend(part.records if phase == 1 else part.records[1:])
+        if part.status != "completed":  # a step was refused
+            trace.status = part.status
             return trace
-        trace.records.extend(part.records)
         if phase < config.num_phases:
-            if part.records:
-                state = replace(state, weights=part.records[-1].weights)
+            state = replace(state, weights=part.records[-1].weights)
             if config.exploration == "resample":
                 points = explore_resample(state, rng)
             else:

@@ -434,7 +434,7 @@ class SampleBatch:
             log_a[rows] = log_norm
             log_a += (self.log_peak + top) - np.log(self.size)
             return log_a
-        out = self.ratio @ (tilt[:, None] * values)
+        out = _by_column(self.ratio, tilt[:, None] * values)
         out /= sums[:, None]
         if not np.isfinite(log_norm).all():
             bad = np.flatnonzero(~np.isfinite(log_norm))[0]
@@ -443,7 +443,7 @@ class SampleBatch:
                 f"(log normaliser {float(log_norm[bad])!r})"
             )
         exps -= log_norm[:, None]
-        out[rows] = np.exp(exps, out=exps) @ values
+        out[rows] = _by_column(np.exp(exps, out=exps), values)
         return out
 
     def _fallback_rows(self, sums, t):
@@ -462,6 +462,16 @@ class SampleBatch:
         return rows, exps, logsumexp(exps, axis=1)
 
 
+def _by_column(matrix, values):
+    """``matrix @ values``, one matrix-vector product per column of ``values``.
+
+    Each entry of a matrix-vector product is summed in one order at any
+    BLAS thread count; a matrix-matrix product's need not be, so a mean
+    update read through one moved with the thread count.
+    """
+    return np.stack([matrix @ column for column in np.ascontiguousarray(values.T)], axis=1)
+
+
 class _DistancePlan:
     """The particle side of the distance product, built once per run.
 
@@ -469,20 +479,22 @@ class _DistancePlan:
     left block of :func:`squared_distances` is too: the particle rows at
     scale ``-1/(2 h^2)`` and no offset, then the rows the target adds
     (``Target._plan_rows``), all about one centre, the coordinate-wise
-    median of the particles (the upper one, for an even count), which a
-    minority of remote particles does not move.  :meth:`batch` then pays
-    only for the samples' rows, one product and one exp pass.
+    median of the particles that carry weight at entry (the upper one, for
+    an even count), which a minority of remote particles, and any number
+    of zero-weight ones, do not move.  :meth:`batch` then pays only for the
+    samples' rows, one product and one exp pass.
     """
 
     __slots__ = ("points", "scale", "centre", "left", "target", "log_peak")
 
-    def __init__(self, points, kernel, target):
+    def __init__(self, points, kernel, target, weights):
         self.points = np.asarray(points, dtype=float)
         self.scale = -0.5 / kernel.bandwidth**2
+        held = self.points[weights > 0]
         # the middle value of each coordinate, a median that np.partition
         # finds without the masked-array module np.median imports
-        middle = len(self.points) // 2
-        self.centre = centre = np.partition(self.points, middle, axis=0)[middle]
+        middle = len(held) // 2
+        self.centre = centre = np.partition(held, middle, axis=0)[middle]
         particles = _left_block(self.points, centre, self.scale, 0.0)
         self.left = np.concatenate((particles, target._plan_rows(centre)))
         self.target = target
@@ -528,7 +540,8 @@ def sample_logs(weights, points, kernel, target, samples):
     One product of augmented rows (:func:`squared_distances`) gives the
     kernel block and the target's rows: the particle rows at scale ``-1/(2
     h^2)`` and no offset, and the rows the target adds, about the
-    coordinate-wise median of the particles, not the mean of the samples.
+    coordinate-wise median of the weighted particles, not the mean of the
+    samples.
     A :class:`GaussianMixtureTarget` adds its mean rows and takes ``log p``
     from their block; a plain :class:`Target` adds none and reads its
     ``log_density``, refused unless it holds one finite value per sample.
@@ -544,7 +557,7 @@ def sample_logs(weights, points, kernel, target, samples):
     Callers check their own inputs; only a plain target's ``log p`` is
     checked here.
     """
-    return _DistancePlan(points, kernel, target).batch(weights, samples)
+    return _DistancePlan(points, kernel, target, weights).batch(weights, samples)
 
 
 @dataclass(frozen=True)

@@ -226,10 +226,10 @@ def _refusal(call):
 @pytest.mark.parametrize("algorithm", ALGORITHMS)
 def test_every_step_refuses_what_run_descent_refuses(algorithm):
     # run_descent checks its settings at entry; a step called on its own
-    # must refuse the same ones with the same message.  _step_once calls the
-    # public step as the loop does; kl_step takes a step size alone, so it
-    # is given alpha=1 and no shift by its signature, and run_descent
-    # refuses every other setting of kl.
+    # must refuse the same ones with the same message.  _public_step calls
+    # the algorithm's public step; kl_step takes a step size alone, so it is
+    # given alpha=1 and no shift by its signature, and run_descent refuses
+    # every other setting of kl.
     problem = random_problem(np.random.default_rng(75), num_components=3)
     w = np.full(3, 1.0 / 3.0)
     b = np.zeros(3)
@@ -244,7 +244,7 @@ def test_every_step_refuses_what_run_descent_refuses(algorithm):
                     assert want is not None
                     continue
                 got = _refusal(
-                    lambda: descent_module._step_once(algorithm, w, b, params)
+                    lambda: _public_step(algorithm, w, b, params)
                 )
                 assert got == want, (alpha, shift, step_size)
 
@@ -746,11 +746,14 @@ class TestTraceContainers:
         assert np.array_equal(initial, np.full(4, 0.25))
 
 
-def _counting(counts, name, fn):
-    """``fn``, adding one to ``counts[name]`` per call."""
+def _counting(counts, name, fn, keywords=None):
+    """``fn``, adding one to ``counts[name]`` per call and, given a list
+    ``keywords``, appending each call's keyword arguments to it."""
 
     def wrapper(*args, **kwargs):
         counts[name] += 1
+        if keywords is not None:
+            keywords.append(kwargs)
         return fn(*args, **kwargs)
 
     return wrapper
@@ -799,102 +802,6 @@ class TestRunDescentExact:
         )
         assert len(trace.records) == 1
         assert trace.records[0].step == 0
-
-    def test_record_initial_off(self):
-        problem = self._problem(85)
-        trace = run_descent(
-            np.full(3, 1.0 / 3.0),
-            DescentParams(0.5, 0.5),
-            "power",
-            3,
-            problem=problem,
-            record_initial=False,
-        )
-        assert [r.step for r in trace.records] == [1, 2, 3]
-
-    @pytest.mark.parametrize("record_initial", [True, False])
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_one_log_mixture_per_iterate(self, monkeypatch, algorithm, record_initial):
-        # N steps visit N+1 iterates; the gradient of step 1 reads the
-        # starting one even when its record is skipped.  The loop reads its
-        # own iterates through the unchecked kernel
-        calls = []
-        log_mixture = FiniteSupportProblem._log_mixture
-
-        def counted(problem, weights):
-            calls.append(1)
-            return log_mixture(problem, weights)
-
-        monkeypatch.setattr(FiniteSupportProblem, "_log_mixture", counted)
-        trace = run_descent(
-            np.full(3, 1.0 / 3.0),
-            DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
-            algorithm,
-            7,
-            problem=self._problem(91),
-            record_initial=record_initial,
-        )
-        assert trace.status == "completed"
-        assert len(calls) == 8
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_gradient_and_objective_share_one_log_u(self, monkeypatch, algorithm):
-        # each iterate's log u = log mix - log p is formed once, and the
-        # objective and the gradient at that iterate read the same array
-        seen = {"gradient": [], "objective": []}
-
-        def wrap(name, fn):
-            def wrapper(*args, **kwargs):
-                seen[name].append(kwargs.get("_log_u"))
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(descent_module, "gradient_exact", wrap("gradient", gradient_exact))
-        monkeypatch.setattr(
-            descent_module, "divergence_exact", wrap("objective", divergence_exact)
-        )
-        problem = self._problem(96)
-        trace = run_descent(
-            np.full(3, 1.0 / 3.0),
-            DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
-            algorithm,
-            7,
-            problem=problem,
-        )
-        assert trace.status == "completed"
-        assert len(seen["objective"]) == 8 and len(seen["gradient"]) == 7
-        for n, rec in enumerate(trace.records[:-1]):
-            log_u = seen["objective"][n]
-            assert isinstance(log_u, np.ndarray)
-            assert seen["gradient"][n] is log_u
-            want = problem._log_mixture(rec.weights) - problem.log_p_values
-            assert np.array_equal(log_u, want)
-
-    @pytest.mark.parametrize("algorithm", ALGORITHMS)
-    def test_loop_never_calls_the_checked_forms(self, monkeypatch, algorithm):
-        # the loop's iterates are checked at entry or made by a step, so it
-        # reads their log-mixture and the generator through the unchecked
-        # kernels only, with the same arithmetic
-        def run():
-            return run_descent(
-                np.full(3, 1.0 / 3.0),
-                DescentParams(1.0 if algorithm == "kl" else 0.5, 0.5),
-                algorithm,
-                7,
-                problem=self._problem(95),
-            )
-
-        want = run()
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("the exact loop called a checked form")
-
-        monkeypatch.setattr(FiniteSupportProblem, "log_mixture", refuse)
-        monkeypatch.setattr(divergence_module, "amari_alpha", refuse)
-        trace = run()
-        assert trace.status == "completed" and len(trace.records) == 8
-        assert _record_keys(trace) == _record_keys(want)
 
     def test_fixed_point_stop(self):
         problem = self._problem(86)
@@ -1000,14 +907,19 @@ class TestRunDescentExact:
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_calls_per_step_and_per_iterate(self, monkeypatch, algorithm):
-        # one public step and one gradient per step, one objective per
-        # iterate, and one as_simplex in all: the entry check, which the
-        # steps skip inside the loop.  The benchmark's tracer checks count
-        # descent.update and harness.replicate only (TracedCalls.run,
-        # test_traced_replicates_match_untraced).  The loop reads one
-        # log-mixture per iterate through the unchecked kernel, and calls
-        # neither the checked log_mixture nor amari_alpha
-        counts = collections.Counter()
+        # The exact loop's call ledger.  12 steps visit 13 iterates: each
+        # visit reads one log-mixture through the unchecked kernel and hands
+        # the same log u to the objective and, when the next step asks, to
+        # the gradient.  One public step per step and one as_simplex in all,
+        # the entry check, which the steps skip inside the loop.  The
+        # checked log_mixture and amari_alpha are never called, and no step
+        # builds a DescentParams, which a public kl_step does.  The
+        # benchmark's tracer checks count descent.update and
+        # harness.replicate only (TracedCalls.run,
+        # test_traced_replicates_match_untraced).
+        problem = self._problem(94)
+        params = DescentParams(0.5 if algorithm != "kl" else 1.0, 0.5)
+        counts, handed = collections.Counter(), collections.defaultdict(list)
         step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
         for owner, name in (
             (descent_module, step),
@@ -1018,15 +930,11 @@ class TestRunDescentExact:
             (FiniteSupportProblem, "_log_mixture"),
             (FiniteSupportProblem, "log_mixture"),
             (divergence_module, "amari_alpha"),
+            (DescentParams, "__post_init__"),
         ):
-            monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
-        trace = run_descent(
-            np.full(3, 1.0 / 3.0),
-            DescentParams(0.5 if algorithm != "kl" else 1.0, 0.5),
-            algorithm,
-            12,
-            problem=self._problem(94),
-        )
+            fn = _counting(counts, name, getattr(owner, name), handed[name])
+            monkeypatch.setattr(owner, name, fn)
+        trace = run_descent(np.full(3, 1.0 / 3.0), params, algorithm, 12, problem=problem)
         assert trace.status == "completed" and len(trace.records) == 13
         assert counts == {
             step: 12,
@@ -1035,7 +943,14 @@ class TestRunDescentExact:
             "divergence_exact": 13,
             "_log_mixture": 13,
         }
-        assert counts["log_mixture"] == counts["amari_alpha"] == 0
+        kl_step(trace.final_weights, MixtureGradient(np.zeros(3), 1.0), 0.3)
+        assert counts["__post_init__"] == 1
+        for n, rec in enumerate(trace.records[:-1]):
+            log_u = handed["divergence_exact"][n]["_log_u"]
+            assert isinstance(log_u, np.ndarray)
+            assert handed["gradient_exact"][n]["_log_u"] is log_u
+            want = problem._log_mixture(rec.weights) - problem.log_p_values
+            assert np.array_equal(log_u, want)
 
 
 class TestRunDescentMonteCarlo:
@@ -1073,119 +988,6 @@ class TestRunDescentMonteCarlo:
             assert ra.vr_bound == rb.vr_bound
             assert math.isnan(ra.objective)
 
-    @pytest.mark.parametrize("record_initial", [True, False])
-    @pytest.mark.parametrize(
-        "algorithm, alpha, draws",
-        [("power", 0.5, 8), ("renyi", 0.5, 8), ("emd", 0.5, 8), ("kl", 1.0, 7)],
-    )
-    def test_one_batch_per_iterate(
-        self, monkeypatch, algorithm, alpha, draws, record_initial
-    ):
-        # 7 steps visit 8 iterates and draw one batch at each: it gives the
-        # iterate its bound and the next step its gradient.  The kl run
-        # monitors nothing at alpha = 1, so its last iterate draws none.
-        calls = []
-        sample = descent_module.sample_mixture
-
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return sample(*args, **kwargs)
-
-        monkeypatch.setattr(descent_module, "sample_mixture", counted)
-        state, target = self._setup(102)
-        trace = run_descent(
-            state,
-            DescentParams(alpha, 0.3),
-            algorithm,
-            7,
-            target=target,
-            sample_count=32,
-            rng=np.random.default_rng(6),
-            record_initial=record_initial,
-        )
-        assert trace.status == "completed"
-        assert len(trace.records) == 7 + record_initial
-        assert len(calls) == draws
-
-    @pytest.mark.parametrize(
-        "algorithm, alpha",
-        [("power", 0.5), ("renyi", 0.5), ("emd", 0.5), ("kl", 1.0)],
-    )
-    def test_no_state_built_after_entry(self, monkeypatch, algorithm, alpha):
-        # the state is checked once, at entry; every stepped iterate is
-        # sampled from its weights and the entry's points and kernel
-        state, target = self._setup(104)
-        builds = []
-        check = MixtureState.__post_init__
-
-        def counted(self):
-            builds.append(1)
-            check(self)
-
-        monkeypatch.setattr(MixtureState, "__post_init__", counted)
-        trace = run_descent(
-            state,
-            DescentParams(alpha, 0.3),
-            algorithm,
-            5,
-            target=target,
-            sample_count=32,
-            rng=np.random.default_rng(7),
-        )
-        assert trace.status == "completed"
-        assert len(trace.records) == 6
-        assert builds == []
-
-    @pytest.mark.parametrize("mode", ["exact", "monte_carlo"])
-    def test_kl_builds_no_params_after_entry(self, monkeypatch, mode):
-        # the step size is checked once, at entry; a kl step inside the loop
-        # builds no DescentParams to check it again, and a public one does
-        params = DescentParams(1.0, 0.3)
-        if mode == "exact":
-            initial = np.full(3, 1.0 / 3.0)
-            kwargs = dict(problem=random_problem(np.random.default_rng(105), num_components=3))
-        else:
-            initial, target = self._setup(105)
-            kwargs = dict(target=target, sample_count=32, rng=np.random.default_rng(9))
-        builds = []
-        check = DescentParams.__post_init__
-
-        def counted(self):
-            builds.append(1)
-            check(self)
-
-        monkeypatch.setattr(DescentParams, "__post_init__", counted)
-        trace = run_descent(initial, params, "kl", 5, **kwargs)
-        assert trace.status == "completed"
-        assert len(trace.records) == 6
-        assert builds == []
-        size = trace.final_weights.size
-        kl_step(trace.final_weights, MixtureGradient(np.zeros(size), 1.0), 0.3)
-        assert builds == [1]
-
-    def test_one_distance_plan_per_run(self, monkeypatch):
-        # the particle side of the batches' product is built once per
-        # run_descent call and once per mean update, and no batch builds one
-        counts = collections.Counter()
-        plan = model_module._DistancePlan
-        monkeypatch.setattr(plan, "__init__", _counting(counts, "plans", plan.__init__))
-        monkeypatch.setattr(plan, "batch", _counting(counts, "batches", plan.batch))
-        state, target = self._setup(106)
-        for runs in (1, 2):
-            trace = run_descent(
-                state,
-                DescentParams(0.5, 0.3),
-                "power",
-                7,
-                target=target,
-                sample_count=32,
-                rng=np.random.default_rng(runs),
-            )
-            assert trace.status == "completed"
-            assert counts == {"plans": runs, "batches": 8 * runs}
-        explore_mean_update(state, target, 32, 0.5, np.random.default_rng(3))
-        assert counts == {"plans": 3, "batches": 17}
-
     @pytest.mark.parametrize(
         "algorithm, alpha",
         [
@@ -1197,27 +999,59 @@ class TestRunDescentMonteCarlo:
         ],
     )
     def test_calls_per_step_and_per_run(self, monkeypatch, algorithm, alpha):
-        # one as_simplex per run_descent call, the entry check, and one
-        # public step per attempted step; the renyi_unweighted arm's second
-        # replicate is refused at step 1, and that step is counted too
-        counts = collections.Counter()
-        step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
-        for owner, name in (
-            (descent_module, step),
-            (descent_module, "as_simplex"),
-            (harness_module, "run_descent"),
-        ):
-            monkeypatch.setattr(owner, name, _counting(counts, name, getattr(owner, name)))
+        # The Monte Carlo loop's call ledger, over two replicates of two
+        # 3-step phases; the renyi_unweighted arm's second replicate is
+        # refused at step 1 of its first phase, and that step is counted.
+        # Per run_descent call: one as_simplex, the entry check, and one
+        # distance plan.  Per attempted step: one public step.  Per visited
+        # iterate: one draw and one batch, which gives the bound and then
+        # the next step's gradient; kl monitors nothing and draws only for
+        # its gradients.  A mean update builds its own plan and batch.  No
+        # state and no DescentParams are built per step: the harness builds
+        # one state per phase and one per move, and one DescentParams per
+        # replicate, and a public kl_step builds one.
+        exploration = "mean_update" if 0.0 <= alpha < 1.0 else "resample"
         config = ExperimentConfig(
             algorithm=algorithm, alpha=alpha, step_size_base=0.3, num_components=5,
             sample_count=(50,), num_steps=3, num_phases=2, dim=2, replicates=2, seed=11,
+            exploration=exploration,
         )
+        counts = collections.Counter()
+        step = "renyi_step" if algorithm == "renyi_unweighted" else f"{algorithm}_step"
+        plan = model_module._DistancePlan
+        for owner, name in (
+            (descent_module, step),
+            (descent_module, "as_simplex"),
+            (descent_module, "sample_mixture"),
+            (harness_module, "run_descent"),
+            (plan, "__init__"),
+            (plan, "batch"),
+            (MixtureState, "__post_init__"),
+            (DescentParams, "__post_init__"),
+        ):
+            key = f"{owner.__name__}.{name}" if name.startswith("__") else name
+            monkeypatch.setattr(owner, name, _counting(counts, key, getattr(owner, name)))
         traces = harness_module.run_experiment(config)
         refused = sum(t.status.startswith("guard_violation") for t in traces)
         assert refused == (algorithm == "renyi_unweighted")
-        attempted = sum(r.step >= 1 for t in traces for r in t.records) + refused
         runs = 4 - refused  # a refused replicate stops in its first phase
-        assert counts == {step: attempted, "as_simplex": runs, "run_descent": runs}
+        moves = 2 - refused  # one exploration per completed first phase
+        steps = 3 * runs - 2 * refused
+        assert steps == sum(r.step >= 1 for t in traces for r in t.records) + refused
+        draws = steps if alpha == 1.0 else steps - refused + runs
+        mean_updates = moves if exploration == "mean_update" else 0
+        assert counts == {
+            step: steps,
+            "as_simplex": runs,
+            "run_descent": runs,
+            "sample_mixture": draws,
+            "_DistancePlan.__init__": runs + mean_updates,
+            "batch": draws + mean_updates,
+            "MixtureState.__post_init__": runs + moves,
+            "DescentParams.__post_init__": 2,
+        }
+        kl_step(traces[0].final_weights, MixtureGradient(np.zeros(5), 1.0), 0.3)
+        assert counts["DescentParams.__post_init__"] == 3
 
     def test_recorded_bound_has_the_law_of_a_fresh_batch(self):
         # The step-1 bound must read like one scored on a new batch from
@@ -1350,18 +1184,16 @@ class TestRunDescentParity:
                 assert _record_keys(trace) == want, (algorithm, alpha, eta)
 
     @pytest.mark.parametrize(
-        "algorithm, alpha, unweighted, record_initial",
+        "algorithm, alpha, unweighted",
         [
-            ("power", 0.5, False, False),
-            ("renyi", 0.5, False, True),
-            ("renyi", 2.0, True, False),
-            ("emd", 0.5, False, True),
-            ("kl", 1.0, False, False),
+            ("power", 0.5, False),
+            ("renyi", 0.5, False),
+            ("renyi", 2.0, True),
+            ("emd", 0.5, False),
+            ("kl", 1.0, False),
         ],
     )
-    def test_monte_carlo_matches_public_loop(
-        self, algorithm, alpha, unweighted, record_initial
-    ):
+    def test_monte_carlo_matches_public_loop(self, algorithm, alpha, unweighted):
         algorithm = _arm(algorithm, unweighted)
         points = np.random.default_rng(7).normal(size=(5, 2))
         state = MixtureState(np.full(5, 0.2), points, GaussianKernel(0.8, 2))
@@ -1375,7 +1207,6 @@ class TestRunDescentParity:
             target=target,
             sample_count=40,
             rng=np.random.default_rng(8),
-            record_initial=record_initial,
         )
 
         rng = np.random.default_rng(8)
@@ -1389,10 +1220,8 @@ class TestRunDescentParity:
         # one batch per iterate: it gives the iterate its bound, when the
         # bound is monitored, and then the next step its gradient
         logs = None if alpha == 1.0 else batch(state)
-        want = []
-        if record_initial:
-            vr = np.nan if logs is None else vr_bound_from_logs(logs.log_p, logs.log_q, alpha)
-            want.append(_key(0, state.weights, vr, np.nan, np.nan))
+        vr = np.nan if logs is None else vr_bound_from_logs(logs.log_p, logs.log_q, alpha)
+        want = [_key(0, state.weights, vr, np.nan, np.nan)]
         for n in range(1, 7):
             grad = gradient_monte_carlo_from_logs(
                 batch(state) if logs is None else logs, alpha, log_base=log_base

@@ -1,11 +1,16 @@
 """Particle refresh moves."""
 
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import alpha_descent
 from alpha_descent.explore import explore_mean_update, explore_resample
 from alpha_descent.gradient import MixtureState, sample_mixture
 from alpha_descent.model import (
@@ -153,3 +158,30 @@ class TestMeanUpdate:
         log_gamma = log_k - log_q + (0.5 - 1.0) * (log_q - log_p)
         want = np.exp(log_gamma - logsumexp(log_gamma, axis=1, keepdims=True)) @ samples
         np.testing.assert_allclose(fresh, want, rtol=1e-12, atol=0.0)
+
+    def test_does_not_depend_on_the_blas_thread_count(self):
+        # The figure-1 mean update, run at one and at two BLAS threads, set
+        # before numpy is imported, gives the same bytes.  Its weighted
+        # means were two matrix-matrix products, which summed in another
+        # order at two threads and moved the means by up to 3.6e-15
+        src = str(Path(alpha_descent.__file__).resolve().parents[1])
+        probe = (
+            "import sys, numpy as np, alpha_descent as a\n"
+            "rng = np.random.default_rng(31)\n"
+            "j, d = 100, 16\n"
+            "kernel = a.GaussianKernel(a.bandwidth_rule(j, d), d)\n"
+            "points = np.sqrt(5.0) * rng.standard_normal((j, d))\n"
+            "state = a.MixtureState(np.full(j, 1.0 / j), points, kernel)\n"
+            "target = a.GaussianMixtureTarget([-2.0 * np.ones(d), 2.0 * np.ones(d)], scale=2.0)\n"
+            "fresh = a.explore_mean_update(state, target, 2000, 0.5, rng)\n"
+            "sys.stdout.write(fresh.tobytes().hex())\n"
+        )
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            outputs.append(subprocess.run(
+                [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+                check=True,
+            ).stdout)
+        assert len(outputs[0]) == 100 * 16 * 16
+        assert outputs[0] == outputs[1]

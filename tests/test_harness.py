@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import alpha_descent.descent as descent_module
 import alpha_descent.harness as harness_module
 from alpha_descent import check, cli
 from alpha_descent.cli import main
@@ -380,6 +381,24 @@ class TestRunReplicate:
         assert len(trace.records) == 1  # the initial record survives
         # the replicate's status is the one run_descent wrote on the partial trace
         assert partial_statuses == [trace.status]
+
+    def test_a_refused_later_phase_keeps_its_steps_not_its_start(self, monkeypatch):
+        # the fifth step, step 2 of phase 2, is refused: that phase's partial
+        # trace holds its start and step 1, and the replicate keeps the step
+        # alone, as it does for a phase that completes
+        emd_step, steps = descent_module.emd_step, []
+
+        def refusing(*args, **kwargs):
+            steps.append(1)
+            if len(steps) == 5:
+                raise GuardViolation("refused")
+            return emd_step(*args, **kwargs)
+
+        monkeypatch.setattr(descent_module, "emd_step", refusing)
+        trace = run_replicate(_config(num_phases=3, num_steps=3), 0)
+        assert trace.status.startswith("guard_violation: step 2 of phase 2")
+        want = [(1, 0), (1, 1), (1, 2), (1, 3), (2, 1)]
+        assert [(r.phase, r.step) for r in trace.records] == want
 
     def test_power_completes_at_d16(self):
         # the power update reads the positive base A_j, which cannot go

@@ -58,11 +58,11 @@ def _spread(x, y, centre):
 
 
 def _both_spreads(x, y, particles):
-    """The spread about the particles' coordinate-wise (upper) median, where a batch
-    centres its product, plus that about the samples' mean, where the public
-    evaluations centre theirs: at a row scale ``s``, the two products agree within
-    PARITY_RTOL times ``|s|`` times this, and a log-sum-exp over rows within its
-    worst row."""
+    """The spread about the coordinate-wise (upper) median of the weighted
+    ``particles``, where a batch centres its product, plus that about the samples'
+    mean, where the public evaluations centre theirs: at a row scale ``s``, the two
+    products agree within PARITY_RTOL times ``|s|`` times this, and a log-sum-exp
+    over rows within its worst row."""
     median = np.sort(particles, axis=0)[len(particles) // 2]
     return _spread(x, y, median) + _spread(x, y, y.mean(axis=0))
 
@@ -622,7 +622,8 @@ class TestSampleLogs:
             np.log(batch.ratio) + batch.log_peak, kernel.logpdf_matrix(points, ys),
             rtol=PARITY_RTOL, atol=0.0,
         )
-        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, points).max(axis=0)
+        spread = _both_spreads(target.means, ys, points[w > 0])
+        bound = PARITY_RTOL * 0.5 * spread.max(axis=0)
         assert np.all(np.abs(batch.log_p - target.log_density(ys)) <= bound)
         assert batch.log_peak == kernel.log_peak
         # pointwise reference over the weighted components only
@@ -691,7 +692,7 @@ class TestSampleLogs:
 
 
 class TestDistancePlan:
-    """The batch's product about the particles' median, against the public
+    """The batch's product about the weighted particles' median, against the public
     evaluations about the samples' mean, at the figure 1 shape."""
 
     def _batch(self, case, rng):
@@ -718,14 +719,16 @@ class TestDistancePlan:
         np.testing.assert_allclose(batch.ratio, np.exp(log_e), rtol=PARITY_RTOL, atol=0.0)
         gap = np.abs(log_e + batch.log_peak - kernel.logpdf_matrix(points, ys))
         scale = 0.5 / kernel.bandwidth**2
-        assert np.all(gap <= PARITY_RTOL * scale * _both_spreads(points, ys, points))
+        held = points[weights > 0]
+        assert np.all(gap <= PARITY_RTOL * scale * _both_spreads(points, ys, held))
         gap = np.abs(batch.log_p - target.log_density(ys))
-        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, points).max(axis=0)
+        bound = PARITY_RTOL * 0.5 * _both_spreads(target.means, ys, held).max(axis=0)
         assert np.all(gap <= bound)
 
     def test_a_remote_zero_weight_particle_moves_no_other_row(self):
-        # the centre is the particles' median, which one remote particle
-        # does not move, so every other row and log q keep their bits
+        # the centre is the weighted particles' median, which a remote
+        # zero-weight particle does not enter, so every other row and log q
+        # keep their bits
         weights, points, kernel, target, ys = self._batch(
             "far zero weight", np.random.default_rng(28)
         )
@@ -737,6 +740,28 @@ class TestDistancePlan:
         assert np.array_equal(near.log_q, far.log_q)
         assert np.array_equal(near.log_p, far.log_p)
         assert (far.ratio[7] == 0.0).all()
+
+    def test_a_remote_zero_weight_particle_does_not_move_the_centre(self):
+        # the centre is the median of the weighted particles: a zero-weight
+        # one at [1e200, 0] overflowed the product when it was centred on
+        # all of them, in a batch and in a run
+        kernel = GaussianKernel(1.0, 2)
+        target = GaussianMixtureTarget([[0.0, 0.0]])
+        points, weights = np.array([[0.0, 0.0], [1e200, 0.0]]), np.array([1.0, 0.0])
+        ys = sample_mixture(weights, points, kernel, 50, np.random.default_rng(29))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = sample_logs(weights, points, kernel, target, ys)
+            trace = run_descent(
+                MixtureState(weights, points, kernel), DescentParams(0.5, 0.3), "power",
+                3, target=target, sample_count=50, rng=np.random.default_rng(30),
+            )
+        want = kernel.logpdf_matrix(points[:1], ys)[0]
+        np.testing.assert_allclose(batch.log_q, want, rtol=PARITY_RTOL, atol=0.0)
+        assert (batch.ratio[1] == 0.0).all()
+        assert trace.status == "completed" and len(trace.records) == 4
+        assert all(np.array_equal(r.weights, weights) for r in trace.records)
+        assert all(np.isfinite(r.vr_bound) for r in trace.records)
 
 
 class TestFiniteSupportProblem:

